@@ -1,0 +1,65 @@
+"""Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
+
+Refactors must leave these bytes unchanged.  A change that alters a digest
+on purpose updates it here and says why in CHANGES.md.  The runs write
+under a relative ``--out`` so that the ``outdir`` recorded in
+``manifest.json`` does not depend on where the test runs.
+"""
+
+import hashlib
+
+import pytest
+
+from etsmc.cli import main
+from etsmc.config import build_config
+from etsmc.trigger import estimate_lipschitz
+
+GOLDEN = {
+    "nominal": {
+        "composition.svg": "45f6096a27020a7b4c5e768efb39bd933e19e56d339bc282639062c47ace6a3d",
+        "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
+        "events.svg": "36f0396f0a31475447313fc169131764db4bd1347a3ecefb7a29903ba33b6c26",
+        "manifest.json": "d88405ec15303dfe20d5a0cf3dd0b8665e9dad1c6bba59444108e2f8198eae71",
+        "metrics.json": "597164be654047e90009b252be9dcafab6d6db64a419565e66ac9adf79c9fc04",
+        "metrics.txt": "6a6dd7b9bf515e27e1cb967f7f185714cdb43b0bf0745724f782984ad0467022",
+        "temperature.svg": "25d43cd8c5cf1e6c7bbf12ace58ac93f55576c7efcd27159a539986b3dc48a9a",
+        "trajectory.csv": "154b9aa0ca0098516fa36fd285ea92d3c7560c2419d8b1308e3a06eaf43013ba",
+    },
+    "disturbed": {
+        "composition.svg": "4369e3b1e6fdf9c7f85edff4cd54e8921f46fe461e091c2ca4cfcd94e58b7b03",
+        "events.csv": "430c2c2ef37a006f43709c9a6c78abdd8dd10b452e2c2fbf637d9d06519d50d2",
+        "events.svg": "03ed0679f53e5109f2bd13480d5a9a7d30c116d7e68f0885a878dbeed1950044",
+        "manifest.json": "40b8ae09dfbfc031719e45fcc391997231dcd9b4212e361eed0cc4c0e9977d28",
+        "metrics.json": "0e3e12b834e7bbadf8a97a2f00d537f840d88dcb803b7e25782ccae5083aaf20",
+        "metrics.txt": "a5b3dddf28bc9f1f87d6dfb9f31969543833838b455e81d494eb486af962fc05",
+        "temperature.svg": "d1cb225b69af0131d70ac50f00585a081d7ce5340f7882b280b3b1058db948f3",
+        "trajectory.csv": "3e3a0f47bb13d60ae12c0c541963ebacb77131881b752e02b422c9930bffba3b",
+    },
+    "regulate-400": {
+        "composition.svg": "7bef9c6dea61c5bc7e952fd51c646270ada0f508ac018be4b2dd6367c469d4bb",
+        "events.csv": "8575c7fa556e230806ffbb2dc54956a48c01165b5c651af39184d951befbed9f",
+        "events.svg": "de1ac36f95602e5b26a71aba5e2bc13bdd72e4c572d1515e0f52fe98ea91034c",
+        "manifest.json": "b85f33896504aee3330b91e18ab046346f7ce26cb8f1aa2c6a7e869fb4f18f28",
+        "metrics.json": "27577ed353c68d9d4cefae5a89119734dbbcc84ec3fbb48529cdb4fcce077e50",
+        "metrics.txt": "5bd5b5d69af5c92bb00c1de7a741b93046ae2010b338872ed1bb3ee4d1e8bb3d",
+        "temperature.svg": "18d14ef016b82456a35afcea918052e45540d7838d680c275c559e1ccbbeb1a9",
+        "trajectory.csv": "f1665ce8edeb9dd4e0445f6c5e63e2cdbfd2ca9cec7203e17c20cf6dd687635f",
+    },
+}
+
+L_BAR = 44.22060080686917
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_cli_artifact_digests(scenario, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--scenario", scenario, "--duration", "2",
+                 "--out", "runs"]) == 0
+    run_dir = tmp_path / "runs" / scenario
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in run_dir.iterdir()}
+    assert digests == GOLDEN[scenario]
+
+
+def test_default_plant_lipschitz_estimate():
+    assert estimate_lipschitz(build_config({}).plant).l_bar == L_BAR
