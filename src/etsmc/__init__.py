@@ -2,20 +2,20 @@
 
 from .controller import (ErrorState, HeldControl, ReferenceSignal,
                          SlidingParams, continuous_control, drift_vector,
-                         error_state, event_control_update, sigma, sign)
+                         error_state, event_control_update, sigma, sign,
+                         switching_law)
 from .plant import (DimlessParams, DimlessState, Disturbance,
                     InvalidParameterError, PhysicalParams, PlantError,
-                    SingularExponentError, composition_nullcline, eval_f1,
-                    eval_f2, find_equilibria, jacobian, kelvin_to_x2,
-                    physical_to_dimensionless, reaction_rate,
-                    state_derivative, x2_to_kelvin)
+                    SingularExponentError, composition_nullcline, drift,
+                    eval_f1, eval_f2, jacobian, kelvin_to_x2,
+                    physical_to_dimensionless, state_derivative)
 from .sim import (Metrics, ReachabilityResult, SimConfig,
                   SimulationDivergedError, Trajectory, check_invariants,
-                  compute_metrics, resolve_regulation, rk4_step,
+                  compute_metrics, resolve_regulation, rk4, rk4_step,
                   run_event_triggered, run_time_triggered,
                   verify_reachability)
 from .trigger import (EventLog, LipschitzEstimate, TriggerParams, delta,
-                      estimate_lipschitz, should_trigger, threshold,
+                      estimate_lipschitz, margin, should_trigger, threshold,
                       zeno_bound)
 
 __version__ = "0.1.0"

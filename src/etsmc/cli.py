@@ -6,14 +6,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import sim
 from .config import ConfigError, build_config, config_values, parse_config
 from .plant import PlantError
 from .plots import emit_plot
-from .sim import (SimConfig, check_invariants, resolve_regulation,
+from .sim import (Metrics, SimConfig, check_invariants, resolve_regulation,
                   run_event_triggered, run_time_triggered,
                   write_trajectory_csv)
 from .trigger import write_event_csv
@@ -48,6 +48,17 @@ def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+def _metrics_dict(metrics: Metrics) -> dict:
+    """Flat metrics record; the steady band is split into its two ends."""
+    out = {}
+    for key, val in asdict(metrics).items():
+        if key == "steady_band_x1":
+            out["steady_band_x1_min"], out["steady_band_x1_max"] = val
+        else:
+            out[key] = val
+    return out
+
+
 def _write_metrics(path_txt: Path, path_json: Path, metrics: dict) -> None:
     lines = [f"{k} = {v}" for k, v in metrics.items()]
     path_txt.write_text("\n".join(lines) + "\n")
@@ -66,12 +77,12 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
 
     traj, log, metrics = run_event_triggered(rcfg)
     violations = check_invariants(traj, log, rcfg)
-    metrics_dict = metrics.as_dict()
+    metrics_dict = _metrics_dict(metrics)
 
     if name == "baseline-comparison":
         tt_traj, tt_metrics = run_time_triggered(rcfg)
         metrics_dict.update(
-            {f"baseline_{k}": v for k, v in tt_metrics.as_dict().items()})
+            {f"baseline_{k}": v for k, v in _metrics_dict(tt_metrics).items()})
         metrics_dict["update_saving_vs_baseline"] = (
             1.0 - metrics.event_count / tt_metrics.event_count)
 
@@ -107,9 +118,7 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
         files=files,
     )
     (out / "manifest.json").write_text(json.dumps(
-        {"scenario": manifest.scenario, "config": manifest.config,
-         "outdir": manifest.outdir, "files": manifest.files,
-         "invariant_violations": violations},
+        {**asdict(manifest), "invariant_violations": violations},
         indent=2, sort_keys=True) + "\n")
     return manifest, violations
 
@@ -128,14 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integration step override")
     parser.add_argument("--duration", type=float, default=None,
                         help="horizon override")
-    parser.add_argument("--setpoint-kelvin", type=float, default=None)
     parser.add_argument("--tf0-kelvin", type=float, default=None)
-    parser.add_argument("--baseline", action="store_true",
-                        help="also run the time-triggered baseline "
-                             "(same as --scenario baseline-comparison)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; validated but unused (runs are "
-                             "deterministic)")
     return parser
 
 
@@ -151,18 +153,11 @@ def main(argv=None) -> int:
             overrides["h"] = args.step
         if args.duration is not None:
             overrides["t_end"] = args.duration
-        if args.setpoint_kelvin is not None:
-            overrides["setpoint_kelvin"] = args.setpoint_kelvin
         if args.tf0_kelvin is not None:
             overrides["tf0_kelvin"] = args.tf0_kelvin
         if overrides:
             cfg = replace(cfg, **overrides)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        scenario = args.scenario
-        if args.baseline and scenario == "nominal":
-            scenario = "baseline-comparison"
-        manifest, violations = run_scenario(scenario, cfg, args.out)
+        manifest, violations = run_scenario(args.scenario, cfg, args.out)
     except (ConfigError, PlantError, sim.SimulationDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,13 +2,14 @@
 
 The file format is flat ``key = value`` lines, ``#`` comments, decimal dot.
 Missing keys fall back to the documented default experiment parameterization;
-unknown keys are hard errors.  The optional physical block (k0 .. b) is only
-accepted as a whole.
+unknown keys and non-finite values are hard errors.  The optional physical
+block (k0 .. b) is only accepted as a whole.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
 from .plant import (DimlessParams, DimlessState, InvalidParameterError,
@@ -21,50 +22,64 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
-#: Default experiment parameterization (startup tracking case).
-DEFAULTS: dict[str, float] = {
+#: The record type behind each record name of KEYS.  "run" keys are
+#: SimConfig fields themselves; "physical" keys build SimConfig.physical.
+RECORDS = {"plant": DimlessParams, "sliding": SlidingParams,
+           "trigger": TriggerParams, "reference": ReferenceSignal,
+           "x0": DimlessState}
+
+#: Every accepted key: key -> (record, field, default).  A default of None
+#: marks an optional key.  trigger_both is the one key whose value is not
+#: its field's: 1.0 selects trigger indices (1, 2), 0.0 selects (2,).
+KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     # plant
-    "da": 0.078,
-    "gamma": 20.0,
-    "b_rise": 8.0,
-    "beta": 0.3,
-    "x2c0": 0.0,
+    "da": ("plant", "da", 0.078),
+    "gamma": ("plant", "gamma", 20.0),
+    "b_rise": ("plant", "b_rise", 8.0),
+    "beta": ("plant", "beta", 0.3),
+    "x2c0": ("plant", "x2c0", 0.0),
     # disturbance signals
-    "d1_amp": 0.026,
-    "d1_freq": 0.1,
-    "d2_amp": 0.037,
-    "d2_freq": 0.1,
+    "d1_amp": ("run", "d1_amp", 0.026),
+    "d1_freq": ("run", "d1_freq", 0.1),
+    "d2_amp": ("run", "d2_amp", 0.037),
+    "d2_freq": ("run", "d2_freq", 0.1),
     # sliding manifold and switching gain
-    "lambda1": 1.0,
-    "lambda2": 2.0,
-    "mu": 25.0,
+    "lambda1": ("sliding", "lambda1", 1.0),
+    "lambda2": ("sliding", "lambda2", 2.0),
+    "mu": ("sliding", "mu", 25.0),
     # triggering rule
-    "zeta": 0.8,
-    "xi": 0.8,
-    "psi": 0.5,
-    "m1": 1e-4,
-    "m2": 0.2025,
-    "varsigma": 0.97,
-    "trigger_both": 0.0,   # 1.0 enables the {1,2}-OR index mode
+    "zeta": ("trigger", "zeta", 0.8),
+    "xi": ("trigger", "xi", 0.8),
+    "psi": ("trigger", "psi", 0.5),
+    "m1": ("trigger", "m1", 1e-4),
+    "m2": ("trigger", "m2", 0.2025),
+    "varsigma": ("trigger", "varsigma", 0.97),
+    "trigger_both": ("trigger", "indices", 0.0),
     # reference trajectory
-    "x1ref": 0.4472,
-    "x2ss": 2.6516,
-    "k1": 1.0,
-    "k2": 1.0,
+    "x1ref": ("reference", "x1_const", 0.4472),
+    "x2ss": ("reference", "x2ss", 2.6516),
+    "k1": ("reference", "k1", 1.0),
+    "k2": ("reference", "k2", 1.0),
     # integration
-    "h": 1e-3,
-    "t_end": 50.0,
-    "x0_1": 0.0,
-    "x0_2": 0.0,
-    "tf0_kelvin": 300.0,
+    "h": ("run", "h", 1e-3),
+    "t_end": ("run", "t_end", 50.0),
+    "x0_1": ("x0", "x1", 0.0),
+    "x0_2": ("x0", "x2", 0.0),
+    # regulation setpoint conversion
+    "tf0_kelvin": ("run", "tf0_kelvin", 300.0),
+    "setpoint_kelvin": ("run", "setpoint_kelvin", None),
+    # the optional physical parameter block, all-or-nothing
+    **{k: ("physical", k, None)
+       for k in ("k0", "caf0", "f0", "rho", "cp", "dh", "rhoc", "cpc",
+                 "v", "fc", "e", "r", "tf0", "tc0", "a", "b")},
 }
 
-#: Optional keys without defaults.
-OPTIONAL_KEYS = ("setpoint_kelvin",)
+#: Default experiment parameterization (startup tracking case).
+DEFAULTS: dict[str, float] = {
+    k: default for k, (_, _, default) in KEYS.items() if default is not None}
 
-#: The optional physical parameter block, all-or-nothing.
-PHYSICAL_KEYS = ("k0", "caf0", "f0", "rho", "cp", "dh", "rhoc", "cpc",
-                 "v", "fc", "e", "r", "tf0", "tc0", "a", "b")
+PHYSICAL_KEYS = tuple(k for k, (rec, _, _) in KEYS.items()
+                      if rec == "physical")
 
 
 def _parse_lines(text: str) -> dict[str, float]:
@@ -80,8 +95,7 @@ def _parse_lines(text: str) -> dict[str, float]:
         val = val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        known = key in DEFAULTS or key in OPTIONAL_KEYS or key in PHYSICAL_KEYS
-        if not known:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             values[key] = float(val)
@@ -94,46 +108,26 @@ def _parse_lines(text: str) -> dict[str, float]:
 def build_config(values: Mapping[str, float],
                  scenario: str = "nominal") -> SimConfig:
     """Assemble a validated SimConfig from resolved key-value pairs."""
-    v = dict(DEFAULTS)
+    for key, val in values.items():
+        if not math.isfinite(val):
+            raise ConfigError(f"value for {key!r} must be finite, got {val}")
+    v = {k: default for k, (_, _, default) in KEYS.items()}
     v.update(values)
 
-    physical = None
-    present = [k for k in PHYSICAL_KEYS if k in v]
-    if present:
-        missing = [k for k in PHYSICAL_KEYS if k not in v]
-        if missing:
-            raise ConfigError(
-                f"incomplete physical block, missing: {', '.join(missing)}")
-        try:
-            physical = PhysicalParams(**{k: v[k] for k in PHYSICAL_KEYS})
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+    missing = [k for k in PHYSICAL_KEYS if v[k] is None]
+    if 0 < len(missing) < len(PHYSICAL_KEYS):
+        raise ConfigError(
+            f"incomplete physical block, missing: {', '.join(missing)}")
 
-    indices = (1, 2) if v["trigger_both"] else (2,)
+    fields: dict[str, dict] = {}
+    for key, (record, field, _) in KEYS.items():
+        fields.setdefault(record, {})[field] = v[key]
+    fields["trigger"]["indices"] = (1, 2) if v["trigger_both"] else (2,)
     try:
-        return SimConfig(
-            plant=DimlessParams(da=v["da"], gamma=v["gamma"],
-                                b_rise=v["b_rise"], beta=v["beta"],
-                                x2c0=v["x2c0"]),
-            sliding=SlidingParams(lambda1=v["lambda1"], lambda2=v["lambda2"],
-                                  mu=v["mu"]),
-            trigger=TriggerParams(zeta=v["zeta"], xi=v["xi"], psi=v["psi"],
-                                  m1=v["m1"], m2=v["m2"],
-                                  varsigma=v["varsigma"], indices=indices),
-            reference=ReferenceSignal(x1_const=v["x1ref"], x2ss=v["x2ss"],
-                                      k1=v["k1"], k2=v["k2"]),
-            h=v["h"],
-            t_end=v["t_end"],
-            x0=DimlessState(v["x0_1"], v["x0_2"]),
-            scenario=scenario,
-            d1_amp=v["d1_amp"],
-            d1_freq=v["d1_freq"],
-            d2_amp=v["d2_amp"],
-            d2_freq=v["d2_freq"],
-            setpoint_kelvin=v.get("setpoint_kelvin"),
-            tf0_kelvin=v["tf0_kelvin"],
-            physical=physical,
-        )
+        records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
+        physical = None if missing else PhysicalParams(**fields["physical"])
+        return SimConfig(**fields["run"], **records, physical=physical,
+                         scenario=scenario)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -147,41 +141,15 @@ def parse_config(path, scenario: str = "nominal") -> SimConfig:
 
 def config_values(cfg: SimConfig) -> dict[str, float]:
     """The resolved key-value view of a SimConfig (inverse of build_config)."""
-    out = {
-        "da": cfg.plant.da,
-        "gamma": cfg.plant.gamma,
-        "b_rise": cfg.plant.b_rise,
-        "beta": cfg.plant.beta,
-        "x2c0": cfg.plant.x2c0,
-        "d1_amp": cfg.d1_amp,
-        "d1_freq": cfg.d1_freq,
-        "d2_amp": cfg.d2_amp,
-        "d2_freq": cfg.d2_freq,
-        "lambda1": cfg.sliding.lambda1,
-        "lambda2": cfg.sliding.lambda2,
-        "mu": cfg.sliding.mu,
-        "zeta": cfg.trigger.zeta,
-        "xi": cfg.trigger.xi,
-        "psi": cfg.trigger.psi,
-        "m1": cfg.trigger.m1,
-        "m2": cfg.trigger.m2,
-        "varsigma": cfg.trigger.varsigma,
-        "trigger_both": 1.0 if cfg.trigger.indices == (1, 2) else 0.0,
-        "x1ref": cfg.reference.x1_const,
-        "x2ss": cfg.reference.x2ss,
-        "k1": cfg.reference.k1,
-        "k2": cfg.reference.k2,
-        "h": cfg.h,
-        "t_end": cfg.t_end,
-        "x0_1": cfg.x0.x1,
-        "x0_2": cfg.x0.x2,
-        "tf0_kelvin": cfg.tf0_kelvin,
-    }
-    if cfg.setpoint_kelvin is not None:
-        out["setpoint_kelvin"] = cfg.setpoint_kelvin
-    if cfg.physical is not None:
-        for k in PHYSICAL_KEYS:
-            out[k] = getattr(cfg.physical, k)
+    out = {}
+    for key, (record, field, _) in KEYS.items():
+        # an absent physical block reads as None, like an unset optional key
+        val = getattr(cfg if record == "run" else getattr(cfg, record),
+                      field, None)
+        if key == "trigger_both":
+            val = 1.0 if val == (1, 2) else 0.0
+        if val is not None:
+            out[key] = val
     return out
 
 

@@ -117,15 +117,25 @@ def drift_vector(x: DimlessState, t: float, p: DimlessParams,
     ])
 
 
+def switching_law(e1: float, e2: float, g1: float, g2: float,
+                  sp: SlidingParams, beta: float) -> float:
+    """Sliding-mode law -(lambda2*beta)^-1 (lambda.g + mu*sign(sigma)).
+
+    (e1, e2) are the tracking errors and (g1, g2) the control-free error
+    drift, as returned by drift_vector.
+    """
+    s = sp.lambda1 * e1 + sp.lambda2 * e2
+    return -(sp.lambda1 * g1 + sp.lambda2 * g2 + sp.mu * sign(s)) / (
+        sp.lambda2 * beta)
+
+
 def continuous_control(x: DimlessState, t: float, p: DimlessParams,
                        d: Disturbance, r: ReferenceSignal,
                        sp: SlidingParams) -> float:
-    """Continuous sliding-mode law -(lambda2*beta)^-1 (lambda.f + mu*sign(sigma))."""
-    e = ErrorState(x.x1 - r.x1ref(t), x.x2 - r.x2ref(t), 0.0, 0.0)
-    s = sigma(e, sp)
-    f = drift_vector(x, t, p, d, r)
-    lam_f = sp.lambda1 * f[0] + sp.lambda2 * f[1]
-    return -(lam_f + sp.mu * sign(s)) / (sp.lambda2 * p.beta)
+    """Continuous sliding-mode law evaluated at state x and time t."""
+    g = drift_vector(x, t, p, d, r)
+    return switching_law(x.x1 - r.x1ref(t), x.x2 - r.x2ref(t), g[0], g[1],
+                         sp, p.beta)
 
 
 def event_control_update(x: DimlessState, t_k: float, p: DimlessParams,

@@ -37,9 +37,6 @@ class DimlessState:
     x1: float
     x2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x1) and math.isfinite(self.x2)
 
@@ -133,35 +130,38 @@ class Disturbance:
         )
 
 
-def _reaction_exponent(x2: float, gamma: float) -> float:
-    den = 1.0 + x2 / gamma
+def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:
+    """Undisturbed drift pair (f1, f2) at (x1, x2).
+
+    f1 = -x1 + Da(1-x1)exp(x2/(1+x2/gamma)) and
+    f2 = -x2 + B Da(1-x1)exp(x2/(1+x2/gamma)) - beta(x2 - x2c0);
+    control and disturbances are added by the caller.
+    """
+    den = 1.0 + x2 / p.gamma
     if abs(den) < SINGULAR_TOL:
         raise SingularExponentError(
-            f"1 + x2/gamma vanishes (x2={x2}, gamma={gamma})")
-    return math.exp(x2 / den)
+            f"1 + x2/gamma vanishes (x2={x2}, gamma={p.gamma})")
+    ex = math.exp(x2 / den)
+    return (-x1 + p.da * (1.0 - x1) * ex,
+            -x2 + p.b_rise * p.da * (1.0 - x1) * ex - p.beta * (x2 - p.x2c0))
 
 
 def eval_f1(x: DimlessState, p: DimlessParams) -> float:
-    """Undisturbed composition drift -x1 + Da(1-x1)exp(x2/(1+x2/gamma))."""
-    ex = _reaction_exponent(x.x2, p.gamma)
-    return -x.x1 + p.da * (1.0 - x.x1) * ex
+    """Undisturbed composition drift f1 at x."""
+    return drift(x.x1, x.x2, p)[0]
 
 
 def eval_f2(x: DimlessState, p: DimlessParams) -> float:
-    """Undisturbed temperature drift; control and d1 are added by the caller."""
-    ex = _reaction_exponent(x.x2, p.gamma)
-    return (-x.x2 + p.b_rise * p.da * (1.0 - x.x1) * ex
-            - p.beta * (x.x2 - p.x2c0))
+    """Undisturbed temperature drift f2 at x."""
+    return drift(x.x1, x.x2, p)[1]
 
 
 def state_derivative(x: DimlessState, u: float, t: float,
                      p: DimlessParams, d: Disturbance) -> DimlessState:
     """Full state rate (f1 - d2, f2 + beta*u + d1) at time t."""
+    f1, f2 = drift(x.x1, x.x2, p)
     d1v, d2v = d.eval(t)
-    return DimlessState(
-        x1=eval_f1(x, p) - d2v,
-        x2=eval_f2(x, p) + p.beta * u + d1v,
-    )
+    return DimlessState(x1=f1 - d2v, x2=f2 + p.beta * u + d1v)
 
 
 def jacobian(x: DimlessState, p: DimlessParams) -> np.ndarray:
@@ -208,74 +208,7 @@ def kelvin_to_x2(temp: float, tf0: float, gamma: float) -> float:
     return gamma * (temp - tf0) / tf0
 
 
-def x2_to_kelvin(x2: float, tf0: float, gamma: float) -> float:
-    """Inverse of kelvin_to_x2."""
-    if not tf0 > 0.0:
-        raise InvalidParameterError("tf0 must be positive")
-    return tf0 + x2 * tf0 / gamma
-
-
-def reaction_rate(ca: float, temp: float, pp: PhysicalParams) -> float:
-    """Arrhenius rate k0 exp(-E/(R T)) CA, kmol/m^3/min."""
-    if not temp > 0.0:
-        raise PlantError("temperature must be positive")
-    return pp.k0 * math.exp(-pp.e / (pp.r * temp)) * ca
-
-
 def composition_nullcline(x2: float, p: DimlessParams) -> float:
     """The x1 solving f1(x1, x2) = 0 for a given x2."""
-    rex = p.da * _reaction_exponent(x2, p.gamma)
+    rex = drift(0.0, x2, p)[0]  # f1(0, x2) is the reaction term Da*exp(.)
     return rex / (1.0 + rex)
-
-
-def find_equilibria(p: DimlessParams, u: float,
-                    box: tuple[tuple[float, float], tuple[float, float]]
-                    = ((0.0, 1.0), (0.0, 6.0)),
-                    grid: int = 20,
-                    tol: float = 1e-10,
-                    max_iter: int = 60) -> list[DimlessState]:
-    """Undisturbed equilibria of the state model at fixed control u.
-
-    Newton iterations with the analytic Jacobian, seeded from a grid x grid
-    lattice over box; converged roots inside the box are deduplicated.
-    Returns an empty list if nothing converges (diagnostic, not fatal).
-    """
-    (x1lo, x1hi), (x2lo, x2hi) = box
-    margin = 1e-6
-    roots: list[np.ndarray] = []
-    seeds1 = np.linspace(x1lo, x1hi, grid)
-    seeds2 = np.linspace(x2lo, x2hi, grid)
-    for s1 in seeds1:
-        for s2 in seeds2:
-            z = np.array([s1, s2])
-            ok = False
-            for _ in range(max_iter):
-                st = DimlessState(z[0], z[1])
-                try:
-                    fv = np.array([eval_f1(st, p),
-                                   eval_f2(st, p) + p.beta * u])
-                    jac = jacobian(st, p)
-                except (SingularExponentError, OverflowError):
-                    # the iterate wandered past the exponent singularity
-                    break
-                if not np.all(np.isfinite(fv)):
-                    break
-                if np.linalg.norm(fv) < tol:
-                    ok = True
-                    break
-                try:
-                    step = np.linalg.solve(jac, fv)
-                except np.linalg.LinAlgError:
-                    break
-                z = z - step
-                if not np.all(np.isfinite(z)):
-                    break
-            if not ok:
-                continue
-            if not (x1lo - margin <= z[0] <= x1hi + margin
-                    and x2lo - margin <= z[1] <= x2hi + margin):
-                continue
-            if all(np.linalg.norm(z - r) > 1e-6 for r in roots):
-                roots.append(z)
-    roots.sort(key=lambda r: (r[1], r[0]))
-    return [DimlessState(float(r[0]), float(r[1])) for r in roots]

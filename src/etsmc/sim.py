@@ -13,21 +13,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .controller import ReferenceSignal, SlidingParams
+from .controller import ReferenceSignal, SlidingParams, switching_law
 from .plant import (DimlessParams, DimlessState, Disturbance,
-                    InvalidParameterError, PhysicalParams, SINGULAR_TOL,
-                    SingularExponentError, composition_nullcline,
-                    kelvin_to_x2, state_derivative)
-from .trigger import (EventLog, TriggerParams, estimate_lipschitz, threshold,
-                      zeno_bound)
+                    InvalidParameterError, PhysicalParams,
+                    composition_nullcline, drift, kelvin_to_x2)
+from .trigger import (EventLog, TriggerParams, estimate_lipschitz, margin,
+                      threshold, zeno_bound)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
 X1_PHYSICAL_TOL = 0.1
+
+#: Ceiling on the steps of one run, checked before any array is allocated
+#: (20x the default horizon; each step stores about 100 bytes).
+MAX_STEPS = 1_000_000
 
 
 class SimulationDivergedError(RuntimeError):
@@ -42,31 +45,37 @@ class SimConfig:
     sliding: SlidingParams
     trigger: TriggerParams
     reference: ReferenceSignal
-    h: float = 1e-3
-    t_end: float = 50.0
-    x0: DimlessState = DimlessState(0.0, 0.0)
-    scenario: str = "nominal"
-    d1_amp: float = 0.026
-    d1_freq: float = 0.1
-    d2_amp: float = 0.037
-    d2_freq: float = 0.1
-    setpoint_kelvin: Optional[float] = None
-    tf0_kelvin: float = 300.0
-    physical: Optional[PhysicalParams] = None
+    h: float
+    t_end: float
+    x0: DimlessState
+    scenario: str
+    d1_amp: float
+    d1_freq: float
+    d2_amp: float
+    d2_freq: float
+    setpoint_kelvin: Optional[float]
+    tf0_kelvin: float
+    physical: Optional[PhysicalParams]
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise InvalidParameterError("h must be positive")
-        if not self.t_end >= 10.0 * self.h:
-            raise InvalidParameterError("t_end must be at least 10*h")
+        if not 0.0 < self.h < math.inf:
+            raise InvalidParameterError("h must be positive and finite")
+        if not 10.0 * self.h <= self.t_end < math.inf:
+            raise InvalidParameterError(
+                "t_end must be finite and at least 10*h")
+        if not self.t_end / self.h <= MAX_STEPS:
+            raise InvalidParameterError(
+                f"t_end/h = {self.t_end / self.h:.6g} steps exceeds the "
+                f"ceiling of {MAX_STEPS}")
         if self.scenario not in SCENARIOS:
             raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "regulate":
             if self.setpoint_kelvin is None:
                 raise InvalidParameterError(
                     "regulate scenario requires setpoint_kelvin")
-            if not self.tf0_kelvin > 0.0:
-                raise InvalidParameterError("tf0_kelvin must be positive")
+            if not 0.0 < self.tf0_kelvin < math.inf:
+                raise InvalidParameterError(
+                    "tf0_kelvin must be positive and finite")
 
     def disturbance(self) -> Disturbance:
         if self.scenario == "disturbed":
@@ -138,21 +147,44 @@ class Metrics:
     tracking_rmse: float
     max_discretization_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "event_count": self.event_count,
-            "step_count": self.step_count,
-            "event_ratio": self.event_ratio,
-            "min_gap": self.min_gap,
-            "mean_gap": self.mean_gap,
-            "max_gap": self.max_gap,
-            "eta_hat": self.eta_hat,
-            "eta_violations": self.eta_violations,
-            "steady_band_x1_min": self.steady_band_x1[0],
-            "steady_band_x1_max": self.steady_band_x1[1],
-            "tracking_rmse": self.tracking_rmse,
-            "max_discretization_error": self.max_discretization_error,
-        }
+
+def _no_disturbance(t: float) -> tuple[float, float]:
+    return 0.0, 0.0
+
+
+def rk4(x1: float, x2: float, f1: float, f2: float, u: float, t: float,
+        t_next: float, h: float, p: DimlessParams,
+        disturb: Callable[[float], tuple[float, float]]
+        ) -> tuple[float, float]:
+    """One classical RK4 step of length h from (x1, x2), u held (ZOH).
+
+    (f1, f2) is drift(x1, x2, p), taken from the caller because the loop
+    has already evaluated it at this state.  disturb(t) gives (d1, d2) and
+    is read at t, t + h/2 and t_next; the caller passes t_next because the
+    loop's grid time i*h can differ from (i-1)*h + h by an ulp.
+    """
+    bu = p.beta * u
+    half = 0.5 * h
+    d1v, d2v = disturb(t)
+    a1 = f1 - d2v
+    a2 = f2 + bu + d1v
+    b1, b2 = drift(x1 + half * a1, x2 + half * a2, p)
+    d1v, d2v = disturb(t + half)
+    b1 = b1 - d2v
+    b2 = b2 + bu + d1v
+    c1, c2 = drift(x1 + half * b1, x2 + half * b2, p)
+    c1 = c1 - d2v
+    c2 = c2 + bu + d1v
+    e1, e2 = drift(x1 + h * c1, x2 + h * c2, p)
+    d1v, d2v = disturb(t_next)
+    e1 = e1 - d2v
+    e2 = e2 + bu + d1v
+    x1 += h / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+    x2 += h / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise SimulationDivergedError(
+            f"state became nonfinite at t={t_next}: ({x1}, {x2})")
+    return x1, x2
 
 
 def rk4_step(x: DimlessState, u: float, t: float, h: float,
@@ -160,69 +192,33 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
     """Classical 4-stage step with u held constant across stages (ZOH)."""
     if not h > 0.0:
         raise InvalidParameterError("h must be positive")
-    k1 = state_derivative(x, u, t, p, d)
-    k2 = state_derivative(DimlessState(x.x1 + 0.5 * h * k1.x1,
-                                       x.x2 + 0.5 * h * k1.x2),
-                          u, t + 0.5 * h, p, d)
-    k3 = state_derivative(DimlessState(x.x1 + 0.5 * h * k2.x1,
-                                       x.x2 + 0.5 * h * k2.x2),
-                          u, t + 0.5 * h, p, d)
-    k4 = state_derivative(DimlessState(x.x1 + h * k3.x1,
-                                       x.x2 + h * k3.x2),
-                          u, t + h, p, d)
-    nxt = DimlessState(
-        x.x1 + h / 6.0 * (k1.x1 + 2.0 * k2.x1 + 2.0 * k3.x1 + k4.x1),
-        x.x2 + h / 6.0 * (k1.x2 + 2.0 * k2.x2 + 2.0 * k3.x2 + k4.x2),
-    )
-    if not nxt.is_finite():
-        raise SimulationDivergedError(
-            f"state became nonfinite at t={t + h}: {nxt}")
-    return nxt
+    f1, f2 = drift(x.x1, x.x2, p)
+    return DimlessState(*rk4(x.x1, x.x2, f1, f2, u, t, t + h, h, p, d.eval))
 
 
 def _run_loop(cfg: SimConfig, every_step: bool,
               flip_control_sign: bool) -> tuple[Trajectory, EventLog]:
-    # Scalar fast path; equivalence with the public plant/controller
-    # operations is covered by tests.
     p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
     d = cfg.disturbance()
+    # a zero-bound disturbance is identically zero: skip the per-stage
+    # callable evaluation (pure speed, identical values)
+    disturb = _no_disturbance if d.bound == 0.0 else d.eval
     n = cfg.step_count()
     h = cfg.h
-    da, gm, brise, beta, x2c0 = p.da, p.gamma, p.b_rise, p.beta, p.x2c0
-    lam1, lam2, mu = sp.lambda1, sp.lambda2, sp.mu
-    zeta, xi, psi, m1, m2, vsig = tp.zeta, tp.xi, tp.psi, tp.m1, tp.m2, tp.varsigma
-    use1 = 1 in tp.indices
-    use2 = 2 in tp.indices
-    x1c, x2ss, k1r, k2r = r.x1_const, r.x2ss, r.k1, r.k2
-    if d.bound == 0.0:
-        # a zero-bound disturbance is identically zero: skip the per-stage
-        # callable evaluation (pure speed, identical arithmetic)
-        def d_eval(t: float) -> tuple[float, float]:
-            return 0.0, 0.0
-    else:
-        d_eval = d.eval
-    exp = math.exp
+    beta = p.beta
+    lam1, lam2 = sp.lambda1, sp.lambda2
+    x1ref = r.x1_const
     flip = -1.0 if flip_control_sign else 1.0
-
-    def fpair(x1: float, x2: float) -> tuple[float, float]:
-        # expression order mirrors eval_f1/eval_f2 bit for bit
-        den = 1.0 + x2 / gm
-        if abs(den) < SINGULAR_TOL:
-            raise SingularExponentError(
-                f"1 + x2/gamma vanishes (x2={x2}, gamma={gm})")
-        ex = exp(x2 / den)
-        return (-x1 + da * (1.0 - x1) * ex,
-                -x2 + brise * da * (1.0 - x1) * ex - beta * (x2 - x2c0))
 
     ts = np.empty(n + 1)
     x1s = np.empty(n + 1)
     x2s = np.empty(n + 1)
-    x1rs = np.empty(n + 1)
     x2rs = np.empty(n + 1)
     us = np.empty(n + 1)
     sig = np.empty(n + 1)
     sigd = np.empty(n + 1)
     dlt = np.empty(n + 1)
+    band = np.empty(n + 1)
     evt = np.zeros(n + 1, dtype=bool)
     eps = np.empty(n + 1)
     log = EventLog()
@@ -232,82 +228,50 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     x1, x2 = cfg.x0.x1, cfg.x0.x2
     u = 0.0
     xk1, xk2 = x1, x2
+    f1, f2 = drift(x1, x2, p)
 
     for i in range(n + 1):
         t = i * h
         if i > 0:
-            t0 = t - h
-            a1, a2 = fpair(x1, x2)
-            dd1, dd2 = d_eval(t0)
-            a1 -= dd2
-            a2 = a2 + beta * u + dd1
-            b1, b2 = fpair(x1 + 0.5 * h * a1, x2 + 0.5 * h * a2)
-            dd1, dd2 = d_eval(t0 + 0.5 * h)
-            b1 -= dd2
-            b2 = b2 + beta * u + dd1
-            c1, c2 = fpair(x1 + 0.5 * h * b1, x2 + 0.5 * h * b2)
-            c1 -= dd2
-            c2 = c2 + beta * u + dd1
-            e1_, e2_ = fpair(x1 + h * c1, x2 + h * c2)
-            dd1, dd2 = d_eval(t)
-            e1_ -= dd2
-            e2_ = e2_ + beta * u + dd1
-            x1 += h / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + e1_)
-            x2 += h / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + e2_)
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                raise SimulationDivergedError(
-                    f"state became nonfinite at t={t}: ({x1}, {x2})")
+            x1, x2 = rk4(x1, x2, f1, f2, u, t - h, t, h, p, disturb)
             if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
                 warnings.warn(
                     f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
                     RuntimeWarning, stacklevel=3)
                 warned_x1 = True
+            # also stage 1 of the next step: same state, same drift
+            f1, f2 = drift(x1, x2, p)
 
-        emk2 = exp(-k2r * t)
-        x2ref = x2ss * (1.0 - k1r * emk2)
-        x2ref_dot = x2ss * k1r * k2r * emk2
-        f1v, f2v = fpair(x1, x2)
-        dd1, dd2 = d_eval(t)
-        e1 = x1 - x1c
+        x2ref = r.x2ref(t)
+        x2ref_dot = r.x2ref_dot(t)
+        d1v, d2v = disturb(t)
+        e1 = x1 - x1ref
         e2 = x2 - x2ref
-        e1dot = f1v - dd2
-        e2dot = f2v + beta * u + dd1 - x2ref_dot
-        thr = psi * (m1 + m2 * exp(-vsig * t))
-        val = -math.inf
-        if use1:
-            val = abs(zeta * e1 + xi * e1dot * e1dot)
-        if use2:
-            v2 = abs(zeta * e2 + xi * e2dot * e2dot)
-            if v2 > val:
-                val = v2
-        margin = val - thr
+        e1dot = f1 - d2v
+        e2dot = f2 + beta * u + d1v - x2ref_dot
+        band[i] = tol = threshold(t, tp)
+        dlt[i] = delta = margin(e1, e2, e1dot, e2dot, tol, tp)
         # discretization error relative to the last snapshot, taken before
         # any update at this instant (it vanishes at update instants)
         eps[i] = math.hypot(x1 - xk1, x2 - xk2)
 
-        fire = i == 0 or margin >= 0.0 or every_step
+        fire = i == 0 or delta >= 0.0 or every_step
         if fire:
-            s = lam1 * e1 + lam2 * e2
-            sgn = 1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0)
-            drift1 = f1v - dd2
-            drift2 = f2v + dd1 - x2ref_dot
-            u = flip * (-(lam1 * drift1 + lam2 * drift2 + mu * sgn)
-                        / (lam2 * beta))
+            u = flip * switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot,
+                                     sp, beta)
             xk1, xk2 = x1, x2
             log.instants.append(t)
             event_steps.append(i)
-            log.delta_at_event.append(margin)
-            e2dot = f2v + beta * u + dd1 - x2ref_dot
+            log.delta_at_event.append(delta)
+            e2dot = f2 + beta * u + d1v - x2ref_dot
 
         ts[i] = t
         x1s[i] = x1
         x2s[i] = x2
-        x1rs[i] = x1c
         x2rs[i] = x2ref
         us[i] = u
         sig[i] = lam1 * e1 + lam2 * e2
         sigd[i] = lam1 * e1dot + lam2 * e2dot
-        dlt[i] = margin
         evt[i] = fire
 
     # gaps are exact step multiples; differencing the rounded instants
@@ -315,10 +279,9 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     log.gaps = [(b - a) * h for a, b in zip(event_steps, event_steps[1:])]
     log.check(h)
 
-    band = np.array([threshold(t, tp) for t in ts])
     band /= min(abs(lam1), abs(lam2))
     traj = Trajectory(
-        t=ts, x1=x1s, x2=x2s, x1ref=x1rs, x2ref=x2rs, u=us,
+        t=ts, x1=x1s, x2=x2s, x1ref=np.full(n + 1, x1ref), x2ref=x2rs, u=us,
         sigma=sig, sigma_dot=sigd, delta=dlt, event=evt,
         v=0.5 * sig * sig, band=band, eps=eps,
     )

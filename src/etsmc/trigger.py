@@ -62,9 +62,6 @@ class EventLog:
     bound_at_event: list[float] = field(default_factory=list)
     delta_at_event: list[float] = field(default_factory=list)
 
-    def finalize_gaps(self) -> None:
-        self.gaps = [b - a for a, b in zip(self.instants, self.instants[1:])]
-
     def check(self, h: float) -> None:
         if any(b <= a for a, b in zip(self.instants, self.instants[1:])):
             raise ValueError("event instants must be strictly increasing")
@@ -90,17 +87,26 @@ def threshold(t: float, tp: TriggerParams) -> float:
     return tp.psi * (tp.m1 + tp.m2 * math.exp(-tp.varsigma * t))
 
 
-def delta(e: ErrorState, t: float, tp: TriggerParams) -> float:
-    """Trigger margin: max_i |zeta*e_i + xi*e_i_dot^2| minus the tolerance.
+def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
+           tp: TriggerParams) -> float:
+    """Trigger margin: max_i |zeta*e_i + xi*e_i_dot^2| minus tol.
 
-    The printed norm wraps a scalar and is implemented as absolute value.
+    The max runs over tp.indices; tol is threshold(t, tp).  The printed
+    norm wraps a scalar and is implemented as absolute value.
     """
-    best = -math.inf
+    val = -math.inf
     if 1 in tp.indices:
-        best = max(best, abs(tp.zeta * e.e1 + tp.xi * e.e1dot * e.e1dot))
+        val = abs(tp.zeta * e1 + tp.xi * e1dot * e1dot)
     if 2 in tp.indices:
-        best = max(best, abs(tp.zeta * e.e2 + tp.xi * e.e2dot * e.e2dot))
-    return best - threshold(t, tp)
+        v2 = abs(tp.zeta * e2 + tp.xi * e2dot * e2dot)
+        if v2 > val:
+            val = v2
+    return val - tol
+
+
+def delta(e: ErrorState, t: float, tp: TriggerParams) -> float:
+    """The trigger margin of an error state at time t."""
+    return margin(e.e1, e.e2, e.e1dot, e.e2dot, threshold(t, tp), tp)
 
 
 def should_trigger(e: ErrorState, t: float, tp: TriggerParams) -> bool:

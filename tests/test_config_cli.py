@@ -173,11 +173,28 @@ class TestCliRuns:
         rc = main(["--step", "-1", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        rc = main(["--seed", "-1", "--duration", "1.0",
-                   "--out", str(tmp_path)])
+    def test_infinite_horizon_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("t_end = inf\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
-        assert "seed" in capsys.readouterr().err
+        assert "finite" in capsys.readouterr().err
+
+    def test_step_ceiling_exits_2_before_running(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("t_end = 1e9\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "ceiling" in capsys.readouterr().err
+        # rejected with the config, before any run directory or array exists
+        assert not (tmp_path / "runs").exists()
+
+    def test_nonfinite_plant_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("x2c0 = nan\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "x2c0" in capsys.readouterr().err
 
     def test_regulate_scenario_resolves_setpoint(self, tmp_path):
         main(["--scenario", "regulate-400", "--duration", "1.0",
@@ -197,6 +214,3 @@ class TestCliRuns:
         assert metrics["update_saving_vs_baseline"] == pytest.approx(
             1.0 - metrics["event_count"] / metrics["baseline_event_count"])
 
-    def test_baseline_flag_aliases_scenario(self, tmp_path):
-        main(["--baseline", "--duration", "1.0", "--out", str(tmp_path)])
-        assert (tmp_path / "baseline-comparison" / "metrics.json").exists()

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,9 +5,9 @@ import pytest
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
                          InvalidParameterError, PhysicalParams, PlantError,
                          SingularExponentError, composition_nullcline,
-                         eval_f1, eval_f2, find_equilibria, heat_transfer_term,
-                         jacobian, kelvin_to_x2, physical_to_dimensionless,
-                         reaction_rate, state_derivative, x2_to_kelvin)
+                         eval_f1, eval_f2, heat_transfer_term, jacobian,
+                         kelvin_to_x2, physical_to_dimensionless,
+                         state_derivative)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
@@ -138,100 +137,12 @@ class TestConversions:
         rng = np.random.default_rng(3)
         for _ in range(100):
             temp = rng.uniform(200.0, 900.0)
-            back = x2_to_kelvin(kelvin_to_x2(temp, 300.0, 20.0), 300.0, 20.0)
+            back = 300.0 + kelvin_to_x2(temp, 300.0, 20.0) * 300.0 / 20.0
             assert back == pytest.approx(temp, abs=1e-12)
 
     def test_invalid_dimless(self):
         with pytest.raises(InvalidParameterError):
             DimlessParams(da=-0.1, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
-
-
-class TestReactionRate:
-    def test_no_reactant(self):
-        assert reaction_rate(0.0, 350.0, make_physical()) == 0.0
-
-    def test_arrhenius_saturation(self):
-        pp = make_physical()
-        assert reaction_rate(1.0, 1e9, pp) == pytest.approx(pp.k0, rel=1e-3)
-
-    def test_unit_exponent(self):
-        pp = make_physical()
-        temp = pp.e / pp.r  # E/(R T) = 1
-        assert reaction_rate(1.0, temp, pp) == pytest.approx(pp.k0 * math.exp(-1))
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(PlantError):
-            reaction_rate(1.0, 0.0, make_physical())
-
-
-def _scalar_balance_roots(p, u, n=200_000, box=(0.0, 6.0)):
-    """Independent 1-D oracle for the equilibria.
-
-    On the composition nullcline the reaction term equals x1 itself, so an
-    equilibrium satisfies the scalar temperature balance
-    g(x2) = -x2 + B * x1n(x2) - beta*(x2 - x2c0) + beta*u = 0 with
-    x1n(x2) the nullcline composition.  Sign-change scan plus bisection.
-    """
-    x2lo, x2hi = box
-
-    def g(x2):
-        ex = math.exp(x2 / (1.0 + x2 / p.gamma))
-        rex = p.da * ex
-        x1n = rex / (1.0 + rex)
-        return (-x2 + p.b_rise * x1n - p.beta * (x2 - p.x2c0) + p.beta * u)
-
-    grid = np.linspace(x2lo, x2hi, n + 1)
-    vals = np.array([g(v) for v in grid])
-    roots = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = vals[i]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = g(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    return roots
-
-
-class TestEquilibria:
-    def test_root_near_operating_point(self):
-        x2 = 2.7517
-        x1n = composition_nullcline(x2, NOMINAL)
-        u = -eval_f2(DimlessState(x1n, x2), NOMINAL) / NOMINAL.beta
-        roots = find_equilibria(NOMINAL, u)
-        dists = [math.hypot(r.x1 - 0.4472, r.x2 - 2.7517) for r in roots]
-        assert dists and min(dists) < 0.05
-
-    def test_vanishing_reaction_limit(self):
-        p = DimlessParams(da=1e-12, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
-        roots = find_equilibria(p, 0.0)
-        assert len(roots) == 1
-        # linear balance: x1 ~ 0, x2 solves -(1+beta)x2 = 0
-        assert abs(roots[0].x1) < 1e-9
-        assert abs(roots[0].x2) < 1e-9
-
-    def test_residuals_below_tolerance(self):
-        d = Disturbance.zero()
-        for u in (0.0, -0.5, 1.0):
-            for r in find_equilibria(NOMINAL, u):
-                rate = state_derivative(r, u, 0.0, NOMINAL, d)
-                assert math.hypot(rate.x1, rate.x2) < 1e-10
-
-    @pytest.mark.parametrize("u", [0.0, -0.53])
-    def test_matches_scalar_balance_oracle(self, u):
-        roots = find_equilibria(NOMINAL, u)
-        oracle = _scalar_balance_roots(NOMINAL, u)
-        # classic S-shaped multiplicity: same count, matching temperatures
-        # and compositions on the nullcline
-        assert len(roots) == len(oracle)
-        for r, x2o in zip(roots, sorted(oracle)):
-            assert r.x2 == pytest.approx(x2o, abs=1e-8)
-            assert r.x1 == pytest.approx(
-                composition_nullcline(x2o, NOMINAL), abs=1e-8)
 
 
 class TestDisturbance:

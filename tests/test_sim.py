@@ -8,9 +8,9 @@ from etsmc.config import build_config
 from etsmc.controller import (SlidingParams, error_state,
                               event_control_update)
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError)
+                         InvalidParameterError, drift)
 from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
-                       resolve_regulation, rk4_step, run_event_triggered,
+                       resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
 from etsmc.trigger import should_trigger
@@ -107,29 +107,43 @@ class TestRk4:
 
 
 class TestLoopEquivalence:
+    # moderate gain so that the trigger skips grid points (the flipped
+    # control fires everywhere); the disturbed case guards the loop's reuse
+    # of the drift between steps, since the disturbance must still be read
+    # at t - h, t - h/2 and t
+    CASES = (
+        ("nominal", {}, False),
+        ("disturbed", {}, False),
+        ("nominal", {"trigger_both": 1.0, "m1": 0.5}, False),
+        ("nominal", {}, True),
+    )
+
     def test_matches_public_operations_bitwise(self):
-        # moderate gain so the trigger does not fire at every point
-        cfg = small_cfg(sliding=SlidingParams(1.0, 2.0, 0.5),
-                        t_end=0.5)
-        traj, log, _ = run_event_triggered(cfg)
-        p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
-        d = cfg.disturbance()
-        h = cfg.h
-        x = cfg.x0
-        u = event_control_update(x, 0.0, p, d, r, sp).u
-        assert traj.u[0] == u and traj.event[0]
-        for i in range(1, cfg.step_count() + 1):
-            t = i * h
-            x = rk4_step(x, u, t - h, h, p, d)
-            e = error_state(x, u, t, p, d, r)
-            fired = should_trigger(e, t, tp)
-            if fired:
-                u = event_control_update(x, t, p, d, r, sp).u
-            assert traj.x1[i] == x.x1
-            assert traj.x2[i] == x.x2
-            assert traj.u[i] == u
-            assert bool(traj.event[i]) == fired
-        assert log.instants == [i * h for i in np.flatnonzero(traj.event)]
+        for scenario, values, flip in self.CASES:
+            cfg = build_config({"mu": 0.5, "t_end": 0.5, **values},
+                               scenario=scenario)
+            case = (scenario, values, flip)
+            traj, log, _ = run_event_triggered(cfg, flip_control_sign=flip)
+            sgn = -1.0 if flip else 1.0
+            p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
+            d = cfg.disturbance()
+            h = cfg.h
+            x = cfg.x0
+            u = sgn * event_control_update(x, 0.0, p, d, r, sp).u
+            assert traj.u[0] == u and traj.event[0], case
+            for i in range(1, cfg.step_count() + 1):
+                t = i * h
+                x = DimlessState(*rk4(x.x1, x.x2, *drift(x.x1, x.x2, p), u,
+                                      t - h, t, h, p, d.eval))
+                e = error_state(x, u, t, p, d, r)
+                fired = should_trigger(e, t, tp)
+                if fired:
+                    u = sgn * event_control_update(x, t, p, d, r, sp).u
+                assert traj.x1[i] == x.x1, (case, i)
+                assert traj.x2[i] == x.x2, (case, i)
+                assert traj.u[i] == u, (case, i)
+                assert bool(traj.event[i]) == fired, (case, i)
+            assert log.instants == [i * h for i in np.flatnonzero(traj.event)]
 
     def test_time_triggered_fires_everywhere(self):
         cfg = small_cfg(t_end=0.2)
@@ -216,7 +230,6 @@ class TestMetrics:
         assert metrics.tracking_rmse == pytest.approx(
             math.sqrt(float(np.mean(e2 * e2))))
         assert metrics.max_discretization_error == traj.eps.max()
-        assert isinstance(metrics.as_dict(), dict)
 
 
 @pytest.fixture(scope="module")

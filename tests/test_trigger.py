@@ -90,21 +90,13 @@ class TestDelta:
 
 
 class TestEventLog:
-    def test_finalize_gaps(self):
-        log = EventLog(instants=[0.0, 0.5, 1.5])
-        log.finalize_gaps()
-        assert log.gaps == [0.5, 1.0]
-        log.check(0.1)  # must not raise
-
     def test_nonincreasing_instants_rejected(self):
-        log = EventLog(instants=[0.0, 1.0, 1.0])
-        log.finalize_gaps()
+        log = EventLog(instants=[0.0, 1.0, 1.0], gaps=[1.0, 0.0])
         with pytest.raises(ValueError):
             log.check(0.1)
 
     def test_subgrid_gap_rejected(self):
-        log = EventLog(instants=[0.0, 0.05])
-        log.finalize_gaps()
+        log = EventLog(instants=[0.0, 0.05], gaps=[0.05])
         with pytest.raises(ValueError):
             log.check(0.1)
 
@@ -211,10 +203,9 @@ class TestLipschitz:
 
 class TestEventCsv:
     def test_format_and_open_last_interval(self, tmp_path):
-        log = EventLog(instants=[0.0, 0.25, 1.0],
+        log = EventLog(instants=[0.0, 0.25, 1.0], gaps=[0.25, 0.75],
                        bound_at_event=[1e-4, 2e-4, 3e-4],
                        delta_at_event=[-0.1, 0.0, 0.02])
-        log.finalize_gaps()
         path = tmp_path / "events.csv"
         write_event_csv(log, path)
         lines = path.read_text().splitlines()
@@ -230,9 +221,9 @@ class TestEventCsv:
         rng = np.random.default_rng(9)
         instants = np.cumsum(rng.uniform(0.001, 0.5, size=20)).tolist()
         log = EventLog(instants=instants,
+                       gaps=np.diff(instants).tolist(),
                        bound_at_event=rng.uniform(1e-6, 1e-3, 20).tolist(),
                        delta_at_event=rng.uniform(-0.1, 0.1, 20).tolist())
-        log.finalize_gaps()
         path = tmp_path / "events.csv"
         write_event_csv(log, path)
         rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
