@@ -37,9 +37,6 @@ class DimlessState:
     x1: float
     x2: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x1) and math.isfinite(self.x2)
-
 
 @dataclass(frozen=True, slots=True)
 class DimlessParams:
