@@ -7,8 +7,9 @@ from .controller import (ErrorState, HeldControl, ReferenceSignal,
 from .plant import (DimlessParams, DimlessState, Disturbance,
                     InvalidParameterError, PhysicalParams, PlantError,
                     SingularExponentError, composition_nullcline, drift,
-                    eval_f1, eval_f2, jacobian, kelvin_to_x2,
-                    physical_to_dimensionless, state_derivative)
+                    eval_f1, eval_f2, jacobian, jacobian_stack,
+                    kelvin_to_x2, physical_to_dimensionless,
+                    state_derivative)
 from .sim import (Metrics, ReachabilityResult, SimConfig,
                   SimulationDivergedError, Trajectory, check_invariants,
                   compute_metrics, resolve_regulation, rk4, rk4_step,
@@ -16,6 +17,6 @@ from .sim import (Metrics, ReachabilityResult, SimConfig,
                   verify_reachability)
 from .trigger import (EventLog, LipschitzEstimate, TriggerParams, delta,
                       estimate_lipschitz, margin, should_trigger, threshold,
-                      zeno_bound)
+                      zeno_bound, zeno_bounds)
 
 __version__ = "0.1.0"

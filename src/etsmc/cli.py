@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integration step override")
     parser.add_argument("--duration", type=float, default=None,
                         help="horizon override")
-    parser.add_argument("--tf0-kelvin", type=float, default=None)
+    parser.add_argument("--tf0-kelvin", type=float, default=None,
+                        help="feed temperature of a regulate-NNN setpoint")
     return parser
 
 
@@ -154,6 +155,9 @@ def main(argv=None) -> int:
         if args.duration is not None:
             overrides["t_end"] = args.duration
         if args.tf0_kelvin is not None:
+            if not args.scenario.startswith("regulate-"):
+                raise ConfigError("--tf0-kelvin applies only to the "
+                                  "regulate-NNN scenarios")
             overrides["tf0_kelvin"] = args.tf0_kelvin
         if overrides:
             cfg = replace(cfg, **overrides)

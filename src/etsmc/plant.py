@@ -161,22 +161,31 @@ def state_derivative(x: DimlessState, u: float, t: float,
     return DimlessState(x1=f1 - d2v, x2=f2 + p.beta * u + d1v)
 
 
-def jacobian(x: DimlessState, p: DimlessParams) -> np.ndarray:
-    """Analytic 2x2 Jacobian of (f1, f2) at x.
+def jacobian_stack(x1: np.ndarray, x2: np.ndarray,
+                   p: DimlessParams) -> np.ndarray:
+    """Analytic Jacobians of (f1, f2) at the points (x1[i], x2[i]), (N, 2, 2).
 
-    d/dx2 of x2/(1+x2/gamma) is 1/(1+x2/gamma)^2.
+    d/dx2 of x2/(1+x2/gamma) is 1/(1+x2/gamma)^2.  The exponential is
+    math.exp per point, so every entry equals its scalar evaluation bit
+    for bit (a SIMD np.exp may differ from it in the last ulp).
     """
-    den = 1.0 + x.x2 / p.gamma
-    if abs(den) < SINGULAR_TOL:
+    den = 1.0 + x2 / p.gamma
+    bad = np.flatnonzero(np.abs(den) < SINGULAR_TOL)
+    if bad.size:
         raise SingularExponentError(
-            f"1 + x2/gamma vanishes (x2={x.x2}, gamma={p.gamma})")
-    ex = math.exp(x.x2 / den)
+            f"1 + x2/gamma vanishes (x2={x2[bad[0]]}, gamma={p.gamma})")
+    ex = np.array([math.exp(v) for v in (x2 / den).tolist()])
     dex = ex / (den * den)  # derivative of the exponential w.r.t. x2
-    rem = 1.0 - x.x1
-    return np.array([
-        [-1.0 - p.da * ex, p.da * rem * dex],
-        [-p.b_rise * p.da * ex, -1.0 + p.b_rise * p.da * rem * dex - p.beta],
-    ])
+    rem = 1.0 - x1
+    return np.stack([
+        -1.0 - p.da * ex, p.da * rem * dex,
+        -p.b_rise * p.da * ex, -1.0 + p.b_rise * p.da * rem * dex - p.beta,
+    ], axis=-1).reshape(-1, 2, 2)
+
+
+def jacobian(x: DimlessState, p: DimlessParams) -> np.ndarray:
+    """Analytic 2x2 Jacobian of (f1, f2) at x."""
+    return jacobian_stack(np.array([x.x1]), np.array([x.x2]), p)[0]
 
 
 def heat_transfer_term(pp: PhysicalParams) -> float:

@@ -22,7 +22,7 @@ from .plant import (DimlessParams, DimlessState, Disturbance,
                     InvalidParameterError, PhysicalParams,
                     composition_nullcline, drift, kelvin_to_x2)
 from .trigger import (EventLog, TriggerParams, estimate_lipschitz, margin,
-                      threshold, zeno_bound)
+                      threshold, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -287,11 +287,9 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     )
 
     eps_max = max(float(eps.max()), 1e-300)
-    lip = estimate_lipschitz(p)
-    for t_k in log.instants:
-        idx = int(round(t_k / h))
-        x_k = DimlessState(float(x1s[idx]), float(x2s[idx]))
-        log.bound_at_event.append(zeno_bound(x_k, eps_max, lip, p, sp))
+    log.bound_at_event = zeno_bounds(
+        x1s[event_steps].tolist(), x2s[event_steps].tolist(), eps_max,
+        estimate_lipschitz(p), p, sp)
     return traj, log
 
 

@@ -7,10 +7,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .controller import ErrorState, SlidingParams
-from .plant import DimlessParams, DimlessState, InvalidParameterError, jacobian
+from .plant import (DimlessParams, DimlessState, InvalidParameterError,
+                    jacobian_stack)
 
 Box = tuple[tuple[float, float], tuple[float, float]]
 
@@ -124,22 +124,53 @@ def _gain_norms(beta: float, lambda1: float, lambda2: float
     return float(np.linalg.norm(m, 2)), float(np.linalg.norm(bbar))
 
 
-def zeno_bound(x_k: DimlessState, eps_max: float, lip: LipschitzEstimate,
-               p: DimlessParams, sp: SlidingParams) -> float:
-    """Theoretical lower bound on the next inter-event time.
+def zeno_bounds(x1: list[float], x2: list[float], eps_max: float,
+                lip: LipschitzEstimate, p: DimlessParams, sp: SlidingParams
+                ) -> list[float]:
+    """Theoretical lower bound on the next inter-event time at each state.
 
     T_min = (1/L) ln(1 + L*eps_max / (L*(1 + ||M||)*||x_k|| + ||Bbar||*mu))
     with Bbar = (0, beta)^T and M = Bbar lambda2^-1 beta^-1 lambda^T;
     matrix norm spectral, vector norm Euclidean.  Strictly positive.
+    x1 and x2 hold the state components at the events.
     """
     if not lip.l_bar > 0.0:
         raise InvalidParameterError("Lipschitz constant must be positive")
     if not eps_max > 0.0:
         raise InvalidParameterError("eps_max must be positive")
     m_norm, bbar_norm = _gain_norms(p.beta, sp.lambda1, sp.lambda2)
-    x_norm = math.hypot(x_k.x1, x_k.x2)
-    denom = lip.l_bar * (1.0 + m_norm) * x_norm + bbar_norm * sp.mu
-    return math.log1p(lip.l_bar * eps_max / denom) / lip.l_bar
+    l_bar = lip.l_bar
+    gain = l_bar * (1.0 + m_norm)
+    ctrl = bbar_norm * sp.mu
+    num = l_bar * eps_max
+    return [math.log1p(num / (gain * math.hypot(a, b) + ctrl)) / l_bar
+            for a, b in zip(x1, x2)]
+
+
+def zeno_bound(x_k: DimlessState, eps_max: float, lip: LipschitzEstimate,
+               p: DimlessParams, sp: SlidingParams) -> float:
+    """zeno_bounds at the single state x_k."""
+    return zeno_bounds([x_k.x1], [x_k.x2], eps_max, lip, p, sp)[0]
+
+
+def _sobol_2d(m: int) -> np.ndarray:
+    """First 2^m points of the unscrambled 2-D Sobol sequence, (2^m, 2).
+
+    Gray-code order.  Dimension 1 is van der Corput base 2; dimension 2
+    has the primitive polynomial x + 1, so its direction numbers obey
+    v_k = v_(k-1) xor (v_(k-1) >> 1) (Joe & Kuo, SIAM J. Sci. Comput.
+    30(5), 2008).  Direction numbers are 32-bit integers scaled by 2^-32.
+    """
+    v = np.empty((m, 2), dtype=np.int64)
+    v[0] = 1 << 31
+    for k in range(1, m):
+        v[k] = v[k - 1, 0] >> 1, v[k - 1, 1] ^ (v[k - 1, 1] >> 1)
+    i = np.arange(1 << m)
+    gray = i ^ (i >> 1)
+    out = np.zeros((1 << m, 2), dtype=np.int64)
+    for k in range(m):
+        out ^= ((gray >> k) & 1)[:, None] * v[k]
+    return out * 2.0 ** -32
 
 
 @functools.lru_cache(maxsize=16)
@@ -154,20 +185,14 @@ def estimate_lipschitz(p: DimlessParams,
     if n < 100:
         raise InvalidParameterError("at least 100 samples required")
     (x1lo, x1hi), (x2lo, x2hi) = box
-    sampler = qmc.Sobol(d=2, scramble=False)
-    unit = sampler.random_base2(max(7, math.ceil(math.log2(n))))
-    pts = np.column_stack([
-        x1lo + unit[:, 0] * (x1hi - x1lo),
-        x2lo + unit[:, 1] * (x2hi - x2lo),
-    ])
-    corners = np.array([[a, b] for a in (x1lo, x1hi) for b in (x2lo, x2hi)])
-    pts = np.vstack([pts, corners])
-    worst = 0.0
-    for x1v, x2v in pts:
-        jac = jacobian(DimlessState(float(x1v), float(x2v)), p)
-        worst = max(worst, float(np.linalg.norm(jac, 2)))
+    unit = _sobol_2d(max(7, math.ceil(math.log2(n))))
+    # the Sobol points, then the four corners of the box
+    x1 = np.append(x1lo + unit[:, 0] * (x1hi - x1lo), [x1lo, x1lo, x1hi, x1hi])
+    x2 = np.append(x2lo + unit[:, 1] * (x2hi - x2lo), [x2lo, x2hi, x2lo, x2hi])
+    norms = np.linalg.norm(jacobian_stack(x1, x2, p), 2, axis=(1, 2))
+    worst = float(norms.max())
     return LipschitzEstimate(l_bar=LIPSCHITZ_SAFETY * worst,
-                             box=box, sample_count=len(pts))
+                             box=box, sample_count=len(x1))
 
 
 def write_event_csv(log: EventLog, path) -> None:

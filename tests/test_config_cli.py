@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,30 @@ class TestCliRuns:
         rc = main(["--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "x2c0" in capsys.readouterr().err
+
+    def test_tf0_kelvin_outside_regulate_exits_2(self, tmp_path, capsys):
+        rc = main(["--tf0-kelvin", "999", "--duration", "1.0",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "--tf0-kelvin" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_tf0_kelvin_applies_to_regulate(self, tmp_path):
+        rc = main(["--scenario", "regulate-400", "--tf0-kelvin", "350",
+                   "--duration", "1.0", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        manifest = json.loads(
+            (tmp_path / "regulate-400" / "manifest.json").read_text())
+        assert manifest["config"]["tf0_kelvin"] == 350.0
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import etsmc.cli, sys; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_regulate_scenario_resolves_setpoint(self, tmp_path):
         main(["--scenario", "regulate-400", "--duration", "1.0",

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
                          InvalidParameterError, PhysicalParams, PlantError,
                          SingularExponentError, composition_nullcline,
                          eval_f1, eval_f2, heat_transfer_term, jacobian,
-                         kelvin_to_x2, physical_to_dimensionless,
-                         state_derivative)
+                         jacobian_stack, kelvin_to_x2,
+                         physical_to_dimensionless, state_derivative)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
@@ -103,6 +105,41 @@ class TestJacobian:
                 fd[0, col] = (eval_f1(hi, NOMINAL) - eval_f1(lo, NOMINAL)) / (2 * step)
                 fd[1, col] = (eval_f2(hi, NOMINAL) - eval_f2(lo, NOMINAL)) / (2 * step)
             assert np.linalg.norm(j - fd) <= 1e-5 * max(1.0, np.linalg.norm(j))
+
+
+def _scalar_jacobian(x1, x2, p):
+    """The Jacobian formula evaluated in Python floats, one point."""
+    den = 1.0 + x2 / p.gamma
+    ex = math.exp(x2 / den)
+    dex = ex / (den * den)
+    rem = 1.0 - x1
+    return [[-1.0 - p.da * ex, p.da * rem * dex],
+            [-p.b_rise * p.da * ex,
+             -1.0 + p.b_rise * p.da * rem * dex - p.beta]]
+
+
+class TestJacobianStack:
+    STIFF = DimlessParams(da=0.5, gamma=5.0, b_rise=8.0, beta=0.3, x2c0=0.0)
+
+    @pytest.mark.parametrize("p", [NOMINAL, STIFF], ids=["default", "stiff"])
+    def test_matches_scalar_path_bitwise(self, p):
+        rng = np.random.default_rng(7)
+        x1 = rng.uniform(0.0, 1.0, 4096)
+        x2 = rng.uniform(0.0, 5.0, 4096)
+        stack = jacobian_stack(x1, x2, p)
+        assert stack.shape == (4096, 2, 2)
+        pairs = list(zip(x1.tolist(), x2.tolist()))
+        scalar = np.array([_scalar_jacobian(a, b, p) for a, b in pairs])
+        single = np.array([jacobian(DimlessState(a, b), p) for a, b in pairs])
+        assert np.array_equal(stack, scalar)
+        assert np.array_equal(stack, single)
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        assert np.array_equal(norms, [np.linalg.norm(j, 2) for j in scalar])
+
+    def test_singular_point_raises(self):
+        with pytest.raises(SingularExponentError):
+            jacobian_stack(np.array([0.0, 0.5]), np.array([0.0, -20.0]),
+                           NOMINAL)
 
 
 class TestConversions:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from etsmc.controller import ErrorState, SlidingParams
-from etsmc.plant import DimlessParams, DimlessState, InvalidParameterError
+from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
+                         SingularExponentError)
 from etsmc.trigger import (DEFAULT_LIPSCHITZ_BOX, LIPSCHITZ_SAFETY, EventLog,
-                           LipschitzEstimate, TriggerParams, delta,
-                           estimate_lipschitz, should_trigger, threshold,
-                           write_event_csv, zeno_bound)
+                           LipschitzEstimate, TriggerParams, _gain_norms,
+                           _sobol_2d, delta, estimate_lipschitz,
+                           should_trigger, threshold, write_event_csv,
+                           zeno_bound, zeno_bounds)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 SP = SlidingParams(lambda1=1.0, lambda2=2.0, mu=25.0)
@@ -135,6 +137,19 @@ class TestZenoBound:
                         SlidingParams(1.0, 2.0, 50.0))
         assert lo > hi
 
+    def test_batch_matches_per_state_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(0.0, 1.0, 200).tolist()
+        x2 = rng.uniform(0.0, 5.0, 200).tolist()
+        m_norm, bbar_norm = _gain_norms(NOMINAL.beta, SP.lambda1, SP.lambda2)
+        lbar, eps = self.LIP.l_bar, 0.013
+        expected = []
+        for a, b in zip(x1, x2):
+            denom = (lbar * (1.0 + m_norm) * math.hypot(a, b)
+                     + bbar_norm * SP.mu)
+            expected.append(math.log1p(lbar * eps / denom) / lbar)
+        assert zeno_bounds(x1, x2, eps, self.LIP, NOMINAL, SP) == expected
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(InvalidParameterError):
             zeno_bound(DimlessState(0.4, 2.6), 0.0, self.LIP, NOMINAL, SP)
@@ -196,9 +211,40 @@ class TestLipschitz:
         fine = estimate_lipschitz(NOMINAL, n=16384)
         assert fine.l_bar >= coarse.l_bar - 1e-9
 
+    def test_default_plant_sample_count(self):
+        assert estimate_lipschitz(NOMINAL).sample_count == 16388
+
+    def test_singular_corner_raises(self):
+        # the corners are always sampled, so x2 = -gamma is always hit
+        with pytest.raises(SingularExponentError):
+            estimate_lipschitz(NOMINAL, box=((0.0, 1.0), (-20.0, 0.0)))
+
     def test_rejects_tiny_samples(self):
         with pytest.raises(InvalidParameterError):
             estimate_lipschitz(NOMINAL, n=10)
+
+
+class TestSobol:
+    def test_first_points_pinned(self):
+        pts = _sobol_2d(3)
+        assert pts[:, 0].tolist() == [0.0, 0.5, 0.75, 0.25,
+                                      0.375, 0.875, 0.625, 0.125]
+        assert pts[:, 1].tolist() == [0.0, 0.5, 0.25, 0.75,
+                                      0.375, 0.875, 0.125, 0.625]
+
+    def test_small_set_is_prefix_of_large_set(self):
+        small, large = _sobol_2d(7), _sobol_2d(14)
+        assert large.shape == (1 << 14, 2)
+        assert np.array_equal(large[:1 << 7], small)
+
+    def test_points_are_distinct_dyadics_in_unit_square(self):
+        pts = _sobol_2d(10)
+        assert pts.min() >= 0.0 and pts.max() < 1.0
+        # each coordinate of a 2^m unscrambled set is a permutation of
+        # the multiples of 2^-m
+        grid = np.arange(1 << 10) / (1 << 10)
+        assert np.array_equal(np.sort(pts[:, 0]), grid)
+        assert np.array_equal(np.sort(pts[:, 1]), grid)
 
 
 class TestEventCsv:
