@@ -1,5 +1,8 @@
 """Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
 
+A longer nominal run pins the two CSV files across more rows than one
+writer block holds.
+
 Refactors must leave these bytes unchanged.  A change that alters a digest
 on purpose updates it here and says why in CHANGES.md.  The runs write
 under a relative ``--out`` so that the ``outdir`` recorded in
@@ -47,6 +50,12 @@ GOLDEN = {
     },
 }
 
+#: --duration 10 nominal run: 10,001 trajectory rows and 10,001 events.
+GOLDEN_LONG = {
+    "events.csv": "729a730d88e8c8c53f31fd26cbf609f4820f08905d2eb006d67d26025973ffb8",
+    "trajectory.csv": "f8a13171d76e4d614500b5ac945c94ca91f7c6b880f633525c3f191c0924b514",
+}
+
 L_BAR = 44.22060080686917
 
 
@@ -59,6 +68,17 @@ def test_cli_artifact_digests(scenario, tmp_path, monkeypatch):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in run_dir.iterdir()}
     assert digests == GOLDEN[scenario]
+
+
+def test_long_nominal_csv_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # exit 1: lyapunov-decrease-outside-band is known red past short horizons
+    assert main(["--scenario", "nominal", "--duration", "10",
+                 "--out", "runs"]) in (0, 1)
+    run_dir = tmp_path / "runs" / "nominal"
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_LONG}
+    assert digests == GOLDEN_LONG
 
 
 def test_default_plant_lipschitz_estimate():
