@@ -2,8 +2,7 @@
 
 The file format is flat ``key = value`` lines, ``#`` comments, decimal dot.
 Missing keys fall back to the documented default experiment parameterization;
-unknown keys and non-finite values are hard errors.  The optional physical
-block (k0 .. b) is only accepted as a whole.
+unknown keys and non-finite values are hard errors.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ import math
 from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
-from .plant import (DimlessParams, DimlessState, InvalidParameterError,
-                    PhysicalParams)
+from .plant import DimlessParams, DimlessState, InvalidParameterError
 from .sim import SimConfig
 from .trigger import TriggerParams
 
@@ -23,7 +21,7 @@ class ConfigError(ValueError):
 
 
 #: The record type behind each record name of KEYS.  "run" keys are
-#: SimConfig fields themselves; "physical" keys build SimConfig.physical.
+#: SimConfig fields themselves.
 RECORDS = {"plant": DimlessParams, "sliding": SlidingParams,
            "trigger": TriggerParams, "reference": ReferenceSignal,
            "x0": DimlessState}
@@ -68,18 +66,11 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     # regulation setpoint conversion
     "tf0_kelvin": ("run", "tf0_kelvin", 300.0),
     "setpoint_kelvin": ("run", "setpoint_kelvin", None),
-    # the optional physical parameter block, all-or-nothing
-    **{k: ("physical", k, None)
-       for k in ("k0", "caf0", "f0", "rho", "cp", "dh", "rhoc", "cpc",
-                 "v", "fc", "e", "r", "tf0", "tc0", "a", "b")},
 }
 
 #: Default experiment parameterization (startup tracking case).
 DEFAULTS: dict[str, float] = {
     k: default for k, (_, _, default) in KEYS.items() if default is not None}
-
-PHYSICAL_KEYS = tuple(k for k, (rec, _, _) in KEYS.items()
-                      if rec == "physical")
 
 
 def _parse_lines(text: str) -> dict[str, float]:
@@ -109,15 +100,12 @@ def build_config(values: Mapping[str, float],
                  scenario: str = "nominal") -> SimConfig:
     """Assemble a validated SimConfig from resolved key-value pairs."""
     for key, val in values.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}")
         if not math.isfinite(val):
             raise ConfigError(f"value for {key!r} must be finite, got {val}")
     v = {k: default for k, (_, _, default) in KEYS.items()}
     v.update(values)
-
-    missing = [k for k in PHYSICAL_KEYS if v[k] is None]
-    if 0 < len(missing) < len(PHYSICAL_KEYS):
-        raise ConfigError(
-            f"incomplete physical block, missing: {', '.join(missing)}")
 
     fields: dict[str, dict] = {}
     for key, (record, field, _) in KEYS.items():
@@ -125,9 +113,7 @@ def build_config(values: Mapping[str, float],
     fields["trigger"]["indices"] = (1, 2) if v["trigger_both"] else (2,)
     try:
         records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
-        physical = None if missing else PhysicalParams(**fields["physical"])
-        return SimConfig(**fields["run"], **records, physical=physical,
-                         scenario=scenario)
+        return SimConfig(**fields["run"], **records, scenario=scenario)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,9 +129,7 @@ def config_values(cfg: SimConfig) -> dict[str, float]:
     """The resolved key-value view of a SimConfig (inverse of build_config)."""
     out = {}
     for key, (record, field, _) in KEYS.items():
-        # an absent physical block reads as None, like an unset optional key
-        val = getattr(cfg if record == "run" else getattr(cfg, record),
-                      field, None)
+        val = getattr(cfg if record == "run" else getattr(cfg, record), field)
         if key == "trigger_both":
             val = 1.0 if val == (1, 2) else 0.0
         if val is not None:

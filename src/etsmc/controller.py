@@ -7,13 +7,12 @@ laws coincide exactly at every update.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import DimlessParams, DimlessState, Disturbance, state_derivative
-from .plant import InvalidParameterError, eval_f1, eval_f2
+from .plant import InvalidParameterError, eval_f1, eval_f2, pointwise_exp
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,11 +49,20 @@ class ReferenceSignal:
     def x1ref_dot(self, t: float) -> float:
         return 0.0
 
+    def x2ref_series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x2 reference and its rate at the times ts, one exp per point.
+
+        Every element equals the Python-float evaluation at that time.
+        """
+        ex = pointwise_exp(-self.k2 * ts)
+        return (self.x2ss * (1.0 - self.k1 * ex),
+                self.x2ss * self.k1 * self.k2 * ex)
+
     def x2ref(self, t: float) -> float:
-        return self.x2ss * (1.0 - self.k1 * math.exp(-self.k2 * t))
+        return float(self.x2ref_series(np.array([t]))[0][0])
 
     def x2ref_dot(self, t: float) -> float:
-        return self.x2ss * self.k1 * self.k2 * math.exp(-self.k2 * t)
+        return float(self.x2ref_series(np.array([t]))[1][0])
 
 
 @dataclass(frozen=True, slots=True)

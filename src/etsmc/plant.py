@@ -161,20 +161,28 @@ def state_derivative(x: DimlessState, u: float, t: float,
     return DimlessState(x1=f1 - d2v, x2=f2 + p.beta * u + d1v)
 
 
+def pointwise_exp(a: np.ndarray) -> np.ndarray:
+    """exp of each element through math.exp.
+
+    A SIMD np.exp may differ from math.exp in the last ulp, so array homes
+    use this to equal their scalar evaluations bit for bit.
+    """
+    return np.array(list(map(math.exp, a.tolist())))
+
+
 def jacobian_stack(x1: np.ndarray, x2: np.ndarray,
                    p: DimlessParams) -> np.ndarray:
     """Analytic Jacobians of (f1, f2) at the points (x1[i], x2[i]), (N, 2, 2).
 
     d/dx2 of x2/(1+x2/gamma) is 1/(1+x2/gamma)^2.  The exponential is
-    math.exp per point, so every entry equals its scalar evaluation bit
-    for bit (a SIMD np.exp may differ from it in the last ulp).
+    pointwise_exp, so every entry equals its scalar evaluation bit for bit.
     """
     den = 1.0 + x2 / p.gamma
     bad = np.flatnonzero(np.abs(den) < SINGULAR_TOL)
     if bad.size:
         raise SingularExponentError(
             f"1 + x2/gamma vanishes (x2={x2[bad[0]]}, gamma={p.gamma})")
-    ex = np.array([math.exp(v) for v in (x2 / den).tolist()])
+    ex = pointwise_exp(x2 / den)
     dex = ex / (den * den)  # derivative of the exponential w.r.t. x2
     rem = 1.0 - x1
     return np.stack([

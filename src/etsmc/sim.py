@@ -19,10 +19,10 @@ import numpy as np
 
 from .controller import ReferenceSignal, SlidingParams, switching_law
 from .plant import (DimlessParams, DimlessState, Disturbance,
-                    InvalidParameterError, PhysicalParams,
-                    composition_nullcline, drift, kelvin_to_x2)
-from .trigger import (EventLog, TriggerParams, estimate_lipschitz, margin,
-                      threshold, zeno_bounds)
+                    InvalidParameterError, composition_nullcline, drift,
+                    kelvin_to_x2)
+from .trigger import (CSV_BLOCK, EventLog, TriggerParams, estimate_lipschitz,
+                      margin, thresholds, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -55,7 +55,6 @@ class SimConfig:
     d2_freq: float
     setpoint_kelvin: Optional[float]
     tf0_kelvin: float
-    physical: Optional[PhysicalParams]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.h < math.inf:
@@ -210,18 +209,21 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     x1ref = r.x1_const
     flip = -1.0 if flip_control_sign else 1.0
 
-    ts = np.empty(n + 1)
-    x1s = np.empty(n + 1)
-    x2s = np.empty(n + 1)
-    x2rs = np.empty(n + 1)
-    us = np.empty(n + 1)
-    sig = np.empty(n + 1)
-    sigd = np.empty(n + 1)
-    dlt = np.empty(n + 1)
-    band = np.empty(n + 1)
-    evt = np.zeros(n + 1, dtype=bool)
-    eps = np.empty(n + 1)
-    log = EventLog()
+    # the time-only series come from their array homes; i*h here equals
+    # the scalar i * h bit for bit
+    ts = np.arange(n + 1) * h
+    x2rs, x2rds = r.x2ref_series(ts)
+    tols = thresholds(ts, tp)
+    t_at, x2ref_at, x2ref_dot_at, tol_at = (
+        ts.tolist(), x2rs.tolist(), x2rds.tolist(), tols.tolist())
+
+    x1s = [0.0] * (n + 1)
+    x2s = [0.0] * (n + 1)
+    us = [0.0] * (n + 1)
+    sigd = [0.0] * (n + 1)
+    dlt = [0.0] * (n + 1)
+    eps = [0.0] * (n + 1)
+    evt = [False] * (n + 1)
     event_steps: list[int] = []
 
     warned_x1 = False
@@ -231,7 +233,7 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     f1, f2 = drift(x1, x2, p)
 
     for i in range(n + 1):
-        t = i * h
+        t = t_at[i]
         if i > 0:
             x1, x2 = rk4(x1, x2, f1, f2, u, t - h, t, h, p, disturb)
             if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
@@ -242,15 +244,13 @@ def _run_loop(cfg: SimConfig, every_step: bool,
             # also stage 1 of the next step: same state, same drift
             f1, f2 = drift(x1, x2, p)
 
-        x2ref = r.x2ref(t)
-        x2ref_dot = r.x2ref_dot(t)
+        x2ref_dot = x2ref_dot_at[i]
         d1v, d2v = disturb(t)
         e1 = x1 - x1ref
-        e2 = x2 - x2ref
+        e2 = x2 - x2ref_at[i]
         e1dot = f1 - d2v
         e2dot = f2 + beta * u + d1v - x2ref_dot
-        band[i] = tol = threshold(t, tp)
-        dlt[i] = delta = margin(e1, e2, e1dot, e2dot, tol, tp)
+        dlt[i] = delta = margin(e1, e2, e1dot, e2dot, tol_at[i], tp)
         # discretization error relative to the last snapshot, taken before
         # any update at this instant (it vanishes at update instants)
         eps[i] = math.hypot(x1 - xk1, x2 - xk2)
@@ -260,35 +260,36 @@ def _run_loop(cfg: SimConfig, every_step: bool,
             u = flip * switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot,
                                      sp, beta)
             xk1, xk2 = x1, x2
-            log.instants.append(t)
             event_steps.append(i)
-            log.delta_at_event.append(delta)
             e2dot = f2 + beta * u + d1v - x2ref_dot
+            evt[i] = True
 
-        ts[i] = t
         x1s[i] = x1
         x2s[i] = x2
-        x2rs[i] = x2ref
         us[i] = u
-        sig[i] = lam1 * e1 + lam2 * e2
         sigd[i] = lam1 * e1dot + lam2 * e2dot
-        evt[i] = fire
 
+    x1s, x2s, dlt, eps = (np.array(x1s), np.array(x2s), np.array(dlt),
+                          np.array(eps))
+    sig = lam1 * (x1s - x1ref) + lam2 * (x2s - x2rs)
+    traj = Trajectory(
+        t=ts, x1=x1s, x2=x2s, x1ref=np.full(n + 1, x1ref), x2ref=x2rs,
+        u=np.array(us), sigma=sig, sigma_dot=np.array(sigd), delta=dlt,
+        event=np.array(evt), v=0.5 * sig * sig,
+        band=tols / min(abs(lam1), abs(lam2)), eps=eps,
+    )
+
+    steps = np.array(event_steps)
+    log = EventLog(instants=ts[steps].tolist(),
+                   delta_at_event=dlt[steps].tolist())
     # gaps are exact step multiples; differencing the rounded instants
     # instead would lose an ulp
-    log.gaps = [(b - a) * h for a, b in zip(event_steps, event_steps[1:])]
+    log.gaps = (np.diff(steps) * h).tolist()
     log.check(h)
-
-    band /= min(abs(lam1), abs(lam2))
-    traj = Trajectory(
-        t=ts, x1=x1s, x2=x2s, x1ref=np.full(n + 1, x1ref), x2ref=x2rs, u=us,
-        sigma=sig, sigma_dot=sigd, delta=dlt, event=evt,
-        v=0.5 * sig * sig, band=band, eps=eps,
-    )
 
     eps_max = max(float(eps.max()), 1e-300)
     log.bound_at_event = zeno_bounds(
-        x1s[event_steps].tolist(), x2s[event_steps].tolist(), eps_max,
+        x1s[steps].tolist(), x2s[steps].tolist(), eps_max,
         estimate_lipschitz(p), p, sp)
     return traj, log
 
@@ -365,9 +366,11 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
     outside = np.abs(traj.sigma[:-1]) > traj.band[:-1]
     if np.any(outside & (np.diff(traj.v) > 0.0)):
         bad.append("lyapunov-decrease-outside-band")
-    flagged = {int(i) for i in np.flatnonzero(ev)}
-    logged = {int(round(t_k / cfg.h)) for t_k in log.instants}
-    if flagged != logged:
+    # the logged steps as a set: sorted, repeats dropped (np.unique would
+    # import numpy.ma on its first call, 15 ms of a short run)
+    logged = np.sort(np.rint(np.asarray(log.instants) / cfg.h))
+    logged = logged[np.diff(logged, prepend=np.nan) != 0.0]
+    if not np.array_equal(logged, np.flatnonzero(ev)):
         bad.append("event-cross-consistency")
     if np.any(traj.delta[~ev] >= 0.0):
         bad.append("delta-log-consistency")
@@ -376,20 +379,27 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
         bad.append("delta-log-consistency")
     if log.gaps and min(log.gaps) < cfg.h - 1e-12:
         bad.append("gaps-ge-step")
-    if any(b <= 0.0 for b in log.bound_at_event):
+    if np.any(np.asarray(log.bound_at_event) <= 0.0):
         bad.append("zeno-bound-positive")
-    if any(b <= a for a, b in zip(log.instants, log.instants[1:])):
+    instants = np.asarray(log.instants)
+    if np.any(instants[1:] <= instants[:-1]):
         bad.append("instants-increasing")
     return list(dict.fromkeys(bad))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Trajectory CSV with the documented column set."""
-    lines = ["t,x1,x2,x1ref,x2ref,u,sigma,delta,event"]
+    """Trajectory CSV with the documented column set.
+
+    Rows are formatted CSV_BLOCK at a time.
+    """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
-    for i in range(len(traj.t)):
-        vals = ",".join(repr(float(c[i])) for c in cols)
-        lines.append(f"{vals},{int(traj.event[i])}")
+    event = traj.event.astype(int)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
+        for a in range(0, len(traj.t), CSV_BLOCK):
+            b = a + CSV_BLOCK
+            block = [list(map(repr, c[a:b].tolist())) for c in cols]
+            block.append(list(map(str, event[a:b].tolist())))
+            fh.write("\n".join(map(",".join, zip(*block, strict=True))))
+            fh.write("\n")

@@ -10,12 +10,15 @@ import numpy as np
 
 from .controller import ErrorState, SlidingParams
 from .plant import (DimlessParams, DimlessState, InvalidParameterError,
-                    jacobian_stack)
+                    jacobian_stack, pointwise_exp)
 
 Box = tuple[tuple[float, float], tuple[float, float]]
 
 DEFAULT_LIPSCHITZ_BOX: Box = ((0.0, 1.0), (0.0, 5.0))
 LIPSCHITZ_SAFETY = 1.1
+
+#: Rows formatted per write by the CSV writers: bounds the text held at once.
+CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +66,8 @@ class EventLog:
     delta_at_event: list[float] = field(default_factory=list)
 
     def check(self, h: float) -> None:
-        if any(b <= a for a, b in zip(self.instants, self.instants[1:])):
+        t = np.asarray(self.instants)
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("event instants must be strictly increasing")
         if self.gaps and min(self.gaps) < h - 1e-12:
             raise ValueError("inter-event gap below the integration step")
@@ -82,9 +86,19 @@ class LipschitzEstimate:
             raise InvalidParameterError("l_bar must be positive")
 
 
+def thresholds(ts: np.ndarray, tp: TriggerParams) -> np.ndarray:
+    """Time-varying tolerance psi*(m1 + m2*exp(-varsigma*t)) at the times ts.
+
+    Decays to psi*m1.  Every element equals the Python-float evaluation
+    at that time.
+    """
+    ex = pointwise_exp(-tp.varsigma * ts)
+    return tp.psi * (tp.m1 + tp.m2 * ex)
+
+
 def threshold(t: float, tp: TriggerParams) -> float:
-    """Time-varying tolerance psi*(m1 + m2*exp(-varsigma*t)); decays to psi*m1."""
-    return tp.psi * (tp.m1 + tp.m2 * math.exp(-tp.varsigma * t))
+    """thresholds at the single time t."""
+    return float(thresholds(np.array([t]), tp)[0])
 
 
 def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
@@ -196,11 +210,21 @@ def estimate_lipschitz(p: DimlessParams,
 
 
 def write_event_csv(log: EventLog, path) -> None:
-    """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound."""
-    lines = ["k,t_k,T_k,delta_fired,zeno_bound"]
-    for k, t_k in enumerate(log.instants):
-        gap = repr(log.gaps[k]) if k < len(log.gaps) else "nan"
-        lines.append(
-            f"{k},{t_k!r},{gap},{log.delta_at_event[k]!r},{log.bound_at_event[k]!r}")
+    """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound.
+
+    The last event has no successor; its interval T_k is written as nan.
+    Rows are formatted CSV_BLOCK at a time.
+    """
+    n = len(log.instants)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")
+        for a in range(0, n, CSV_BLOCK):
+            b = min(a + CSV_BLOCK, n)
+            gaps = list(map(repr, log.gaps[a:b]))
+            gaps += ["nan"] * (b - a - len(gaps))
+            cols = (list(map(str, range(a, b))),
+                    list(map(repr, log.instants[a:b])), gaps,
+                    list(map(repr, log.delta_at_event[a:b])),
+                    list(map(repr, log.bound_at_event[a:b])))
+            fh.write("\n".join(map(",".join, zip(*cols, strict=True))))
+            fh.write("\n")

@@ -74,17 +74,9 @@ class TestBuildConfig:
     def test_trigger_both_switch(self):
         assert build_config({"trigger_both": 1.0}).trigger.indices == (1, 2)
 
-    def test_physical_block_all_or_nothing(self):
-        with pytest.raises(ConfigError, match="incomplete physical block"):
+    def test_rejects_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'k0'"):
             build_config({"k0": 3.784e7})
-
-    def test_complete_physical_block(self):
-        block = dict(k0=3.784e7, caf0=1.0, f0=1.0, rho=1e6, cp=1.0,
-                     dh=-2.0e5, rhoc=1e6, cpc=1.0, v=1.0, fc=1.0,
-                     e=49884.0, r=8.314, tf0=300.0, tc0=300.0, a=1.0, b=0.0)
-        cfg = build_config(block)
-        assert cfg.physical is not None
-        assert cfg.physical.k0 == 3.784e7
 
     def test_emit_roundtrip(self, tmp_path):
         cfg = build_config({"mu": 30.0, "setpoint_kelvin": 410.0})
@@ -167,6 +159,20 @@ class TestCliRuns:
         rc = main(["--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_physical_block_exits_2(self, tmp_path, capsys):
+        # the physical parameters select nothing in a run, so they are
+        # rejected as unknown keys rather than silently stored
+        block = dict(k0=3.784e7, caf0=1.0, f0=1.0, rho=1e6, cp=1.0,
+                     dh=-2.0e5, rhoc=1e6, cpc=1.0, v=1.0, fc=1.0,
+                     e=49884.0, r=8.314, tf0=300.0, tc0=300.0, a=1.0, b=0.0)
+        cfg = tmp_path / "physical.cfg"
+        cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in block.items()))
+        rc = main(["--config", str(cfg), "--duration", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key 'k0'" in capsys.readouterr().err
+        assert not (tmp_path / "nominal").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.cfg"),

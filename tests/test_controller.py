@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from etsmc.controller import (ErrorState, HeldControl, ReferenceSignal,
@@ -42,6 +43,22 @@ class TestReference:
 
     def test_initial_rate(self):
         assert REF.x2ref_dot(0.0) == pytest.approx(2.6516)
+
+    @pytest.mark.parametrize("x2ss", [2.6516, 20.0 / 3.0])  # default, 400 K
+    def test_series_matches_scalar_evaluation_bitwise(self, x2ss):
+        # t reaches 1000, so exp(-k2*t) passes through subnormals to 0.0
+        ref = ReferenceSignal(x1_const=0.4472, x2ss=x2ss, k1=1.0, k2=1.0)
+        h = 0.01
+        x2r, x2rd = ref.x2ref_series(np.arange(100_001) * h)
+        assert x2r[-1] == x2ss and x2rd[-1] == 0.0
+        for i in range(0, 100_001, 7):
+            t = i * h
+            ex = math.exp(-ref.k2 * t)
+            assert x2r[i] == ref.x2ref(t) == x2ss * (1.0 - ref.k1 * ex), i
+            assert x2rd[i] == ref.x2ref_dot(t) == (
+                x2ss * ref.k1 * ref.k2 * ex), i
+        assert type(ref.x2ref(1.0)) is float
+        assert type(ref.x2ref_dot(1.0)) is float
 
 
 class TestSigmaSign:

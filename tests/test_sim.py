@@ -13,7 +13,7 @@ from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
-from etsmc.trigger import should_trigger
+from etsmc.trigger import CSV_BLOCK, should_trigger
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 LINEAR = DimlessParams(da=1e-300, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
@@ -167,6 +167,13 @@ class TestRunOutputs:
         assert all(b > 0.0 for b in log.bound_at_event)
         assert np.all(traj.v == 0.5 * traj.sigma ** 2)
 
+    def test_event_log_holds_python_floats(self):
+        # the event CSV writes repr(x), which for np.float64 is not a number
+        cfg = small_cfg(t_end=1.0)
+        _, log, _ = run_event_triggered(cfg)
+        for name in ("instants", "gaps", "delta_at_event", "bound_at_event"):
+            assert all(type(x) is float for x in getattr(log, name)), name
+
     def test_determinism(self):
         cfg = small_cfg(t_end=1.0)
         a = run_event_triggered(cfg)[0]
@@ -276,6 +283,22 @@ class TestInvariants:
         assert "event-cross-consistency" in check_invariants(
             traj, clipped, cfg)
 
+    def test_detects_nonpositive_zeno_bound(self, short_run):
+        cfg, traj, log = short_run
+        bounds = list(log.bound_at_event)
+        bounds[3] = 0.0
+        bad = replace(log, bound_at_event=bounds)
+        assert check_invariants(traj, bad, cfg) == ["zeno-bound-positive"]
+
+    def test_detects_unordered_instants(self, short_run):
+        cfg, traj, log = short_run
+        instants = list(log.instants)
+        instants[3], instants[4] = instants[4], instants[3]
+        bad = replace(log, instants=instants)
+        assert check_invariants(traj, bad, cfg) == ["instants-increasing"]
+        instants[4] = instants[3]
+        assert "instants-increasing" in check_invariants(traj, bad, cfg)
+
     def test_detects_missed_fire(self, sparse_run):
         cfg, traj, log = sparse_run
         bad = replace_field(traj, "delta")
@@ -289,6 +312,17 @@ def replace_field(traj, name):
         "t", "x1", "x2", "x1ref", "x2ref", "u", "sigma", "sigma_dot",
         "delta", "event", "v", "band", "eps")}
     return Trajectory(**kwargs)
+
+
+def _rowwise_trajectory_csv(traj):
+    """The per-row trajectory formatter the block writer replaced."""
+    lines = ["t,x1,x2,x1ref,x2ref,u,sigma,delta,event"]
+    cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
+            traj.u, traj.sigma, traj.delta)
+    for i in range(len(traj.t)):
+        vals = ",".join(repr(float(c[i])) for c in cols)
+        lines.append(f"{vals},{int(traj.event[i])}")
+    return "\n".join(lines) + "\n"
 
 
 class TestTrajectoryCsv:
@@ -306,3 +340,22 @@ class TestTrajectoryCsv:
             back = np.array([float(v) for v in cols[j]])
             assert np.array_equal(back, getattr(traj, name))
         assert [int(v) for v in cols[8]] == list(traj.event.astype(int))
+
+    def test_blocks_match_rowwise_formatter(self, tmp_path):
+        n = 2 * CSV_BLOCK + 3
+        rng = np.random.default_rng(4)
+        special = [-0.0, math.nan, math.inf, 5e-324, 1e16, 1e-5]
+        traj = synthetic_traj(rng.standard_normal(n), rng.standard_normal(n))
+        traj.event[:] = rng.random(n) < 0.5
+        for j, name in enumerate(("t", "x1", "x2", "x1ref", "x2ref", "u",
+                                  "sigma", "delta")):
+            col = getattr(traj, name)
+            col[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+            # the special values at the block edges and inside a block
+            for k, v in enumerate(special):
+                col[[CSV_BLOCK - 1 + k + j, 2 * CSV_BLOCK + j % 3,
+                     17 * k + j]] = v
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == _rowwise_trajectory_csv(traj).encode()
+        assert len(path.read_text().splitlines()) == n + 1

@@ -6,11 +6,12 @@ import pytest
 from etsmc.controller import ErrorState, SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
                          SingularExponentError)
-from etsmc.trigger import (DEFAULT_LIPSCHITZ_BOX, LIPSCHITZ_SAFETY, EventLog,
-                           LipschitzEstimate, TriggerParams, _gain_norms,
-                           _sobol_2d, delta, estimate_lipschitz,
-                           should_trigger, threshold, write_event_csv,
-                           zeno_bound, zeno_bounds)
+from etsmc.trigger import (CSV_BLOCK, DEFAULT_LIPSCHITZ_BOX,
+                           LIPSCHITZ_SAFETY, EventLog, LipschitzEstimate,
+                           TriggerParams, _gain_norms, _sobol_2d, delta,
+                           estimate_lipschitz, should_trigger, threshold,
+                           thresholds, write_event_csv, zeno_bound,
+                           zeno_bounds)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 SP = SlidingParams(lambda1=1.0, lambda2=2.0, mu=25.0)
@@ -57,6 +58,18 @@ class TestThreshold:
         # the floor
         early = [threshold(t, TP) for t in np.linspace(0.0, 30.0, 100)]
         assert all(b < a for a, b in zip(early, early[1:]))
+
+    def test_series_matches_scalar_evaluation_bitwise(self):
+        # t reaches 1000, so exp(-varsigma*t) passes through subnormals to 0.0
+        h = 0.01
+        tols = thresholds(np.arange(100_001) * h, TP)
+        assert tols[-1] == TP.psi * TP.m1
+        for i in range(0, 100_001, 7):
+            t = i * h
+            ex = math.exp(-TP.varsigma * t)
+            assert tols[i] == threshold(t, TP) == (
+                TP.psi * (TP.m1 + TP.m2 * ex)), i
+        assert type(threshold(1.0, TP)) is float
 
 
 class TestDelta:
@@ -247,7 +260,47 @@ class TestSobol:
         assert np.array_equal(np.sort(pts[:, 1]), grid)
 
 
+def _rowwise_event_csv(log):
+    """The per-row event formatter the block writer replaced, as reference."""
+    lines = ["k,t_k,T_k,delta_fired,zeno_bound"]
+    for k, t_k in enumerate(log.instants):
+        gap = repr(log.gaps[k]) if k < len(log.gaps) else "nan"
+        lines.append(f"{k},{t_k!r},{gap},{log.delta_at_event[k]!r},"
+                     f"{log.bound_at_event[k]!r}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [-0.0, math.nan, math.inf, 5e-324, 1e16, 1e-5]
+
+
 class TestEventCsv:
+    def test_single_event_matches_rowwise_formatter(self, tmp_path):
+        log = EventLog(instants=[0.0], gaps=[], bound_at_event=[5e-324],
+                       delta_at_event=[-0.0])
+        path = tmp_path / "events.csv"
+        write_event_csv(log, path)
+        assert path.read_bytes() == _rowwise_event_csv(log).encode()
+        assert path.read_text().splitlines()[1] == "0,0.0,nan,-0.0,5e-324"
+
+    def test_blocks_match_rowwise_formatter(self, tmp_path):
+        n = 2 * CSV_BLOCK + 3
+        rng = np.random.default_rng(11)
+        instants = np.cumsum(rng.uniform(1e-3, 0.5, n)).tolist()
+        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+                for _ in range(3)]
+        for j, col in enumerate(cols):
+            # the special values at the block edges and inside a block
+            for k, v in enumerate(SPECIAL):
+                col[[CSV_BLOCK - 1 + k + j, 2 * CSV_BLOCK + j % 3,
+                     17 * k + j]] = v
+        log = EventLog(instants=instants, gaps=cols[0][:-1].tolist(),
+                       delta_at_event=cols[1].tolist(),
+                       bound_at_event=cols[2].tolist())
+        path = tmp_path / "events.csv"
+        write_event_csv(log, path)
+        assert path.read_bytes() == _rowwise_event_csv(log).encode()
+        assert len(path.read_text().splitlines()) == n + 1
+
     def test_format_and_open_last_interval(self, tmp_path):
         log = EventLog(instants=[0.0, 0.25, 1.0], gaps=[0.25, 0.75],
                        bound_at_event=[1e-4, 2e-4, 3e-4],
