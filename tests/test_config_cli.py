@@ -51,6 +51,11 @@ class TestParsing:
             parse_config(path)
 
 
+PHYSICAL_BLOCK = dict(k0=3.784e7, caf0=1.0, f0=1.0, rho=1e6, cp=1.0,
+                      dh=-2.0e5, rhoc=1e6, cpc=1.0, v=1.0, fc=1.0,
+                      e=49884.0, r=8.314, tf0=300.0, tc0=300.0, a=1.0, b=0.0)
+
+
 class TestBuildConfig:
     def test_documented_defaults(self):
         cfg = build_config({})
@@ -74,9 +79,17 @@ class TestBuildConfig:
     def test_trigger_both_switch(self):
         assert build_config({"trigger_both": 1.0}).trigger.indices == (1, 2)
 
-    def test_rejects_unknown_key(self):
+    def test_physical_block_all_or_nothing(self):
+        # the physical parameters select nothing in a run, so no part of
+        # the block is accepted: a lone key is an unknown key
         with pytest.raises(ConfigError, match="unknown key 'k0'"):
             build_config({"k0": 3.784e7})
+
+    def test_complete_physical_block(self):
+        # a complete block is rejected too, rather than silently stored
+        with pytest.raises(ConfigError, match="unknown key 'k0'"):
+            build_config(PHYSICAL_BLOCK)
+        assert not hasattr(build_config({}), "physical")
 
     def test_emit_roundtrip(self, tmp_path):
         cfg = build_config({"mu": 30.0, "setpoint_kelvin": 410.0})
@@ -161,13 +174,9 @@ class TestCliRuns:
         assert "error:" in capsys.readouterr().err
 
     def test_physical_block_exits_2(self, tmp_path, capsys):
-        # the physical parameters select nothing in a run, so they are
-        # rejected as unknown keys rather than silently stored
-        block = dict(k0=3.784e7, caf0=1.0, f0=1.0, rho=1e6, cp=1.0,
-                     dh=-2.0e5, rhoc=1e6, cpc=1.0, v=1.0, fc=1.0,
-                     e=49884.0, r=8.314, tf0=300.0, tc0=300.0, a=1.0, b=0.0)
         cfg = tmp_path / "physical.cfg"
-        cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in block.items()))
+        cfg.write_text("".join(f"{k} = {v!r}\n"
+                               for k, v in PHYSICAL_BLOCK.items()))
         rc = main(["--config", str(cfg), "--duration", "1",
                    "--out", str(tmp_path)])
         assert rc == 2
