@@ -1,7 +1,7 @@
 """Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
 
-A longer nominal run pins the two CSV files across more rows than one
-writer block holds.
+Longer nominal and disturbed runs pin the two CSV files across more rows
+than one writer block holds.
 
 Refactors must leave these bytes unchanged.  A change that alters a digest
 on purpose updates it here and says why in CHANGES.md.  The runs write
@@ -50,10 +50,16 @@ GOLDEN = {
     },
 }
 
-#: --duration 10 nominal run: 10,001 trajectory rows and 10,001 events.
+#: --duration 10 runs: 10,001 trajectory rows and 10,001 events each.
 GOLDEN_LONG = {
-    "events.csv": "729a730d88e8c8c53f31fd26cbf609f4820f08905d2eb006d67d26025973ffb8",
-    "trajectory.csv": "f8a13171d76e4d614500b5ac945c94ca91f7c6b880f633525c3f191c0924b514",
+    "nominal": {
+        "events.csv": "729a730d88e8c8c53f31fd26cbf609f4820f08905d2eb006d67d26025973ffb8",
+        "trajectory.csv": "f8a13171d76e4d614500b5ac945c94ca91f7c6b880f633525c3f191c0924b514",
+    },
+    "disturbed": {
+        "events.csv": "5909f5208013c4b0ecb8cb682c1e9603cb6440e417583bd391c77e869dc73616",
+        "trajectory.csv": "79f8c1896b869026daa8b2e4bd405df520ca34206acf7b5cb160b288d3b6139e",
+    },
 }
 
 L_BAR = 44.22060080686917
@@ -70,15 +76,24 @@ def test_cli_artifact_digests(scenario, tmp_path, monkeypatch):
     assert digests == GOLDEN[scenario]
 
 
-def test_long_nominal_csv_digests(tmp_path, monkeypatch):
+def _long_csv_digests(scenario, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # exit 1: lyapunov-decrease-outside-band is known red past short horizons
-    assert main(["--scenario", "nominal", "--duration", "10",
+    assert main(["--scenario", scenario, "--duration", "10",
                  "--out", "runs"]) in (0, 1)
-    run_dir = tmp_path / "runs" / "nominal"
-    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_LONG}
-    assert digests == GOLDEN_LONG
+    run_dir = tmp_path / "runs" / scenario
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_LONG[scenario]}
+
+
+def test_long_nominal_csv_digests(tmp_path, monkeypatch):
+    digests = _long_csv_digests("nominal", tmp_path, monkeypatch)
+    assert digests == GOLDEN_LONG["nominal"]
+
+
+def test_long_disturbed_csv_digests(tmp_path, monkeypatch):
+    digests = _long_csv_digests("disturbed", tmp_path, monkeypatch)
+    assert digests == GOLDEN_LONG["disturbed"]
 
 
 def test_default_plant_lipschitz_estimate():
