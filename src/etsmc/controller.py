@@ -7,12 +7,13 @@ laws coincide exactly at every update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import DimlessParams, DimlessState, Disturbance, state_derivative
-from .plant import InvalidParameterError, eval_f1, eval_f2, pointwise_exp
+from .plant import InvalidParameterError, eval_f1, eval_f2, pointwise
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,13 +36,21 @@ class ReferenceSignal:
     """Reference pair with exact analytic derivatives.
 
     x1 reference is a constant; x2 reference is the startup shape
-    x2ss * (1 - k1 * exp(-k2 * t)).
+    x2ss * (1 - k1 * exp(-k2 * t)) with k2 >= 0.
     """
 
     x1_const: float
     x2ss: float
     k1: float
     k2: float
+
+    def __post_init__(self) -> None:
+        for name in ("x1_const", "x2ss", "k1", "k2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
+        # exp(-k2*t) stays in [0, 1] on t >= 0 instead of overflowing
+        if not self.k2 >= 0.0:
+            raise InvalidParameterError("k2 must be nonnegative")
 
     def x1ref(self, t: float) -> float:
         return self.x1_const
@@ -54,7 +63,7 @@ class ReferenceSignal:
 
         Every element equals the Python-float evaluation at that time.
         """
-        ex = pointwise_exp(-self.k2 * ts)
+        ex = pointwise(math.exp, -self.k2 * ts)
         return (self.x2ss * (1.0 - self.k1 * ex),
                 self.x2ss * self.k1 * self.k2 * ex)
 

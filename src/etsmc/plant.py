@@ -94,37 +94,57 @@ class PhysicalParams:
             raise InvalidParameterError("derived gamma is not finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disturbance:
-    """Bounded, measurable disturbance pair.
+    """Bounded, measurable sinusoidal disturbance pair.
 
-    d1 enters the temperature equation, d2 the composition equation.
-    Evaluation asserts the declared sup bound on every call.
+    d1 = amp1 sin(freq1 t) enters the temperature equation, d2 = amp2
+    sin(freq2 t) the composition equation.  Evaluation asserts the declared
+    sup bound.
     """
 
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    amp1: float
+    freq1: float
+    amp2: float
+    freq2: float
     bound: float
 
+    def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d1, d2) at the times ts, one sin per point.
+
+        Every element equals the Python-float amp * math.sin(freq * t).
+        Raises PlantError on a nonfinite phase or a value over the bound.
+        """
+        out = []
+        for amp, freq in ((self.amp1, self.freq1), (self.amp2, self.freq2)):
+            with np.errstate(over="ignore"):  # reported below instead
+                phase = freq * ts
+            bad = np.flatnonzero(~np.isfinite(phase))
+            if bad.size:
+                raise PlantError(f"disturbance phase {freq}*t is not finite "
+                                 f"at t={ts[bad[0]]}")
+            out.append(amp * pointwise(math.sin, phase))
+        bad = np.flatnonzero(np.maximum(np.abs(out[0]), np.abs(out[1]))
+                             > self.bound + 1e-15)
+        if bad.size:
+            raise PlantError(
+                f"disturbance exceeds declared bound at t={ts[bad[0]]}")
+        return out[0], out[1]
+
     def eval(self, t: float) -> tuple[float, float]:
-        v1 = self.d1(t)
-        v2 = self.d2(t)
-        if abs(v1) > self.bound + 1e-15 or abs(v2) > self.bound + 1e-15:
-            raise PlantError(f"disturbance exceeds declared bound at t={t}")
-        return v1, v2
+        """series at the single time t."""
+        d1, d2 = self.series(np.array([t]))
+        return float(d1[0]), float(d2[0])
 
     @classmethod
     def zero(cls) -> "Disturbance":
-        return cls(d1=lambda t: 0.0, d2=lambda t: 0.0, bound=0.0)
+        return cls(amp1=0.0, freq1=0.0, amp2=0.0, freq2=0.0, bound=0.0)
 
     @classmethod
     def sinusoidal(cls, amp1: float, freq1: float,
                    amp2: float, freq2: float) -> "Disturbance":
-        return cls(
-            d1=lambda t: amp1 * math.sin(freq1 * t),
-            d2=lambda t: amp2 * math.sin(freq2 * t),
-            bound=max(abs(amp1), abs(amp2)),
-        )
+        return cls(amp1=amp1, freq1=freq1, amp2=amp2, freq2=freq2,
+                   bound=max(abs(amp1), abs(amp2)))
 
 
 def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:
@@ -161,13 +181,14 @@ def state_derivative(x: DimlessState, u: float, t: float,
     return DimlessState(x1=f1 - d2v, x2=f2 + p.beta * u + d1v)
 
 
-def pointwise_exp(a: np.ndarray) -> np.ndarray:
-    """exp of each element through math.exp.
+def pointwise(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """fn of each element, with fn a math function such as math.exp.
 
-    A SIMD np.exp may differ from math.exp in the last ulp, so array homes
-    use this to equal their scalar evaluations bit for bit.
+    A SIMD np.exp or np.sin may differ from math.exp or math.sin in the
+    last ulp, so array homes use this to equal their scalar evaluations
+    bit for bit.
     """
-    return np.array(list(map(math.exp, a.tolist())))
+    return np.array(list(map(fn, a.tolist())))
 
 
 def jacobian_stack(x1: np.ndarray, x2: np.ndarray,
@@ -175,14 +196,14 @@ def jacobian_stack(x1: np.ndarray, x2: np.ndarray,
     """Analytic Jacobians of (f1, f2) at the points (x1[i], x2[i]), (N, 2, 2).
 
     d/dx2 of x2/(1+x2/gamma) is 1/(1+x2/gamma)^2.  The exponential is
-    pointwise_exp, so every entry equals its scalar evaluation bit for bit.
+    pointwise, so every entry equals its scalar evaluation bit for bit.
     """
     den = 1.0 + x2 / p.gamma
     bad = np.flatnonzero(np.abs(den) < SINGULAR_TOL)
     if bad.size:
         raise SingularExponentError(
             f"1 + x2/gamma vanishes (x2={x2[bad[0]]}, gamma={p.gamma})")
-    ex = pointwise_exp(x2 / den)
+    ex = pointwise(math.exp, x2 / den)
     dex = ex / (den * den)  # derivative of the exponential w.r.t. x2
     rem = 1.0 - x1
     return np.stack([

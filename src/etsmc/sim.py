@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -147,37 +147,30 @@ class Metrics:
     max_discretization_error: float
 
 
-def _no_disturbance(t: float) -> tuple[float, float]:
-    return 0.0, 0.0
-
-
-def rk4(x1: float, x2: float, f1: float, f2: float, u: float, t: float,
+def rk4(x1: float, x2: float, f1: float, f2: float, u: float,
         t_next: float, h: float, p: DimlessParams,
-        disturb: Callable[[float], tuple[float, float]]
-        ) -> tuple[float, float]:
+        d1_0: float, d2_0: float, d1_mid: float, d2_mid: float,
+        d1_end: float, d2_end: float) -> tuple[float, float]:
     """One classical RK4 step of length h from (x1, x2), u held (ZOH).
 
     (f1, f2) is drift(x1, x2, p), taken from the caller because the loop
-    has already evaluated it at this state.  disturb(t) gives (d1, d2) and
-    is read at t, t + h/2 and t_next; the caller passes t_next because the
-    loop's grid time i*h can differ from (i-1)*h + h by an ulp.
+    has already evaluated it at this state.  The disturbance pair (d1, d2)
+    is given at the start, the middle and the end of the step; t_next, the
+    end time, only names the step in an error.
     """
     bu = p.beta * u
     half = 0.5 * h
-    d1v, d2v = disturb(t)
-    a1 = f1 - d2v
-    a2 = f2 + bu + d1v
+    a1 = f1 - d2_0
+    a2 = f2 + bu + d1_0
     b1, b2 = drift(x1 + half * a1, x2 + half * a2, p)
-    d1v, d2v = disturb(t + half)
-    b1 = b1 - d2v
-    b2 = b2 + bu + d1v
+    b1 = b1 - d2_mid
+    b2 = b2 + bu + d1_mid
     c1, c2 = drift(x1 + half * b1, x2 + half * b2, p)
-    c1 = c1 - d2v
-    c2 = c2 + bu + d1v
+    c1 = c1 - d2_mid
+    c2 = c2 + bu + d1_mid
     e1, e2 = drift(x1 + h * c1, x2 + h * c2, p)
-    d1v, d2v = disturb(t_next)
-    e1 = e1 - d2v
-    e2 = e2 + bu + d1v
+    e1 = e1 - d2_end
+    e2 = e2 + bu + d1_end
     x1 += h / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
     x2 += h / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
     if not (math.isfinite(x1) and math.isfinite(x2)):
@@ -192,16 +185,16 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
     if not h > 0.0:
         raise InvalidParameterError("h must be positive")
     f1, f2 = drift(x.x1, x.x2, p)
-    return DimlessState(*rk4(x.x1, x.x2, f1, f2, u, t, t + h, h, p, d.eval))
+    t_next = t + h
+    return DimlessState(*rk4(x.x1, x.x2, f1, f2, u, t_next, h, p,
+                             *d.eval(t), *d.eval(t + 0.5 * h),
+                             *d.eval(t_next)))
 
 
 def _run_loop(cfg: SimConfig, every_step: bool,
               flip_control_sign: bool) -> tuple[Trajectory, EventLog]:
     p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
     d = cfg.disturbance()
-    # a zero-bound disturbance is identically zero: skip the per-stage
-    # callable evaluation (pure speed, identical values)
-    disturb = _no_disturbance if d.bound == 0.0 else d.eval
     n = cfg.step_count()
     h = cfg.h
     beta = p.beta
@@ -216,6 +209,17 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     tols = thresholds(ts, tp)
     t_at, x2ref_at, x2ref_dot_at, tol_at = (
         ts.tolist(), x2rs.tolist(), x2rds.tolist(), tols.tolist())
+    # the disturbance at the grid and at the start and middle of the step
+    # ending there, read at index i; the start t - h need not equal the
+    # previous grid time (index 0 of those two is unused)
+    if d.amp1 == 0.0 and d.amp2 == 0.0:
+        zeros = [0.0] * (n + 1)  # one shared list serves every stage
+        d1_at = d2_at = d1_0 = d2_0 = d1_mid = d2_mid = zeros
+    else:
+        t0s = ts - h
+        d1_at, d2_at, d1_0, d2_0, d1_mid, d2_mid = (
+            a.tolist() for a in (*d.series(ts), *d.series(t0s),
+                                 *d.series(t0s + 0.5 * h)))
 
     x1s = [0.0] * (n + 1)
     x2s = [0.0] * (n + 1)
@@ -224,7 +228,6 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     dlt = [0.0] * (n + 1)
     eps = [0.0] * (n + 1)
     evt = [False] * (n + 1)
-    event_steps: list[int] = []
 
     warned_x1 = False
     x1, x2 = cfg.x0.x1, cfg.x0.x2
@@ -234,8 +237,10 @@ def _run_loop(cfg: SimConfig, every_step: bool,
 
     for i in range(n + 1):
         t = t_at[i]
+        d1v, d2v = d1_at[i], d2_at[i]
         if i > 0:
-            x1, x2 = rk4(x1, x2, f1, f2, u, t - h, t, h, p, disturb)
+            x1, x2 = rk4(x1, x2, f1, f2, u, t, h, p, d1_0[i], d2_0[i],
+                         d1_mid[i], d2_mid[i], d1v, d2v)
             if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
                 warnings.warn(
                     f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
@@ -245,7 +250,6 @@ def _run_loop(cfg: SimConfig, every_step: bool,
             f1, f2 = drift(x1, x2, p)
 
         x2ref_dot = x2ref_dot_at[i]
-        d1v, d2v = disturb(t)
         e1 = x1 - x1ref
         e2 = x2 - x2ref_at[i]
         e1dot = f1 - d2v
@@ -260,7 +264,6 @@ def _run_loop(cfg: SimConfig, every_step: bool,
             u = flip * switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot,
                                      sp, beta)
             xk1, xk2 = x1, x2
-            event_steps.append(i)
             e2dot = f2 + beta * u + d1v - x2ref_dot
             evt[i] = True
 
@@ -279,18 +282,13 @@ def _run_loop(cfg: SimConfig, every_step: bool,
         band=tols / min(abs(lam1), abs(lam2)), eps=eps,
     )
 
-    steps = np.array(event_steps)
+    steps = np.flatnonzero(traj.event)
     log = EventLog(instants=ts[steps].tolist(),
                    delta_at_event=dlt[steps].tolist())
     # gaps are exact step multiples; differencing the rounded instants
     # instead would lose an ulp
     log.gaps = (np.diff(steps) * h).tolist()
     log.check(h)
-
-    eps_max = max(float(eps.max()), 1e-300)
-    log.bound_at_event = zeno_bounds(
-        x1s[steps].tolist(), x2s[steps].tolist(), eps_max,
-        estimate_lipschitz(p), p, sp)
     return traj, log
 
 
@@ -299,11 +297,19 @@ def run_event_triggered(cfg: SimConfig, *, flip_control_sign: bool = False
     """Event-triggered closed-loop run (the default operating mode)."""
     traj, log = _run_loop(cfg, every_step=False,
                           flip_control_sign=flip_control_sign)
+    steps = np.flatnonzero(traj.event)
+    eps_max = max(float(traj.eps.max()), 1e-300)
+    log.bound_at_event = zeno_bounds(
+        traj.x1[steps].tolist(), traj.x2[steps].tolist(), eps_max,
+        estimate_lipschitz(cfg.plant), cfg.plant, cfg.sliding)
     return traj, log, compute_metrics(traj, log)
 
 
 def run_time_triggered(cfg: SimConfig) -> tuple[Trajectory, Metrics]:
-    """Baseline run with the control recomputed at every grid point."""
+    """Baseline run with the control recomputed at every grid point.
+
+    Its event log feeds the metrics only, so it carries no Zeno bounds.
+    """
     traj, log = _run_loop(cfg, every_step=True, flip_control_sign=False)
     return traj, compute_metrics(traj, log)
 

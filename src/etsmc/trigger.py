@@ -10,7 +10,7 @@ import numpy as np
 
 from .controller import ErrorState, SlidingParams
 from .plant import (DimlessParams, DimlessState, InvalidParameterError,
-                    jacobian_stack, pointwise_exp)
+                    PlantError, jacobian_stack, pointwise)
 
 Box = tuple[tuple[float, float], tuple[float, float]]
 
@@ -92,7 +92,7 @@ def thresholds(ts: np.ndarray, tp: TriggerParams) -> np.ndarray:
     Decays to psi*m1.  Every element equals the Python-float evaluation
     at that time.
     """
-    ex = pointwise_exp(-tp.varsigma * ts)
+    ex = pointwise(math.exp, -tp.varsigma * ts)
     return tp.psi * (tp.m1 + tp.m2 * ex)
 
 
@@ -157,8 +157,14 @@ def zeno_bounds(x1: list[float], x2: list[float], eps_max: float,
     gain = l_bar * (1.0 + m_norm)
     ctrl = bbar_norm * sp.mu
     num = l_bar * eps_max
-    return [math.log1p(num / (gain * math.hypot(a, b) + ctrl)) / l_bar
-            for a, b in zip(x1, x2)]
+    # every denominator is at least ||Bbar||*mu >= 0, so it is non-positive
+    # only when that product underflows to 0 at a state at the origin
+    try:
+        return [math.log1p(num / (gain * math.hypot(a, b) + ctrl)) / l_bar
+                for a, b in zip(x1, x2)]
+    except ZeroDivisionError:
+        raise PlantError("Zeno bound denominator L(1 + ||M||)||x_k|| + "
+                         f"||Bbar||*mu is not positive (mu={sp.mu})") from None
 
 
 def zeno_bound(x_k: DimlessState, eps_max: float, lip: LipschitzEstimate,

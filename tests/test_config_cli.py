@@ -230,6 +230,27 @@ class TestCliRuns:
             (tmp_path / "regulate-400" / "manifest.json").read_text())
         assert manifest["config"]["tf0_kelvin"] == 350.0
 
+    @pytest.mark.parametrize("scenario,key,duration,message", [
+        ("disturbed", "d1_freq = 1e308", "2.5", "phase"),
+        ("nominal", "mu = 5e-324", "0.02", "Zeno bound"),
+        ("nominal", "k2 = -1e300", "0.02", "k2"),
+    ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
+            "negative-reference-rate"])
+    def test_extreme_value_exits_2_without_traceback(
+            self, tmp_path, scenario, key, duration, message):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(key + "\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "etsmc", "--scenario", scenario,
+             "--config", str(cfg), "--duration", duration,
+             "--out", str(tmp_path / "runs")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error:") and message in out.stderr
+
     def test_import_does_not_load_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(

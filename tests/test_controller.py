@@ -44,6 +44,16 @@ class TestReference:
     def test_initial_rate(self):
         assert REF.x2ref_dot(0.0) == pytest.approx(2.6516)
 
+    @pytest.mark.parametrize("bad", [
+        dict(x1_const=math.nan), dict(x2ss=math.inf), dict(k1=-math.inf),
+        dict(k2=math.nan), dict(k2=-1e300), dict(k2=-1e-9),
+    ])
+    def test_rejects_invalid(self, bad):
+        kw = dict(x1_const=0.4472, x2ss=2.6516, k1=1.0, k2=1.0)
+        kw.update(bad)
+        with pytest.raises(InvalidParameterError):
+            ReferenceSignal(**kw)
+
     @pytest.mark.parametrize("x2ss", [2.6516, 20.0 / 3.0])  # default, 400 K
     def test_series_matches_scalar_evaluation_bitwise(self, x2ss):
         # t reaches 1000, so exp(-k2*t) passes through subnormals to 0.0
@@ -96,11 +106,13 @@ class TestDriftVector:
 
     def test_disturbance_channel_placement(self):
         # d2 enters the composition row with a minus, d1 the temperature
-        # row with a plus
-        d = Disturbance(d1=lambda t: 0.01, d2=lambda t: 0.02, bound=0.05)
-        clean = drift_vector(DimlessState(0.2, 0.5), 0.0, NOMINAL,
+        # row with a plus; at t = pi/2 the sinusoids sit at their amplitudes
+        d = Disturbance(amp1=0.01, freq1=1.0, amp2=0.02, freq2=1.0,
+                        bound=0.05)
+        t = 0.5 * math.pi
+        clean = drift_vector(DimlessState(0.2, 0.5), t, NOMINAL,
                              Disturbance.zero(), REF)
-        noisy = drift_vector(DimlessState(0.2, 0.5), 0.0, NOMINAL, d, REF)
+        noisy = drift_vector(DimlessState(0.2, 0.5), t, NOMINAL, d, REF)
         assert noisy[0] - clean[0] == pytest.approx(-0.02, abs=1e-15)
         assert noisy[1] - clean[1] == pytest.approx(0.01, abs=1e-15)
 

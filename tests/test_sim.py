@@ -43,8 +43,9 @@ class TestSimConfig:
         assert small_cfg().disturbance().eval(7.0) == (0.0, 0.0)
         d = small_cfg(scenario="disturbed").disturbance()
         t_peak = 0.5 * math.pi / 0.1
-        assert d.d1(t_peak) == pytest.approx(0.026, rel=1e-12)
-        assert d.d2(t_peak) == pytest.approx(0.037, rel=1e-12)
+        d1, d2 = d.eval(t_peak)
+        assert d1 == pytest.approx(0.026, rel=1e-12)
+        assert d2 == pytest.approx(0.037, rel=1e-12)
 
 
 class TestRegulationResolution:
@@ -134,7 +135,9 @@ class TestLoopEquivalence:
             for i in range(1, cfg.step_count() + 1):
                 t = i * h
                 x = DimlessState(*rk4(x.x1, x.x2, *drift(x.x1, x.x2, p), u,
-                                      t - h, t, h, p, d.eval))
+                                      t, h, p, *d.eval(t - h),
+                                      *d.eval((t - h) + 0.5 * h),
+                                      *d.eval(t)))
                 e = error_state(x, u, t, p, d, r)
                 fired = should_trigger(e, t, tp)
                 if fired:

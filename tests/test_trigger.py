@@ -5,7 +5,7 @@ import pytest
 
 from etsmc.controller import ErrorState, SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
-                         SingularExponentError)
+                         PlantError, SingularExponentError)
 from etsmc.trigger import (CSV_BLOCK, DEFAULT_LIPSCHITZ_BOX,
                            LIPSCHITZ_SAFETY, EventLog, LipschitzEstimate,
                            TriggerParams, _gain_norms, _sobol_2d, delta,
@@ -169,6 +169,15 @@ class TestZenoBound:
         with pytest.raises(InvalidParameterError):
             LipschitzEstimate(l_bar=0.0, box=DEFAULT_LIPSCHITZ_BOX,
                               sample_count=100)
+
+    def test_underflowing_control_term_raises(self):
+        # ||Bbar||*mu = 0.3 * 5e-324 rounds to 0: the origin's denominator
+        # vanishes, while a state away from it still has a bound
+        sp = SlidingParams(lambda1=1.0, lambda2=2.0, mu=5e-324)
+        assert zeno_bound(DimlessState(0.4, 2.6), 0.01, self.LIP,
+                          NOMINAL, sp) > 0.0
+        with pytest.raises(PlantError, match="not positive"):
+            zeno_bounds([0.4, 0.0], [2.6, 0.0], 0.01, self.LIP, NOMINAL, sp)
 
 
 def _spectral_norm_2x2(f11, f12, f21, f22):
