@@ -209,14 +209,16 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     tols = thresholds(ts, tp)
     t_at, x2ref_at, x2ref_dot_at, tol_at = (
         ts.tolist(), x2rs.tolist(), x2rds.tolist(), tols.tolist())
-    # the disturbance at the grid and at the start and middle of the step
-    # ending there, read at index i; the start t - h need not equal the
-    # previous grid time (index 0 of those two is unused)
+    # the disturbance at the grid, and at the start and middle of step j
+    # (from t - h to t = ts[j + 1]); t - h need not equal the previous
+    # grid time
     if d.amp1 == 0.0 and d.amp2 == 0.0:
-        zeros = [0.0] * (n + 1)  # one shared list serves every stage
+        # no sin to take, and one shared list serves every stage instead
+        # of six lists of distinct floats
+        zeros = [0.0] * (n + 1)
         d1_at = d2_at = d1_0 = d2_0 = d1_mid = d2_mid = zeros
     else:
-        t0s = ts - h
+        t0s = ts[1:] - h
         d1_at, d2_at, d1_0, d2_0, d1_mid, d2_mid = (
             a.tolist() for a in (*d.series(ts), *d.series(t0s),
                                  *d.series(t0s + 0.5 * h)))
@@ -239,8 +241,9 @@ def _run_loop(cfg: SimConfig, every_step: bool,
         t = t_at[i]
         d1v, d2v = d1_at[i], d2_at[i]
         if i > 0:
-            x1, x2 = rk4(x1, x2, f1, f2, u, t, h, p, d1_0[i], d2_0[i],
-                         d1_mid[i], d2_mid[i], d1v, d2v)
+            j = i - 1
+            x1, x2 = rk4(x1, x2, f1, f2, u, t, h, p, d1_0[j], d2_0[j],
+                         d1_mid[j], d2_mid[j], d1v, d2v)
             if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
                 warnings.warn(
                     f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",

@@ -157,8 +157,8 @@ def zeno_bounds(x1: list[float], x2: list[float], eps_max: float,
     gain = l_bar * (1.0 + m_norm)
     ctrl = bbar_norm * sp.mu
     num = l_bar * eps_max
-    # every denominator is at least ||Bbar||*mu >= 0, so it is non-positive
-    # only when that product underflows to 0 at a state at the origin
+    # every denominator is at least ||Bbar||*mu >= 0; it is zero only when
+    # that product underflows to 0 and x_k is the origin
     try:
         return [math.log1p(num / (gain * math.hypot(a, b) + ctrl)) / l_bar
                 for a, b in zip(x1, x2)]

@@ -109,12 +109,15 @@ class TestRk4:
 
 class TestLoopEquivalence:
     # moderate gain so that the trigger skips grid points (the flipped
-    # control fires everywhere); the disturbed case guards the loop's reuse
+    # control fires everywhere); the disturbed cases guard the loop's reuse
     # of the drift between steps, since the disturbance must still be read
-    # at t - h, t - h/2 and t
+    # at t - h, t - h/2 and t.  At ~1000 rad per time unit an ulp in the
+    # stage time moves the sine, so the fast case also pins that the start
+    # of a step is t - h, not the previous grid time
     CASES = (
         ("nominal", {}, False),
         ("disturbed", {}, False),
+        ("disturbed", {"d1_freq": 997.0, "d2_freq": 1013.0}, False),
         ("nominal", {"trigger_both": 1.0, "m1": 0.5}, False),
         ("nominal", {}, True),
     )
