@@ -1,7 +1,7 @@
 """Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
 
-Longer nominal and disturbed runs pin the two CSV files across more rows
-than one writer block holds.
+Longer nominal, disturbed and sparse regulate runs pin the two CSV files
+across more rows than one writer block holds.
 
 Refactors must leave these bytes unchanged.  A change that alters a digest
 on purpose updates it here and says why in CHANGES.md.  The runs write
@@ -60,7 +60,14 @@ GOLDEN_LONG = {
         "events.csv": "5909f5208013c4b0ecb8cb682c1e9603cb6440e417583bd391c77e869dc73616",
         "trajectory.csv": "79f8c1896b869026daa8b2e4bd405df520ca34206acf7b5cb160b288d3b6139e",
     },
+    # regulate-400 with SPARSE_CONFIG: 265 events, all in the first block
+    "regulate-400": {
+        "events.csv": "c080772bd879eefda6c4c28f999a515b62f2f1da88d3ad98a0f14749d48c161b",
+        "trajectory.csv": "406ea7b6cecc9a6d5693d877a7f9b0a1dcf3660fabd612b7ff1e27dcbec84c57",
+    },
 }
+
+SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
 
 L_BAR = 44.22060080686917
 
@@ -76,11 +83,11 @@ def test_cli_artifact_digests(scenario, tmp_path, monkeypatch):
     assert digests == GOLDEN[scenario]
 
 
-def _long_csv_digests(scenario, tmp_path, monkeypatch):
+def _long_csv_digests(scenario, tmp_path, monkeypatch, *extra):
     monkeypatch.chdir(tmp_path)
     # exit 1: lyapunov-decrease-outside-band is known red past short horizons
     assert main(["--scenario", scenario, "--duration", "10",
-                 "--out", "runs"]) in (0, 1)
+                 "--out", "runs", *extra]) in (0, 1)
     run_dir = tmp_path / "runs" / scenario
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             for name in GOLDEN_LONG[scenario]}
@@ -94,6 +101,13 @@ def test_long_nominal_csv_digests(tmp_path, monkeypatch):
 def test_long_disturbed_csv_digests(tmp_path, monkeypatch):
     digests = _long_csv_digests("disturbed", tmp_path, monkeypatch)
     assert digests == GOLDEN_LONG["disturbed"]
+
+
+def test_long_sparse_regulate_csv_digests(tmp_path, monkeypatch):
+    (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
+    digests = _long_csv_digests("regulate-400", tmp_path, monkeypatch,
+                                "--config", "sparse.cfg")
+    assert digests == GOLDEN_LONG["regulate-400"]
 
 
 def test_default_plant_lipschitz_estimate():
