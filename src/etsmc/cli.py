@@ -72,7 +72,6 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
         raise ConfigError(f"unknown scenario {name!r}; "
                           f"expected one of {', '.join(SCENARIO_NAMES)}")
     out = Path(outdir) / name
-    out.mkdir(parents=True, exist_ok=True)
     rcfg = _scenario_config(name, cfg)
 
     traj, log, metrics = run_event_triggered(rcfg)
@@ -86,8 +85,10 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
         metrics_dict["update_saving_vs_baseline"] = (
             1.0 - metrics.event_count / tt_metrics.event_count)
 
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_event_csv(log, out / "events.csv")
+    # made only now, so that a run failing with exit 2 leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
+    event_text = write_trajectory_csv(traj, out / "trajectory.csv")
+    write_event_csv(log, out / "events.csv", event_text=event_text)
     _write_metrics(out / "metrics.txt", out / "metrics.json", metrics_dict)
 
     emit_plot([("x1", traj.t, traj.x1), ("x1 reference", traj.t, traj.x1ref)],

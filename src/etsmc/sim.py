@@ -21,8 +21,9 @@ from .controller import ReferenceSignal, SlidingParams, switching_law
 from .plant import (DimlessParams, DimlessState, Disturbance,
                     InvalidParameterError, composition_nullcline, drift,
                     kelvin_to_x2)
-from .trigger import (CSV_BLOCK, EventLog, TriggerParams, estimate_lipschitz,
-                      margin, thresholds, zeno_bounds)
+from .trigger import (CSV_BLOCK, EventLog, EventText, TriggerParams,
+                      estimate_lipschitz, format_blocks, margin, thresholds,
+                      zeno_bound, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -298,13 +299,17 @@ def _run_loop(cfg: SimConfig, every_step: bool,
 def run_event_triggered(cfg: SimConfig, *, flip_control_sign: bool = False
                         ) -> tuple[Trajectory, EventLog, Metrics]:
     """Event-triggered closed-loop run (the default operating mode)."""
+    lip = estimate_lipschitz(cfg.plant)
+    # the t = 0 event is at x0, so a zero Zeno denominator there would fail
+    # the post-pass for certain; the denominator does not depend on eps_max
+    zeno_bound(cfg.x0, 1.0, lip, cfg.plant, cfg.sliding)
     traj, log = _run_loop(cfg, every_step=False,
                           flip_control_sign=flip_control_sign)
     steps = np.flatnonzero(traj.event)
     eps_max = max(float(traj.eps.max()), 1e-300)
     log.bound_at_event = zeno_bounds(
-        traj.x1[steps].tolist(), traj.x2[steps].tolist(), eps_max,
-        estimate_lipschitz(cfg.plant), cfg.plant, cfg.sliding)
+        traj.x1[steps].tolist(), traj.x2[steps].tolist(), eps_max, lip,
+        cfg.plant, cfg.sliding)
     return traj, log, compute_metrics(traj, log)
 
 
@@ -396,19 +401,27 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
     return list(dict.fromkeys(bad))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> EventText:
     """Trajectory CSV with the documented column set.
 
-    Rows are formatted CSV_BLOCK at a time.
+    Rows are formatted CSV_BLOCK at a time.  Returns the text of t and
+    delta at the event rows, per block, for trigger.write_event_csv.
     """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
-    event = traj.event.astype(int)
+    event_text = []
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
-        for a in range(0, len(traj.t), CSV_BLOCK):
-            b = a + CSV_BLOCK
-            block = [list(map(repr, c[a:b].tolist())) for c in cols]
-            block.append(list(map(str, event[a:b].tolist())))
-            fh.write("\n".join(map(",".join, zip(*block, strict=True))))
+        blocks = zip(*map(format_blocks, cols), strict=True)
+        for a, block in zip(range(0, len(traj.t), CSV_BLOCK), blocks,
+                            strict=True):
+            event = traj.event[a:a + CSV_BLOCK]
+            flags = map(("0", "1").__getitem__, event.tolist())
+            fh.write("\n".join(map(",".join, zip(*block, flags, strict=True))))
             fh.write("\n")
+            ts, deltas = block[0], block[-1]
+            if not event.all():
+                rows = np.flatnonzero(event).tolist()
+                ts, deltas = ([c[i] for i in rows] for c in (ts, deltas))
+            event_text.append(("\n".join(ts), "\n".join(deltas)))
+    return event_text

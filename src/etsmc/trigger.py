@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +22,11 @@ LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at once.
 CSV_BLOCK = 4096
+
+#: Text of the t_k and delta_fired columns of events.csv, as the trajectory
+#: writer formatted it: one pair of newline-joined strings per CSV_BLOCK
+#: trajectory rows, holding the values at that block's event rows.
+EventText = list[tuple[str, str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,22 +223,71 @@ def estimate_lipschitz(p: DimlessParams,
                              box=box, sample_count=len(x1))
 
 
-def write_event_csv(log: EventLog, path) -> None:
+def format_blocks(col) -> Iterator[list[str]]:
+    """repr of each element of the float column col, CSV_BLOCK at a time.
+
+    A run of bitwise-equal elements is formatted once, also where it
+    crosses into the next block.  Runs are found on the int64 view, so
+    -0.0 and 0.0 stay apart and nan still prints nan.
+    """
+    col = np.asarray(col, dtype=np.float64)
+    bits = col.view(np.int64)
+    last = ""
+    for a in range(0, len(col), CSV_BLOCK):
+        block = col[a:a + CSV_BLOCK]
+        head = np.empty(len(block), dtype=bool)
+        head[0] = a == 0 or bits[a] != bits[a - 1]
+        np.not_equal(bits[a + 1:a + len(block)], bits[a:a + len(block) - 1],
+                     out=head[1:])
+        starts = np.flatnonzero(head)
+        if len(starts) == len(block):
+            text = list(map(repr, block.tolist()))
+        else:
+            heads = list(map(repr, block[starts].tolist()))
+            if not head[0]:
+                # the block opens inside the previous block's last run
+                starts = np.insert(starts, 0, 0)
+                heads.insert(0, last)
+            counts = np.diff(starts, append=len(block)).tolist()
+            text = list(chain.from_iterable(map(repeat, heads, counts)))
+        last = text[-1]
+        yield text
+
+
+def _shared_blocks(texts: list[str], n: int) -> Iterator[list[str]]:
+    """The lines of texts, regrouped CSV_BLOCK at a time over n rows."""
+    lines = chain.from_iterable(map(str.splitlines, texts))
+    for _ in range(0, n, CSV_BLOCK):
+        yield list(islice(lines, CSV_BLOCK))
+
+
+def write_event_csv(log: EventLog, path,
+                    event_text: Optional[EventText] = None) -> None:
     """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound.
 
     The last event has no successor; its interval T_k is written as nan.
-    Rows are formatted CSV_BLOCK at a time.
+    Rows are formatted CSV_BLOCK at a time.  event_text, as returned by
+    sim.write_trajectory_csv for the run that made log, supplies the t_k
+    and delta_fired text instead of formatting those values again.
     """
     n = len(log.instants)
+    gaps = np.full(n, math.nan)
+    gaps[:len(log.gaps[:n])] = log.gaps[:n]
+    if event_text is None:
+        times, deltas = (format_blocks(log.instants),
+                         format_blocks(log.delta_at_event))
+    else:
+        t_texts, d_texts = zip(*event_text) if event_text else ((), ())
+        rows = sum(text.count("\n") + 1 for text in t_texts if text)
+        if rows != n:
+            raise ValueError(f"event_text holds {rows} event rows, "
+                             f"the log {n}")
+        times, deltas = _shared_blocks(t_texts, n), _shared_blocks(d_texts, n)
+    blocks = zip(times, format_blocks(gaps), deltas,
+                 format_blocks(log.bound_at_event), strict=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")
-        for a in range(0, n, CSV_BLOCK):
-            b = min(a + CSV_BLOCK, n)
-            gaps = list(map(repr, log.gaps[a:b]))
-            gaps += ["nan"] * (b - a - len(gaps))
-            cols = (list(map(str, range(a, b))),
-                    list(map(repr, log.instants[a:b])), gaps,
-                    list(map(repr, log.delta_at_event[a:b])),
-                    list(map(repr, log.bound_at_event[a:b])))
-            fh.write("\n".join(map(",".join, zip(*cols, strict=True))))
+        for a, cols in zip(range(0, n, CSV_BLOCK), blocks, strict=True):
+            ks = map(str, range(a, a + len(cols[0])))
+            fh.write("\n".join(map(",".join, zip(ks, *cols, strict=True))))
             fh.write("\n")

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from etsmc import cli, sim, trigger
 from etsmc.cli import SCENARIO_NAMES, build_parser, main, run_scenario
 from etsmc.config import (DEFAULTS, ConfigError, build_config, config_values,
                           emit_config, parse_config)
@@ -278,3 +280,80 @@ class TestCliRuns:
         assert metrics["update_saving_vs_baseline"] == pytest.approx(
             1.0 - metrics["event_count"] / metrics["baseline_event_count"])
 
+
+    @pytest.mark.parametrize("scenario,key", [
+        ("disturbed", "d1_freq = 1e308"),
+        ("nominal", "mu = 5e-324"),
+    ], ids=["loop-error", "zeno-denominator"])
+    def test_exit_2_leaves_no_run_directory(self, tmp_path, capsys,
+                                            scenario, key):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(key + "\n")
+        assert main(["--scenario", scenario, "--config", str(cfg),
+                     "--duration", "2.5", "--out", str(tmp_path / "runs")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_zeno_denominator_rejected_before_the_loop(
+            self, tmp_path, capsys, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the closed loop ran")
+        monkeypatch.setattr(sim, "_run_loop", no_loop)
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("mu = 5e-324\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Zeno bound denominator L(1 + ||M||)||x_k|| + "
+            "||Bbar||*mu is not positive (mu=5e-324)\n")
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Rebind fn in every loaded etsmc module, as a tracer wrapping it would."""
+    for name, mod in list(sys.modules.items()):
+        if name == "etsmc" or name.startswith("etsmc."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
+def test_run_scenario_calls_each_writer_once_with_its_path(tmp_path,
+                                                           monkeypatch):
+    """The benchmark's per-layer spans wrap these two calls and read the
+    artifact size from their second positional argument."""
+    calls = []
+    for fn in (sim.write_trajectory_csv, trigger.write_event_csv):
+        def recorder(*args, _fn=fn, **kwargs):
+            calls.append((_fn.__name__, args[1:2]))
+            return _fn(*args, **kwargs)
+        _patch_everywhere(monkeypatch, fn, recorder)
+    run_scenario("nominal", replace(build_config({}), t_end=0.05), tmp_path)
+    out = tmp_path / "nominal"
+    assert calls == [("write_trajectory_csv", (out / "trajectory.csv",)),
+                     ("write_event_csv", (out / "events.csv",))]
+
+
+@pytest.mark.parametrize("scenario,config,block_events", [
+    ("nominal", "", [4096, 4096, 1809]),
+    ("regulate-400", "mu = 1\nm1 = 1\n", [265, 0, 0]),
+    ("nominal", "mu = 0.5\nm1 = 2\n", [3, 878, 2]),
+], ids=["dense", "sparse", "mixed"])
+def test_shared_event_text_matches_standalone_writers(
+        tmp_path, scenario, config, block_events):
+    """The CLI hands the trajectory's event-row text to the event writer;
+    the bytes must equal those of each writer formatting on its own."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(["--scenario", scenario, "--config", str(path),
+                 "--duration", "10", "--out", str(tmp_path / "cli")]) in (0, 1)
+    cfg = cli._scenario_config(scenario,
+                               replace(parse_config(path), t_end=10.0))
+    traj, log, _ = sim.run_event_triggered(cfg)
+    assert [int(traj.event[a:a + trigger.CSV_BLOCK].sum())
+            for a in range(0, len(traj.t), trigger.CSV_BLOCK)] == block_events
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    sim.write_trajectory_csv(traj, alone / "trajectory.csv")
+    trigger.write_event_csv(log, alone / "events.csv")
+    for name in ("trajectory.csv", "events.csv"):
+        assert ((tmp_path / "cli" / scenario / name).read_bytes()
+                == (alone / name).read_bytes())

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
 from etsmc.trigger import (CSV_BLOCK, DEFAULT_LIPSCHITZ_BOX,
                            LIPSCHITZ_SAFETY, EventLog, LipschitzEstimate,
                            TriggerParams, _gain_norms, _sobol_2d, delta,
-                           estimate_lipschitz, should_trigger, threshold,
+                           estimate_lipschitz, format_blocks,
+                           should_trigger, threshold,
                            thresholds, write_event_csv, zeno_bound,
                            zeno_bounds)
 
@@ -282,6 +284,46 @@ def _rowwise_event_csv(log):
 SPECIAL = [-0.0, math.nan, math.inf, 5e-324, 1e16, 1e-5]
 
 
+class TestFormatBlocks:
+    def check(self, col):
+        blocks = list(format_blocks(col))
+        assert [len(b) for b in blocks] == [
+            min(CSV_BLOCK, len(col) - a) for a in range(0, len(col), CSV_BLOCK)]
+        assert list(chain.from_iterable(blocks)) == list(
+            map(repr, np.asarray(col, dtype=float).tolist()))
+
+    def test_signed_zeros_stay_apart(self):
+        self.check(np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.nan, math.inf,
+                                       -math.inf, 5e-324])
+    def test_special_values(self, value):
+        self.check(np.array([value, value, 1.0, value, value, value]))
+
+    def test_nan_payloads_print_nan(self):
+        col = np.array([math.nan, math.nan, math.nan])
+        col.view(np.int64)[1] += 1
+        assert col.view(np.int64)[0] != col.view(np.int64)[1]
+        self.check(col)
+
+    def test_runs_cross_block_edges(self):
+        n = 3 * CSV_BLOCK + 2
+        col = np.random.default_rng(5).standard_normal(n)
+        # a run over the first edge, one over the whole middle block and
+        # the second edge, a block starting a run, and a one-row last block
+        col[CSV_BLOCK - 3:CSV_BLOCK + 4] = 0.25
+        col[CSV_BLOCK + 10:2 * CSV_BLOCK + 7] = -0.0
+        col[2 * CSV_BLOCK + 7:2 * CSV_BLOCK + 9] = 0.0
+        col[3 * CSV_BLOCK - 1:] = math.nan
+        self.check(col)
+        self.check(col[:2 * CSV_BLOCK])
+        self.check(np.full(n, 1.0 / 3.0))
+
+    def test_list_input_and_empty_column(self):
+        self.check([0.1, 0.1, 0.2])
+        assert list(format_blocks([])) == []
+
+
 class TestEventCsv:
     def test_single_event_matches_rowwise_formatter(self, tmp_path):
         log = EventLog(instants=[0.0], gaps=[], bound_at_event=[5e-324],
@@ -324,6 +366,17 @@ class TestEventCsv:
         assert float(d) == -0.1 and float(b) == 1e-4
         # the last event has no successor: its interval is written as nan
         assert lines[3].split(",")[2] == "nan"
+
+    def test_event_text_must_cover_the_log(self, tmp_path):
+        log = EventLog(instants=[0.0, 0.25], gaps=[0.25],
+                       bound_at_event=[1e-4, 2e-4],
+                       delta_at_event=[-0.1, 0.0])
+        path = tmp_path / "events.csv"
+        write_event_csv(log, path, event_text=[("0.0", "-0.1"), ("", ""),
+                                               ("0.25", "0.0")])
+        assert path.read_bytes() == _rowwise_event_csv(log).encode()
+        with pytest.raises(ValueError, match="1 event rows, the log 2"):
+            write_event_csv(log, path, event_text=[("0.0", "-0.1")])
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)
