@@ -277,7 +277,8 @@ def write_event_csv(log: EventLog, path,
         times, deltas = (format_blocks(log.instants),
                          format_blocks(log.delta_at_event))
     else:
-        t_texts, d_texts = zip(*event_text) if event_text else ((), ())
+        t_texts = [t for t, _ in event_text]
+        d_texts = [d for _, d in event_text]
         rows = sum(text.count("\n") + 1 for text in t_texts if text)
         if rows != n:
             raise ValueError(f"event_text holds {rows} event rows, "
