@@ -232,19 +232,17 @@ def format_blocks(col) -> Iterator[list[str]]:
     """
     col = np.asarray(col, dtype=np.float64)
     bits = col.view(np.int64)
+    head = np.ones(len(col), dtype=bool)  # where a run starts
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
     last = ""
     for a in range(0, len(col), CSV_BLOCK):
         block = col[a:a + CSV_BLOCK]
-        head = np.empty(len(block), dtype=bool)
-        head[0] = a == 0 or bits[a] != bits[a - 1]
-        np.not_equal(bits[a + 1:a + len(block)], bits[a:a + len(block) - 1],
-                     out=head[1:])
-        starts = np.flatnonzero(head)
+        starts = np.flatnonzero(head[a:a + CSV_BLOCK])
         if len(starts) == len(block):
             text = list(map(repr, block.tolist()))
         else:
             heads = list(map(repr, block[starts].tolist()))
-            if not head[0]:
+            if not head[a]:
                 # the block opens inside the previous block's last run
                 starts = np.insert(starts, 0, 0)
                 heads.insert(0, last)
