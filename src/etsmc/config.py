@@ -119,9 +119,13 @@ def build_config(values: Mapping[str, float],
 
 
 def parse_config(path, scenario: str = "nominal") -> SimConfig:
-    """Read, validate and resolve a configuration file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read, validate and resolve a UTF-8 configuration file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from exc
     return build_config(_parse_lines(text), scenario=scenario)
 
 
@@ -136,8 +140,3 @@ def config_values(cfg: SimConfig) -> dict[str, float]:
             out[key] = val
     return out
 
-
-def emit_config(cfg: SimConfig) -> str:
-    """Serialize the resolved configuration; reparsing gives an equal config."""
-    lines = [f"{k} = {v!r}" for k, v in config_values(cfg).items()]
-    return "\n".join(lines) + "\n"

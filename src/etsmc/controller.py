@@ -1,7 +1,7 @@
 """Sliding surface, continuous SMC law and its zero-order-hold event form.
 
 The continuous law and the event-triggered law share one formula; the event
-form simply freezes the state snapshot at the triggering instant, so the two
+form evaluates it at the triggering instant and holds the value, so the two
 laws coincide exactly at every update.
 """
 
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import DimlessParams, DimlessState, Disturbance, state_derivative
-from .plant import InvalidParameterError, eval_f1, eval_f2, pointwise
+from .plant import DimlessParams, DimlessState, Disturbance
+from .plant import InvalidParameterError, drift, pointwise
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +52,6 @@ class ReferenceSignal:
         if not self.k2 >= 0.0:
             raise InvalidParameterError("k2 must be nonnegative")
 
-    def x1ref(self, t: float) -> float:
-        return self.x1_const
-
-    def x1ref_dot(self, t: float) -> float:
-        return 0.0
-
     def x2ref_series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x2 reference and its rate at the times ts, one exp per point.
 
@@ -75,28 +69,10 @@ class ReferenceSignal:
 
 
 @dataclass(frozen=True, slots=True)
-class ErrorState:
-    """Tracking errors and their analytic rates (never finite-differenced)."""
-
-    e1: float
-    e2: float
-    e1dot: float
-    e2dot: float
-
-
-@dataclass(frozen=True, slots=True)
 class HeldControl:
-    """Control value frozen on [t_k, t_{k+1}) together with its snapshot."""
+    """Control value held on [t_k, t_{k+1})."""
 
     u: float
-    t_k: float
-    x_k: DimlessState
-    sigma_k: float
-
-
-def sigma(e: ErrorState, sp: SlidingParams) -> float:
-    """Sliding surface value lambda1*e1 + lambda2*e2."""
-    return sp.lambda1 * e.e1 + sp.lambda2 * e.e2
 
 
 def sign(s: float) -> float:
@@ -108,30 +84,17 @@ def sign(s: float) -> float:
     return 0.0
 
 
-def error_state(x: DimlessState, u: float, t: float, p: DimlessParams,
-                d: Disturbance, r: ReferenceSignal) -> ErrorState:
-    """Errors at time t with rates induced by the currently applied control."""
-    rate = state_derivative(x, u, t, p, d)
-    return ErrorState(
-        e1=x.x1 - r.x1ref(t),
-        e2=x.x2 - r.x2ref(t),
-        e1dot=rate.x1 - r.x1ref_dot(t),
-        e2dot=rate.x2 - r.x2ref_dot(t),
-    )
-
-
 def drift_vector(x: DimlessState, t: float, p: DimlessParams,
                  d: Disturbance, r: ReferenceSignal) -> np.ndarray:
-    """Control-free drift (f1 - d2 - x1ref_dot, f2 + d1 - x2ref_dot).
+    """Control-free error drift (f1 - d2, f2 + d1 - x2ref_dot).
 
+    The composition reference is constant, so its rate drops out.
     Disturbances are measurable, so the controller reads them at the
     evaluation instant.
     """
     d1v, d2v = d.eval(t)
-    return np.array([
-        eval_f1(x, p) - d2v - r.x1ref_dot(t),
-        eval_f2(x, p) + d1v - r.x2ref_dot(t),
-    ])
+    f1, f2 = drift(x.x1, x.x2, p)
+    return np.array([f1 - d2v, f2 + d1v - r.x2ref_dot(t)])
 
 
 def switching_law(e1: float, e2: float, g1: float, g2: float,
@@ -151,19 +114,12 @@ def continuous_control(x: DimlessState, t: float, p: DimlessParams,
                        sp: SlidingParams) -> float:
     """Continuous sliding-mode law evaluated at state x and time t."""
     g = drift_vector(x, t, p, d, r)
-    return switching_law(x.x1 - r.x1ref(t), x.x2 - r.x2ref(t), g[0], g[1],
+    return switching_law(x.x1 - r.x1_const, x.x2 - r.x2ref(t), g[0], g[1],
                          sp, p.beta)
 
 
 def event_control_update(x: DimlessState, t_k: float, p: DimlessParams,
                          d: Disturbance, r: ReferenceSignal,
                          sp: SlidingParams) -> HeldControl:
-    """Compute the held control from the snapshot at a triggering instant."""
-    e = ErrorState(x.x1 - r.x1ref(t_k), x.x2 - r.x2ref(t_k), 0.0, 0.0)
-    s = sigma(e, sp)
-    return HeldControl(
-        u=continuous_control(x, t_k, p, d, r, sp),
-        t_k=t_k,
-        x_k=x,
-        sigma_k=s,
-    )
+    """The control held from the triggering instant t_k at state x."""
+    return HeldControl(u=continuous_control(x, t_k, p, d, r, sp))

@@ -173,14 +173,6 @@ def eval_f2(x: DimlessState, p: DimlessParams) -> float:
     return drift(x.x1, x.x2, p)[1]
 
 
-def state_derivative(x: DimlessState, u: float, t: float,
-                     p: DimlessParams, d: Disturbance) -> DimlessState:
-    """Full state rate (f1 - d2, f2 + beta*u + d1) at time t."""
-    f1, f2 = drift(x.x1, x.x2, p)
-    d1v, d2v = d.eval(t)
-    return DimlessState(x1=f1 - d2v, x2=f2 + p.beta * u + d1v)
-
-
 def pointwise(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
     """fn of each element, with fn a math function such as math.exp.
 

@@ -119,7 +119,7 @@ class Trajectory:
     event: np.ndarray
     v: np.ndarray
     band: np.ndarray
-    eps: np.ndarray  # discretization error norm ||x(t) - x(t_k)||
+    eps: np.ndarray  # ||x(t) - x(t_k)||, t_k the last event before t
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,9 @@ def _run_loop(cfg: SimConfig, every_step: bool,
         e1dot = f1 - d2v
         e2dot = f2 + beta * u + d1v - x2ref_dot
         dlt[i] = delta = margin(e1, e2, e1dot, e2dot, tol_at[i], tp)
-        # discretization error relative to the last snapshot, taken before
-        # any update at this instant (it vanishes at update instants)
+        # discretization error relative to the snapshot held until now,
+        # taken before any update at this instant: 0 at t = 0, and at any
+        # later event step the distance to the previous snapshot
         eps[i] = math.hypot(x1 - xk1, x2 - xk2)
 
         fire = i == 0 or delta >= 0.0 or every_step

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import ErrorState, SlidingParams
+from .controller import SlidingParams
 from .plant import (DimlessParams, DimlessState, InvalidParameterError,
                     PlantError, jacobian_stack, pointwise)
 
@@ -104,17 +104,13 @@ def thresholds(ts: np.ndarray, tp: TriggerParams) -> np.ndarray:
     return tp.psi * (tp.m1 + tp.m2 * ex)
 
 
-def threshold(t: float, tp: TriggerParams) -> float:
-    """thresholds at the single time t."""
-    return float(thresholds(np.array([t]), tp)[0])
-
-
 def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
            tp: TriggerParams) -> float:
     """Trigger margin: max_i |zeta*e_i + xi*e_i_dot^2| minus tol.
 
-    The max runs over tp.indices; tol is threshold(t, tp).  The printed
-    norm wraps a scalar and is implemented as absolute value.
+    The max runs over tp.indices; tol is the thresholds value at the
+    evaluation time.  The printed norm wraps a scalar and is implemented
+    as absolute value.
     """
     val = -math.inf
     if 1 in tp.indices:
@@ -124,16 +120,6 @@ def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
         if v2 > val:
             val = v2
     return val - tol
-
-
-def delta(e: ErrorState, t: float, tp: TriggerParams) -> float:
-    """The trigger margin of an error state at time t."""
-    return margin(e.e1, e.e2, e.e1dot, e.e2dot, threshold(t, tp), tp)
-
-
-def should_trigger(e: ErrorState, t: float, tp: TriggerParams) -> bool:
-    """True iff the margin is nonnegative (fires exactly at delta >= 0)."""
-    return delta(e, t, tp) >= 0.0
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ import pytest
 from etsmc import cli, sim, trigger
 from etsmc.cli import SCENARIO_NAMES, build_parser, main, run_scenario
 from etsmc.config import (DEFAULTS, ConfigError, build_config, config_values,
-                          emit_config, parse_config)
+                          parse_config)
 
 
 class TestParsing:
@@ -94,10 +94,12 @@ class TestBuildConfig:
         assert not hasattr(build_config({}), "physical")
 
     def test_emit_roundtrip(self, tmp_path):
+        # the resolved values, written back as a config file, parse to an
+        # equal config
         cfg = build_config({"mu": 30.0, "setpoint_kelvin": 410.0})
-        text = emit_config(cfg)
         path = tmp_path / "echo.cfg"
-        path.write_text(text)
+        path.write_text("".join(f"{k} = {v!r}\n"
+                                for k, v in config_values(cfg).items()))
         again = parse_config(path)
         assert again == cfg
         assert config_values(again) == config_values(cfg)
@@ -252,6 +254,20 @@ class TestCliRuns:
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error:") and message in out.stderr
+
+    def test_non_utf8_config_exits_2_without_traceback(self, tmp_path):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"mu = 25\n\xff\xfe = 1\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "etsmc", "--config", str(cfg),
+             "--duration", "0.02", "--out", str(tmp_path / "runs")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error:") and "UTF-8" in out.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_import_does_not_load_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"

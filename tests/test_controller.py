@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from etsmc.controller import (ErrorState, HeldControl, ReferenceSignal,
-                              SlidingParams, continuous_control, drift_vector,
-                              error_state, event_control_update, sigma, sign)
+from etsmc.config import build_config
+from etsmc.controller import (HeldControl, ReferenceSignal, SlidingParams,
+                              continuous_control, drift_vector,
+                              event_control_update, sign, switching_law)
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError, state_derivative)
+                         InvalidParameterError, drift)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 SP = SlidingParams(lambda1=1.0, lambda2=2.0, mu=25.0)
@@ -31,9 +32,13 @@ class TestReference:
         assert REF.x2ref(1.0) == pytest.approx(2.6516 * (1 - math.exp(-1)))
 
     def test_constant_composition_reference(self):
+        # the composition reference has no rate, so the first row of the
+        # undisturbed error drift is f1 at every time
+        x = DimlessState(0.3, 1.0)
+        f1 = drift(x.x1, x.x2, NOMINAL)[0]
         for t in (0.0, 1.0, 42.0):
-            assert REF.x1ref(t) == 0.4472
-            assert REF.x1ref_dot(t) == 0.0
+            g = drift_vector(x, t, NOMINAL, Disturbance.zero(), REF)
+            assert g[0] == f1
 
     def test_derivative_matches_finite_differences(self):
         step = 1e-6
@@ -73,27 +78,15 @@ class TestReference:
 
 class TestSigmaSign:
     def test_sigma_weighted_sum(self):
-        e = ErrorState(e1=0.5, e2=-0.25, e1dot=0.0, e2dot=0.0)
-        assert sigma(e, SP) == pytest.approx(0.5 - 0.5)
-        assert sigma(ErrorState(1.0, 1.0, 0.0, 0.0), SP) == 3.0
+        # with a zero drift only mu*sign(lambda1*e1 + lambda2*e2) is left:
+        # sigma = 0.5 - 0.5 = 0 switches nothing, sigma = 3 switches down
+        assert switching_law(0.5, -0.25, 0.0, 0.0, SP, 0.3) == 0.0
+        assert switching_law(1.0, 1.0, 0.0, 0.0, SP, 0.3) == -25.0 / 0.6
 
     def test_sign_convention(self):
         assert sign(2.5) == 1.0
         assert sign(-1e-30) == -1.0
         assert sign(0.0) == 0.0
-
-
-class TestErrorState:
-    def test_rates_come_from_held_control(self):
-        d = Disturbance.zero()
-        x = DimlessState(0.1, 0.2)
-        t, u = 1.5, -0.7
-        e = error_state(x, u, t, NOMINAL, d, REF)
-        rate = state_derivative(x, u, t, NOMINAL, d)
-        assert e.e1 == x.x1 - 0.4472
-        assert e.e2 == x.x2 - REF.x2ref(t)
-        assert e.e1dot == rate.x1
-        assert e.e2dot == rate.x2 - REF.x2ref_dot(t)
 
 
 class TestDriftVector:
@@ -138,8 +131,8 @@ class TestControlLaw:
         x = DimlessState(0.1, 0.1)
         lo = continuous_control(x, 0.0, NOMINAL, Disturbance.zero(), REF, SP)
         hi = continuous_control(x, 0.0, NOMINAL, Disturbance.zero(), REF, sp_hi)
-        e = ErrorState(x.x1 - 0.4472, x.x2 - REF.x2ref(0.0), 0.0, 0.0)
-        s = sign(sigma(e, SP))
+        s = sign(SP.lambda1 * (x.x1 - 0.4472)
+                 + SP.lambda2 * (x.x2 - REF.x2ref(0.0)))
         assert hi - lo == pytest.approx(-25.0 * s / 0.6, rel=1e-12)
 
 
@@ -148,13 +141,10 @@ class TestEventForm:
         d = Disturbance.zero()
         x = DimlessState(0.3, 1.0)
         hc = event_control_update(x, 2.0, NOMINAL, d, REF, SP)
-        assert isinstance(hc, HeldControl)
-        assert hc.t_k == 2.0
-        assert hc.x_k == x
-        # the event form is the continuous law frozen at the snapshot
-        assert hc.u == continuous_control(x, 2.0, NOMINAL, d, REF, SP)
-        e = ErrorState(x.x1 - 0.4472, x.x2 - REF.x2ref(2.0), 0.0, 0.0)
-        assert hc.sigma_k == sigma(e, SP)
+        # the event form is the continuous law at the snapshot (x, t_k),
+        # and the held value is all it keeps
+        assert hc == HeldControl(
+            u=continuous_control(x, 2.0, NOMINAL, d, REF, SP))
 
     def test_laws_coincide_on_random_states(self):
         import numpy as np
@@ -165,3 +155,25 @@ class TestEventForm:
             t = rng.uniform(0, 50)
             hc = event_control_update(x, t, NOMINAL, d, REF, SP)
             assert hc.u == continuous_control(x, t, NOMINAL, d, REF, SP)
+
+    def test_laws_match_the_loop_formula_under_disturbance(self):
+        # sim._run_loop computes the control as switching_law(e1, e2,
+        # f1 - d2, f2 + d1 - x2ref_dot, ...); the dataclass forms must give
+        # the same bits with the disturbance on
+        cfg = build_config({}, scenario="disturbed")
+        p, sp, r = cfg.plant, cfg.sliding, cfg.reference
+        d = cfg.disturbance()
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            x = DimlessState(rng.uniform(0, 1), rng.uniform(0, 5))
+            t = float(rng.uniform(0, 50))
+            f1, f2 = drift(x.x1, x.x2, p)
+            d1v, d2v = d.eval(t)
+            assert d1v != 0.0 and d2v != 0.0
+            g1, g2 = f1 - d2v, f2 + d1v - r.x2ref_dot(t)
+            u = switching_law(x.x1 - r.x1_const, x.x2 - r.x2ref(t), g1, g2,
+                              sp, p.beta)
+            g = drift_vector(x, t, p, d, r)
+            assert (g[0].hex(), g[1].hex()) == (g1.hex(), g2.hex())
+            assert continuous_control(x, t, p, d, r, sp).hex() == u.hex()
+            assert event_control_update(x, t, p, d, r, sp).u.hex() == u.hex()

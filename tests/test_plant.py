@@ -7,9 +7,9 @@ import pytest
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
                          InvalidParameterError, PhysicalParams, PlantError,
                          SingularExponentError, composition_nullcline,
-                         eval_f1, eval_f2, heat_transfer_term, jacobian,
-                         jacobian_stack, kelvin_to_x2,
-                         physical_to_dimensionless, state_derivative)
+                         drift, eval_f1, eval_f2, heat_transfer_term,
+                         jacobian, jacobian_stack, kelvin_to_x2,
+                         physical_to_dimensionless)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
@@ -49,9 +49,8 @@ class TestDrift:
         x1 = composition_nullcline(x2, NOMINAL)
         x = DimlessState(x1, x2)
         u = -eval_f2(x, NOMINAL) / NOMINAL.beta
-        rate = state_derivative(x, u, 0.0, NOMINAL, Disturbance.zero())
-        assert abs(rate.x1) < 1e-12
-        assert abs(rate.x2) < 1e-12
+        assert abs(eval_f1(x, NOMINAL)) < 1e-12
+        assert abs(eval_f2(x, NOMINAL) + NOMINAL.beta * u) < 1e-12
 
     def test_singular_exponent(self):
         with pytest.raises(SingularExponentError):
@@ -59,27 +58,13 @@ class TestDrift:
         with pytest.raises(SingularExponentError):
             jacobian(DimlessState(0.5, -NOMINAL.gamma), NOMINAL)
 
-
-class TestStateDerivative:
-    def test_origin_uncontrolled(self):
-        rate = state_derivative(DimlessState(0.0, 0.0), 0.0, 0.0,
-                                NOMINAL, Disturbance.zero())
-        assert rate.x1 == pytest.approx(0.078)
-        assert rate.x2 == pytest.approx(0.624)
-
     def test_matches_drift_components_without_input(self):
         rng = np.random.default_rng(7)
-        d = Disturbance.zero()
         for _ in range(50):
             x = DimlessState(rng.uniform(0, 1), rng.uniform(0, 5))
-            rate = state_derivative(x, 0.0, 0.3, NOMINAL, d)
-            assert rate.x1 == eval_f1(x, NOMINAL)
-            assert rate.x2 == eval_f2(x, NOMINAL)
-
-    def test_control_channel(self):
-        rate = state_derivative(DimlessState(0.0, 0.0), 1.0, 0.0,
-                                NOMINAL, Disturbance.zero())
-        assert rate.x2 == pytest.approx(0.924)
+            f1, f2 = drift(x.x1, x.x2, NOMINAL)
+            assert eval_f1(x, NOMINAL) == f1
+            assert eval_f2(x, NOMINAL) == f2
 
 
 class TestJacobian:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from etsmc.config import build_config
-from etsmc.controller import (SlidingParams, error_state,
-                              event_control_update)
+from etsmc.controller import SlidingParams, event_control_update
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
                          InvalidParameterError, drift)
 from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
-from etsmc.trigger import CSV_BLOCK, should_trigger
+from etsmc.trigger import CSV_BLOCK, margin, thresholds
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 LINEAR = DimlessParams(da=1e-300, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
@@ -107,6 +106,20 @@ class TestRk4:
                      Disturbance.zero())
 
 
+def reference_margin(x, u, t, cfg):
+    """Trigger margin at state x and time t under the held control u.
+
+    The tracking errors and their rates are built here from drift,
+    Disturbance.eval and the reference, independently of the loop.
+    """
+    p, r = cfg.plant, cfg.reference
+    f1, f2 = drift(x.x1, x.x2, p)
+    d1v, d2v = cfg.disturbance().eval(t)
+    tol = float(thresholds(np.array([t]), cfg.trigger)[0])
+    return margin(x.x1 - r.x1_const, x.x2 - r.x2ref(t), f1 - d2v,
+                  f2 + p.beta * u + d1v - r.x2ref_dot(t), tol, cfg.trigger)
+
+
 class TestLoopEquivalence:
     # moderate gain so that the trigger skips grid points (the flipped
     # control fires everywhere); the disturbed cases guard the loop's reuse
@@ -129,7 +142,7 @@ class TestLoopEquivalence:
             case = (scenario, values, flip)
             traj, log, _ = run_event_triggered(cfg, flip_control_sign=flip)
             sgn = -1.0 if flip else 1.0
-            p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
+            p, sp, r = cfg.plant, cfg.sliding, cfg.reference
             d = cfg.disturbance()
             h = cfg.h
             x = cfg.x0
@@ -141,13 +154,14 @@ class TestLoopEquivalence:
                                       t, h, p, *d.eval(t - h),
                                       *d.eval((t - h) + 0.5 * h),
                                       *d.eval(t)))
-                e = error_state(x, u, t, p, d, r)
-                fired = should_trigger(e, t, tp)
+                dlt = reference_margin(x, u, t, cfg)
+                fired = dlt >= 0.0
                 if fired:
                     u = sgn * event_control_update(x, t, p, d, r, sp).u
                 assert traj.x1[i] == x.x1, (case, i)
                 assert traj.x2[i] == x.x2, (case, i)
                 assert traj.u[i] == u, (case, i)
+                assert traj.delta[i] == dlt, (case, i)
                 assert bool(traj.event[i]) == fired, (case, i)
             assert log.instants == [i * h for i in np.flatnonzero(traj.event)]
 
@@ -186,6 +200,21 @@ class TestRunOutputs:
         b = run_event_triggered(cfg)[0]
         for name in ("x1", "x2", "u", "sigma", "delta"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_eps_is_distance_to_the_previous_snapshot(self):
+        # eps is taken before the update at an event step, so it is the
+        # distance to the previous snapshot there, not 0
+        cfg = build_config({"mu": 0.5, "t_end": 2.0})
+        traj, _, _ = run_event_triggered(cfg)
+        assert traj.eps[0] == 0.0
+        k = 0
+        for i in range(1, len(traj.t)):
+            assert traj.eps[i] == math.hypot(traj.x1[i] - traj.x1[k],
+                                             traj.x2[i] - traj.x2[k]), i
+            if traj.event[i]:
+                k = i
+        events = np.flatnonzero(traj.event)[1:]
+        assert events.size and np.all(traj.eps[events] > 0.0)
 
     def test_physical_range_warning(self):
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)

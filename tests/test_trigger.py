@@ -4,14 +4,13 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from etsmc.controller import ErrorState, SlidingParams
+from etsmc.controller import SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
                          PlantError, SingularExponentError)
 from etsmc.trigger import (CSV_BLOCK, DEFAULT_LIPSCHITZ_BOX,
                            LIPSCHITZ_SAFETY, EventLog, LipschitzEstimate,
-                           TriggerParams, _gain_norms, _sobol_2d, delta,
-                           estimate_lipschitz, format_blocks,
-                           should_trigger, threshold,
+                           TriggerParams, _gain_norms, _sobol_2d,
+                           estimate_lipschitz, format_blocks, margin,
                            thresholds, write_event_csv, zeno_bound,
                            zeno_bounds)
 
@@ -44,22 +43,26 @@ class TestParams:
         assert TP.indices == (2,)
 
 
+def tol_at(t, tp=TP):
+    """The tolerance at the single time t."""
+    return float(thresholds(np.array([t]), tp)[0])
+
+
 class TestThreshold:
     def test_initial_value(self):
         # 0.5 * (1e-4 + 0.2025) = 0.10130
-        assert threshold(0.0, TP) == pytest.approx(0.10130, abs=1e-15)
+        assert tol_at(0.0) == pytest.approx(0.10130, abs=1e-15)
 
     def test_decays_to_floor(self):
-        assert threshold(1e6, TP) == pytest.approx(0.5 * 1e-4, rel=1e-12)
+        assert tol_at(1e6) == pytest.approx(0.5 * 1e-4, rel=1e-12)
 
     def test_decreasing(self):
-        ts = np.linspace(0.0, 50.0, 200)
-        vals = [threshold(t, TP) for t in ts]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        vals = thresholds(np.linspace(0.0, 50.0, 200), TP)
+        assert np.all(vals[1:] <= vals[:-1])
         # strictly decreasing while the decay term is above one ulp of
         # the floor
-        early = [threshold(t, TP) for t in np.linspace(0.0, 30.0, 100)]
-        assert all(b < a for a, b in zip(early, early[1:]))
+        early = thresholds(np.linspace(0.0, 30.0, 100), TP)
+        assert np.all(early[1:] < early[:-1])
 
     def test_series_matches_scalar_evaluation_bitwise(self):
         # t reaches 1000, so exp(-varsigma*t) passes through subnormals to 0.0
@@ -69,41 +72,38 @@ class TestThreshold:
         for i in range(0, 100_001, 7):
             t = i * h
             ex = math.exp(-TP.varsigma * t)
-            assert tols[i] == threshold(t, TP) == (
+            assert tols[i] == tol_at(t) == (
                 TP.psi * (TP.m1 + TP.m2 * ex)), i
-        assert type(threshold(1.0, TP)) is float
 
 
 class TestDelta:
+    # margin(e1, e2, e1dot, e2dot, tol, tp); the loop fires at margin >= 0
     def test_hand_value(self):
         # |0.8*0.1 + 0.8*0.2^2| - 0.1013 = 0.112 - 0.1013 = 0.0107
-        e = ErrorState(e1=0.0, e2=0.1, e1dot=0.0, e2dot=0.2)
-        assert delta(e, 0.0, TP) == pytest.approx(0.0107, abs=1e-12)
+        assert margin(0.0, 0.1, 0.0, 0.2, tol_at(0.0), TP) == pytest.approx(
+            0.0107, abs=1e-12)
 
     def test_default_ignores_composition_error(self):
-        e = ErrorState(e1=100.0, e2=0.0, e1dot=100.0, e2dot=0.0)
-        assert not should_trigger(e, 0.0, TP)
+        assert margin(100.0, 0.0, 100.0, 0.0, tol_at(0.0), TP) < 0.0
 
     def test_both_indices_take_the_max(self):
         tp = TriggerParams(zeta=0.8, xi=0.8, psi=0.5, m1=1e-4, m2=0.2025,
                            varsigma=0.97, indices=(1, 2))
-        e = ErrorState(e1=1.0, e2=0.0, e1dot=0.0, e2dot=0.0)
-        assert delta(e, 0.0, tp) == pytest.approx(0.8 - 0.10130, abs=1e-12)
+        assert margin(1.0, 0.0, 0.0, 0.0, tol_at(0.0, tp), tp) == (
+            pytest.approx(0.8 - 0.10130, abs=1e-12))
 
     def test_fires_exactly_at_zero_margin(self):
         # tolerances picked so the margin is exactly 0.0 in floating point
         tp = TriggerParams(zeta=1.0, xi=1.0, psi=0.5, m1=0.1, m2=0.1,
                            varsigma=0.5)
-        e = ErrorState(e1=0.0, e2=0.1, e1dot=0.0, e2dot=0.0)
-        assert delta(e, 0.0, tp) == 0.0
-        assert should_trigger(e, 0.0, tp)
-        below = ErrorState(e1=0.0, e2=0.0999, e1dot=0.0, e2dot=0.0)
-        assert not should_trigger(below, 0.0, tp)
+        tol = tol_at(0.0, tp)
+        assert margin(0.0, 0.1, 0.0, 0.0, tol, tp) == 0.0
+        assert margin(0.0, 0.0999, 0.0, 0.0, tol, tp) < 0.0
 
     def test_rate_enters_squared(self):
-        e_pos = ErrorState(0.0, 0.0, 0.0, 0.5)
-        e_neg = ErrorState(0.0, 0.0, 0.0, -0.5)
-        assert delta(e_pos, 0.0, TP) == delta(e_neg, 0.0, TP)
+        tol = tol_at(0.0)
+        assert margin(0.0, 0.0, 0.0, 0.5, tol, TP) == margin(
+            0.0, 0.0, 0.0, -0.5, tol, TP)
 
 
 class TestEventLog:
