@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import sim
-from .config import ConfigError, build_config, config_values, parse_config
+from .config import (REGULATE_KEYS, ConfigError, build_config, config_values,
+                     parse_config, read_config)
 from .plant import PlantError
 from .plots import emit_plot
 from .sim import (Metrics, SimConfig, check_invariants, resolve_regulation,
@@ -32,8 +33,16 @@ class RunManifest:
     files: dict[str, str]  # filename -> sha256
 
 
+#: Bytes read per update by _sha256: bounds what a digest holds at once.
+HASH_CHUNK = 1 << 16
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
@@ -146,8 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        regulate = args.scenario.startswith("regulate-")
         if args.config is not None:
             cfg = parse_config(args.config)
+            if not regulate:
+                # the resolved config cannot tell a key set to its default
+                # from one left out, so look at the file's own keys
+                keys = read_config(args.config)
+                for key in REGULATE_KEYS:
+                    if key in keys:
+                        raise ConfigError(f"{args.config}: {key} applies "
+                                          "only to the regulate-NNN scenarios")
         else:
             cfg = build_config({})
         overrides = {}
@@ -156,7 +174,7 @@ def main(argv=None) -> int:
         if args.duration is not None:
             overrides["t_end"] = args.duration
         if args.tf0_kelvin is not None:
-            if not args.scenario.startswith("regulate-"):
+            if not regulate:
                 raise ConfigError("--tf0-kelvin applies only to the "
                                   "regulate-NNN scenarios")
             overrides["tf0_kelvin"] = args.tf0_kelvin

@@ -68,6 +68,9 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     "setpoint_kelvin": ("run", "setpoint_kelvin", None),
 }
 
+#: The keys that only a regulate run reads.
+REGULATE_KEYS = ("tf0_kelvin", "setpoint_kelvin")
+
 #: Default experiment parameterization (startup tracking case).
 DEFAULTS: dict[str, float] = {
     k: default for k, (_, _, default) in KEYS.items() if default is not None}
@@ -118,15 +121,20 @@ def build_config(values: Mapping[str, float],
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path, scenario: str = "nominal") -> SimConfig:
-    """Read, validate and resolve a UTF-8 configuration file."""
+def read_config(path) -> dict[str, float]:
+    """The key-value pairs of a UTF-8 configuration file, unresolved."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} "
                               f"at byte {exc.start})") from exc
-    return build_config(_parse_lines(text), scenario=scenario)
+    return _parse_lines(text)
+
+
+def parse_config(path, scenario: str = "nominal") -> SimConfig:
+    """Read, validate and resolve a UTF-8 configuration file."""
+    return build_config(read_config(path), scenario=scenario)
 
 
 def config_values(cfg: SimConfig) -> dict[str, float]:

@@ -30,6 +30,10 @@ class InvalidParameterError(PlantError):
     """Raised when a parameter record violates its positivity invariants."""
 
 
+class DriftOverflowError(PlantError):
+    """Raised when exp(x2/(1+x2/gamma)) overflows a float."""
+
+
 @dataclass(frozen=True, slots=True)
 class DimlessState:
     """Pair (x1 composition, x2 temperature), both dimensionless."""
@@ -158,7 +162,12 @@ def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:
     if abs(den) < SINGULAR_TOL:
         raise SingularExponentError(
             f"1 + x2/gamma vanishes (x2={x2}, gamma={p.gamma})")
-    ex = math.exp(x2 / den)
+    try:
+        ex = math.exp(x2 / den)
+    except OverflowError:
+        raise DriftOverflowError(
+            f"exp(x2/(1+x2/gamma)) overflows (x2={x2}, gamma={p.gamma})"
+        ) from None
     return (-x1 + p.da * (1.0 - x1) * ex,
             -x2 + p.b_rise * p.da * (1.0 - x1) * ex - p.beta * (x2 - p.x2c0))
 
@@ -178,9 +187,10 @@ def pointwise(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
 
     A SIMD np.exp or np.sin may differ from math.exp or math.sin in the
     last ulp, so array homes use this to equal their scalar evaluations
-    bit for bit.
+    bit for bit.  The elements are read through a memoryview and written
+    straight into the result, so no Python list is built on either side.
     """
-    return np.array(list(map(fn, a.tolist())))
+    return np.fromiter(map(fn, memoryview(a)), np.float64, len(a))
 
 
 def jacobian_stack(x1: np.ndarray, x2: np.ndarray,

@@ -30,7 +30,8 @@ SCENARIOS = ("nominal", "disturbed", "regulate")
 X1_PHYSICAL_TOL = 0.1
 
 #: Ceiling on the steps of one run, checked before any array is allocated
-#: (20x the default horizon; each step stores about 100 bytes).
+#: (20x the default horizon).  A run_event_triggered step peaks at about
+#: 260-275 bytes (tracemalloc), of which 226 stay in the returned records.
 MAX_STEPS = 1_000_000
 
 
@@ -204,33 +205,30 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     flip = -1.0 if flip_control_sign else 1.0
 
     # the time-only series come from their array homes; i*h here equals
-    # the scalar i * h bit for bit
+    # the scalar i * h bit for bit.  The loop reads every series, and
+    # writes every record, in place through memoryviews.
     ts = np.arange(n + 1) * h
     x2rs, x2rds = r.x2ref_series(ts)
     tols = thresholds(ts, tp)
-    t_at, x2ref_at, x2ref_dot_at, tol_at = (
-        ts.tolist(), x2rs.tolist(), x2rds.tolist(), tols.tolist())
+    t_at, x2ref_at, x2ref_dot_at, tol_at = map(memoryview,
+                                               (ts, x2rs, x2rds, tols))
     # the disturbance at the grid, and at the start and middle of step j
     # (from t - h to t = ts[j + 1]); t - h need not equal the previous
     # grid time
     if d.amp1 == 0.0 and d.amp2 == 0.0:
-        # no sin to take, and one shared list serves every stage instead
-        # of six lists of distinct floats
-        zeros = [0.0] * (n + 1)
+        # no sin to take, and one shared buffer serves every stage
+        zeros = memoryview(np.zeros(n + 1))
         d1_at = d2_at = d1_0 = d2_0 = d1_mid = d2_mid = zeros
     else:
         t0s = ts[1:] - h
-        d1_at, d2_at, d1_0, d2_0, d1_mid, d2_mid = (
-            a.tolist() for a in (*d.series(ts), *d.series(t0s),
-                                 *d.series(t0s + 0.5 * h)))
+        d1_at, d2_at, d1_0, d2_0, d1_mid, d2_mid = map(
+            memoryview, (*d.series(ts), *d.series(t0s),
+                         *d.series(t0s + 0.5 * h)))
 
-    x1s = [0.0] * (n + 1)
-    x2s = [0.0] * (n + 1)
-    us = [0.0] * (n + 1)
-    sigd = [0.0] * (n + 1)
-    dlt = [0.0] * (n + 1)
-    eps = [0.0] * (n + 1)
-    evt = [False] * (n + 1)
+    x1s, x2s, us, sigds, dlts, epss = (np.zeros(n + 1) for _ in range(6))
+    evts = np.zeros(n + 1, dtype=bool)
+    x1_to, x2_to, u_to, sigd_to, dlt_to, eps_to, evt_to = map(
+        memoryview, (x1s, x2s, us, sigds, dlts, epss, evts))
 
     warned_x1 = False
     x1, x2 = cfg.x0.x1, cfg.x0.x2
@@ -258,11 +256,11 @@ def _run_loop(cfg: SimConfig, every_step: bool,
         e2 = x2 - x2ref_at[i]
         e1dot = f1 - d2v
         e2dot = f2 + beta * u + d1v - x2ref_dot
-        dlt[i] = delta = margin(e1, e2, e1dot, e2dot, tol_at[i], tp)
+        dlt_to[i] = delta = margin(e1, e2, e1dot, e2dot, tol_at[i], tp)
         # discretization error relative to the snapshot held until now,
         # taken before any update at this instant: 0 at t = 0, and at any
         # later event step the distance to the previous snapshot
-        eps[i] = math.hypot(x1 - xk1, x2 - xk2)
+        eps_to[i] = math.hypot(x1 - xk1, x2 - xk2)
 
         fire = i == 0 or delta >= 0.0 or every_step
         if fire:
@@ -270,26 +268,23 @@ def _run_loop(cfg: SimConfig, every_step: bool,
                                      sp, beta)
             xk1, xk2 = x1, x2
             e2dot = f2 + beta * u + d1v - x2ref_dot
-            evt[i] = True
+            evt_to[i] = True
 
-        x1s[i] = x1
-        x2s[i] = x2
-        us[i] = u
-        sigd[i] = lam1 * e1dot + lam2 * e2dot
+        x1_to[i] = x1
+        x2_to[i] = x2
+        u_to[i] = u
+        sigd_to[i] = lam1 * e1dot + lam2 * e2dot
 
-    x1s, x2s, dlt, eps = (np.array(x1s), np.array(x2s), np.array(dlt),
-                          np.array(eps))
     sig = lam1 * (x1s - x1ref) + lam2 * (x2s - x2rs)
     traj = Trajectory(
         t=ts, x1=x1s, x2=x2s, x1ref=np.full(n + 1, x1ref), x2ref=x2rs,
-        u=np.array(us), sigma=sig, sigma_dot=np.array(sigd), delta=dlt,
-        event=np.array(evt), v=0.5 * sig * sig,
-        band=tols / min(abs(lam1), abs(lam2)), eps=eps,
+        u=us, sigma=sig, sigma_dot=sigds, delta=dlts, event=evts,
+        v=0.5 * sig * sig, band=tols / min(abs(lam1), abs(lam2)), eps=epss,
     )
 
     steps = np.flatnonzero(traj.event)
     log = EventLog(instants=ts[steps].tolist(),
-                   delta_at_event=dlt[steps].tolist())
+                   delta_at_event=dlts[steps].tolist())
     # gaps are exact step multiples; differencing the rounded instants
     # instead would lose an ulp
     log.gaps = (np.diff(steps) * h).tolist()
@@ -309,7 +304,7 @@ def run_event_triggered(cfg: SimConfig, *, flip_control_sign: bool = False
     steps = np.flatnonzero(traj.event)
     eps_max = max(float(traj.eps.max()), 1e-300)
     log.bound_at_event = zeno_bounds(
-        traj.x1[steps].tolist(), traj.x2[steps].tolist(), eps_max, lip,
+        memoryview(traj.x1[steps]), memoryview(traj.x2[steps]), eps_max, lip,
         cfg.plant, cfg.sliding)
     return traj, log, compute_metrics(traj, log)
 

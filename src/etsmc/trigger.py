@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Optional
@@ -125,14 +125,22 @@ def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
 @functools.lru_cache(maxsize=64)
 def _gain_norms(beta: float, lambda1: float, lambda2: float
                 ) -> tuple[float, float]:
-    """(spectral norm of M, Euclidean norm of Bbar); constant per design."""
+    """(spectral norm of M, Euclidean norm of Bbar); constant per design.
+
+    Raises PlantError when lambda2*beta, the divisor of M, is zero (it can
+    underflow) or not finite.
+    """
+    den = lambda2 * beta
+    if not (den != 0.0 and math.isfinite(den)):
+        raise PlantError(f"lambda2*beta = {den} is zero or not finite "
+                         f"(lambda2={lambda2}, beta={beta})")
     bbar = np.array([0.0, beta])
     lam = np.array([lambda1, lambda2])
-    m = np.outer(bbar, lam) / (lambda2 * beta)
+    m = np.outer(bbar, lam) / den
     return float(np.linalg.norm(m, 2)), float(np.linalg.norm(bbar))
 
 
-def zeno_bounds(x1: list[float], x2: list[float], eps_max: float,
+def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
                 lip: LipschitzEstimate, p: DimlessParams, sp: SlidingParams
                 ) -> list[float]:
     """Theoretical lower bound on the next inter-event time at each state.
@@ -140,7 +148,8 @@ def zeno_bounds(x1: list[float], x2: list[float], eps_max: float,
     T_min = (1/L) ln(1 + L*eps_max / (L*(1 + ||M||)*||x_k|| + ||Bbar||*mu))
     with Bbar = (0, beta)^T and M = Bbar lambda2^-1 beta^-1 lambda^T;
     matrix norm spectral, vector norm Euclidean.  Strictly positive.
-    x1 and x2 hold the state components at the events.
+    x1 and x2 hold the state components at the events; a memoryview of
+    a float64 array reads the array in place.
     """
     if not lip.l_bar > 0.0:
         raise InvalidParameterError("Lipschitz constant must be positive")

@@ -234,12 +234,38 @@ class TestCliRuns:
             (tmp_path / "regulate-400" / "manifest.json").read_text())
         assert manifest["config"]["tf0_kelvin"] == 350.0
 
+    @pytest.mark.parametrize("scenario", ["nominal", "disturbed",
+                                          "baseline-comparison"])
+    @pytest.mark.parametrize("key", ["tf0_kelvin", "setpoint_kelvin"])
+    def test_regulate_key_in_config_outside_regulate_exits_2(
+            self, tmp_path, capsys, scenario, key):
+        cfg = tmp_path / "regulate.cfg"
+        cfg.write_text(f"{key} = 350\n")
+        rc = main(["--scenario", scenario, "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert f"{key} applies only to" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_tf0_kelvin_in_config_applies_to_regulate(self, tmp_path):
+        cfg = tmp_path / "regulate.cfg"
+        cfg.write_text("tf0_kelvin = 350\n")
+        rc = main(["--scenario", "regulate-400", "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads(
+            (tmp_path / "regulate-400" / "manifest.json").read_text())
+        assert manifest["config"]["tf0_kelvin"] == 350.0
+
     @pytest.mark.parametrize("scenario,key,duration,message", [
         ("disturbed", "d1_freq = 1e308", "2.5", "phase"),
         ("nominal", "mu = 5e-324", "0.02", "Zeno bound"),
         ("nominal", "k2 = -1e300", "0.02", "k2"),
+        ("nominal", "lambda2 = -5e-324", "0.02", "lambda2*beta"),
+        ("regulate-500", "gamma = 1e300", "0.02", "overflows"),
     ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
-            "negative-reference-rate"])
+            "negative-reference-rate", "gain-divisor-underflow",
+            "drift-exponential-overflow"])
     def test_extreme_value_exits_2_without_traceback(
             self, tmp_path, scenario, key, duration, message):
         cfg = tmp_path / "extreme.cfg"
@@ -346,6 +372,21 @@ def test_run_scenario_calls_each_writer_once_with_its_path(tmp_path,
     out = tmp_path / "nominal"
     assert calls == [("write_trajectory_csv", (out / "trajectory.csv",)),
                      ("write_event_csv", (out / "events.csv",))]
+
+
+def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
+    """The benchmark's config.parse span wraps this call."""
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return parse_config(*args, **kwargs)
+    _patch_everywhere(monkeypatch, parse_config, recorder)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 25\n")
+    assert main(["--config", str(cfg), "--duration", "0.02",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [(cfg,)]
 
 
 @pytest.mark.parametrize("scenario,config,block_events", [

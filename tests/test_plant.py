@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError, PhysicalParams, PlantError,
-                         SingularExponentError, composition_nullcline,
-                         drift, eval_f1, eval_f2, heat_transfer_term,
-                         jacobian, jacobian_stack, kelvin_to_x2,
-                         physical_to_dimensionless)
+                         DriftOverflowError, InvalidParameterError,
+                         PhysicalParams, PlantError, SingularExponentError,
+                         composition_nullcline, drift, eval_f1, eval_f2,
+                         heat_transfer_term, jacobian, jacobian_stack,
+                         kelvin_to_x2, physical_to_dimensionless, pointwise)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
@@ -57,6 +57,15 @@ class TestDrift:
             eval_f1(DimlessState(0.5, -NOMINAL.gamma), NOMINAL)
         with pytest.raises(SingularExponentError):
             jacobian(DimlessState(0.5, -NOMINAL.gamma), NOMINAL)
+
+    def test_exponential_overflow_is_a_plant_error(self):
+        # the regulate-500 setpoint of gamma = 1e300 maps to x2 ~ 6.7e299
+        p = DimlessParams(da=0.078, gamma=1e300, b_rise=8.0, beta=0.3,
+                          x2c0=0.0)
+        with pytest.raises(DriftOverflowError, match="overflows"):
+            drift(0.0, 6.666666666666667e299, p)
+        with pytest.raises(PlantError):
+            composition_nullcline(6.666666666666667e299, p)
 
     def test_matches_drift_components_without_input(self):
         rng = np.random.default_rng(7)
@@ -201,3 +210,36 @@ class TestDisturbance:
         d.eval(1.0)  # 1e308 * 1.0 is finite
         with pytest.raises(PlantError, match="not finite"):
             d.series(np.array([0.0, 1.0, 2.0]))
+
+
+class TestPointwise:
+    EDGES = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                      -5e-324, 1.0, -745.2, 709.7])
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("fn", [float, math.exp, math.atan, abs],
+                             ids=["identity", "exp", "atan", "abs"])
+    def test_equals_the_list_map_bitwise(self, fn):
+        expected = np.array(list(map(fn, self.EDGES.tolist())))
+        out = pointwise(fn, self.EDGES)
+        assert out.dtype == np.float64
+        assert np.array_equal(self.bits(out), self.bits(expected))
+
+    def test_empty_array(self):
+        out = pointwise(math.exp, np.array([]))
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    def test_strided_view(self):
+        view = np.linspace(-3.0, 3.0, 11)[::2]
+        expected = np.array(list(map(math.exp, view.tolist())))
+        assert np.array_equal(self.bits(pointwise(math.exp, view)),
+                              self.bits(expected))
+
+    def test_propagates_the_function_error(self):
+        with pytest.raises(OverflowError):
+            pointwise(math.exp, np.array([0.0, 1000.0]))
+        with pytest.raises(ValueError):
+            pointwise(math.sin, np.array([math.inf]))

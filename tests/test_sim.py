@@ -1,5 +1,7 @@
+import itertools
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -215,6 +217,30 @@ class TestRunOutputs:
                 k = i
         events = np.flatnonzero(traj.event)[1:]
         assert events.size and np.all(traj.eps[events] > 0.0)
+
+    def test_records_are_separate_float64_buffers(self):
+        traj, _, _ = run_event_triggered(
+            small_cfg(scenario="disturbed", t_end=1.0))
+        arrays = {f.name: getattr(traj, f.name) for f in fields(traj)}
+        for name, a in arrays.items():
+            assert a.dtype == (bool if name == "event" else np.float64), name
+            assert a.flags.c_contiguous, name
+        for (na, a), (nb, b) in itertools.combinations(arrays.items(), 2):
+            assert not np.shares_memory(a, b), (na, nb)
+
+    def test_peak_memory_per_step(self):
+        # the loop writes float64 buffers in place: about 257 B per step at
+        # peak, 226 of them kept by the Trajectory and the EventLog (list
+        # records made 435); the warm-up fills the Lipschitz cache first
+        cfg = small_cfg(t_end=5.0)
+        run_event_triggered(small_cfg(t_end=0.02))
+        tracemalloc.start()
+        try:
+            run_event_triggered(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.step_count() <= 320
 
     def test_physical_range_warning(self):
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)

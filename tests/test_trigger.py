@@ -172,6 +172,14 @@ class TestZenoBound:
             LipschitzEstimate(l_bar=0.0, box=DEFAULT_LIPSCHITZ_BOX,
                               sample_count=100)
 
+    @pytest.mark.parametrize("lambda2,beta", [(-5e-324, 0.3),
+                                              (1e308, 10.0)],
+                             ids=["underflow", "overflow"])
+    def test_degenerate_gain_divisor_raises(self, lambda2, beta):
+        # lambda2*beta rounds to -0.0 or inf, so M cannot be formed
+        with pytest.raises(PlantError, match="lambda2\\*beta"):
+            _gain_norms(beta, 1.0, lambda2)
+
     def test_underflowing_control_term_raises(self):
         # ||Bbar||*mu = 0.3 * 5e-324 rounds to 0: the origin's denominator
         # vanishes, while a state away from it still has a bound
