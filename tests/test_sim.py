@@ -230,8 +230,8 @@ class TestRunOutputs:
 
     def test_peak_memory_per_step(self):
         # the loop writes float64 buffers in place: about 257 B per step at
-        # peak, 226 of them kept by the Trajectory and the EventLog (list
-        # records made 435); the warm-up fills the Lipschitz cache first
+        # peak, 226 of them kept by the Trajectory and the EventLog; the
+        # warm-up fills the Lipschitz cache, whose samples would count here
         cfg = small_cfg(t_end=5.0)
         run_event_triggered(small_cfg(t_end=0.02))
         tracemalloc.start()
