@@ -14,7 +14,7 @@ from .config import (REGULATE_KEYS, ConfigError, build_config, config_values,
                      parse_config, read_config)
 from .plant import PlantError
 from .plots import emit_plot
-from .sim import (Metrics, SimConfig, check_invariants, resolve_regulation,
+from .sim import (SimConfig, check_invariants, resolve_regulation,
                   run_event_triggered, run_time_triggered,
                   write_trajectory_csv)
 from .trigger import write_event_csv
@@ -51,21 +51,14 @@ def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
     if name == "disturbed":
         return replace(cfg, scenario="disturbed")
     if name.startswith("regulate-"):
+        if cfg.setpoint_kelvin is not None:
+            raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
+                              f"conflicts with the scenario {name}, whose "
+                              "name sets the setpoint")
         setpoint = float(name.split("-", 1)[1])
         cfg = replace(cfg, scenario="regulate", setpoint_kelvin=setpoint)
         return resolve_regulation(cfg)
     raise ConfigError(f"unknown scenario {name!r}")
-
-
-def _metrics_dict(metrics: Metrics) -> dict:
-    """Flat metrics record; the steady band is split into its two ends."""
-    out = {}
-    for key, val in asdict(metrics).items():
-        if key == "steady_band_x1":
-            out["steady_band_x1_min"], out["steady_band_x1_max"] = val
-        else:
-            out[key] = val
-    return out
 
 
 def _write_metrics(path_txt: Path, path_json: Path, metrics: dict) -> None:
@@ -85,12 +78,12 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
 
     traj, log, metrics = run_event_triggered(rcfg)
     violations = check_invariants(traj, log, rcfg)
-    metrics_dict = _metrics_dict(metrics)
+    metrics_dict = asdict(metrics)
 
     if name == "baseline-comparison":
         tt_traj, tt_metrics = run_time_triggered(rcfg)
         metrics_dict.update(
-            {f"baseline_{k}": v for k, v in _metrics_dict(tt_metrics).items()})
+            {f"baseline_{k}": v for k, v in asdict(tt_metrics).items()})
         metrics_dict["update_saving_vs_baseline"] = (
             1.0 - metrics.event_count / tt_metrics.event_count)
 
@@ -147,18 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integration step override")
     parser.add_argument("--duration", type=float, default=None,
                         help="horizon override")
-    parser.add_argument("--tf0-kelvin", type=float, default=None,
-                        help="feed temperature of a regulate-NNN setpoint")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        regulate = args.scenario.startswith("regulate-")
         if args.config is not None:
             cfg = parse_config(args.config)
-            if not regulate:
+            if not args.scenario.startswith("regulate-"):
                 # the resolved config cannot tell a key set to its default
                 # from one left out, so look at the file's own keys
                 keys = read_config(args.config)
@@ -173,11 +163,6 @@ def main(argv=None) -> int:
             overrides["h"] = args.step
         if args.duration is not None:
             overrides["t_end"] = args.duration
-        if args.tf0_kelvin is not None:
-            if not regulate:
-                raise ConfigError("--tf0-kelvin applies only to the "
-                                  "regulate-NNN scenarios")
-            overrides["tf0_kelvin"] = args.tf0_kelvin
         if overrides:
             cfg = replace(cfg, **overrides)
         manifest, violations = run_scenario(args.scenario, cfg, args.out)

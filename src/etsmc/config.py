@@ -27,8 +27,7 @@ RECORDS = {"plant": DimlessParams, "sliding": SlidingParams,
            "x0": DimlessState}
 
 #: Every accepted key: key -> (record, field, default).  A default of None
-#: marks an optional key.  trigger_both is the one key whose value is not
-#: its field's: 1.0 selects trigger indices (1, 2), 0.0 selects (2,).
+#: marks an optional key.
 KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     # plant
     "da": ("plant", "da", 0.078),
@@ -52,7 +51,7 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     "m1": ("trigger", "m1", 1e-4),
     "m2": ("trigger", "m2", 0.2025),
     "varsigma": ("trigger", "varsigma", 0.97),
-    "trigger_both": ("trigger", "indices", 0.0),
+    "trigger_both": ("trigger", "trigger_both", 0.0),
     # reference trajectory
     "x1ref": ("reference", "x1_const", 0.4472),
     "x2ss": ("reference", "x2ss", 2.6516),
@@ -70,10 +69,6 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
 
 #: The keys that only a regulate run reads.
 REGULATE_KEYS = ("tf0_kelvin", "setpoint_kelvin")
-
-#: Default experiment parameterization (startup tracking case).
-DEFAULTS: dict[str, float] = {
-    k: default for k, (_, _, default) in KEYS.items() if default is not None}
 
 
 def _parse_lines(text: str) -> dict[str, float]:
@@ -113,7 +108,6 @@ def build_config(values: Mapping[str, float],
     fields: dict[str, dict] = {}
     for key, (record, field, _) in KEYS.items():
         fields.setdefault(record, {})[field] = v[key]
-    fields["trigger"]["indices"] = (1, 2) if v["trigger_both"] else (2,)
     try:
         records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
         return SimConfig(**fields["run"], **records, scenario=scenario)
@@ -142,8 +136,6 @@ def config_values(cfg: SimConfig) -> dict[str, float]:
     out = {}
     for key, (record, field, _) in KEYS.items():
         val = getattr(cfg if record == "run" else getattr(cfg, record), field)
-        if key == "trigger_both":
-            val = 1.0 if val == (1, 2) else 0.0
         if val is not None:
             out[key] = val
     return out

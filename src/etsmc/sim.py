@@ -70,6 +70,11 @@ class SimConfig:
                 f"ceiling of {MAX_STEPS}")
         if self.scenario not in SCENARIOS:
             raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
+        # the divisor of the Zeno bound's gain matrix M; it can underflow
+        den = self.sliding.lambda2 * self.plant.beta
+        if not (den != 0.0 and math.isfinite(den)):
+            raise InvalidParameterError(
+                f"lambda2*beta = {den} is zero or not finite")
         if self.scenario == "regulate":
             if self.setpoint_kelvin is None:
                 raise InvalidParameterError(
@@ -144,7 +149,8 @@ class Metrics:
     max_gap: Optional[float]
     eta_hat: Optional[float]
     eta_violations: int
-    steady_band_x1: tuple[float, float]
+    steady_band_x1_min: float
+    steady_band_x1_max: float
     tracking_rmse: float
     max_discretization_error: float
 
@@ -318,17 +324,13 @@ def run_time_triggered(cfg: SimConfig) -> tuple[Trajectory, Metrics]:
     return traj, compute_metrics(traj, log)
 
 
-def verify_reachability(traj: Trajectory,
-                        band: np.ndarray | float | None = None
-                        ) -> ReachabilityResult:
-    """Empirical reaching check over samples with |sigma| above the band.
+def verify_reachability(traj: Trajectory) -> ReachabilityResult:
+    """Empirical reaching check over samples with |sigma| above traj.band.
 
     Returns the minimum of -sigma*sigma_dot/|sigma| and the indices where
     the reaching inequality sigma*sigma_dot < 0 fails.
     """
-    if band is None:
-        band = traj.band
-    mask = np.abs(traj.sigma) > band
+    mask = np.abs(traj.sigma) > traj.band
     if not mask.any():
         return ReachabilityResult(applicable=False, eta_hat=None, violations=[])
     s = traj.sigma[mask]
@@ -357,7 +359,8 @@ def compute_metrics(traj: Trajectory, log: EventLog) -> Metrics:
         max_gap=max(gaps) if gaps else None,
         eta_hat=reach.eta_hat,
         eta_violations=len(reach.violations),
-        steady_band_x1=(float(traj.x1[tail].min()), float(traj.x1[tail].max())),
+        steady_band_x1_min=float(traj.x1[tail].min()),
+        steady_band_x1_max=float(traj.x1[tail].max()),
         tracking_rmse=float(np.sqrt(np.mean(e2 * e2))),
         max_discretization_error=float(traj.eps.max()),
     )

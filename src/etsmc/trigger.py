@@ -15,9 +15,8 @@ from .controller import SlidingParams
 from .plant import (DimlessParams, DimlessState, InvalidParameterError,
                     PlantError, jacobian_stack, pointwise)
 
-Box = tuple[tuple[float, float], tuple[float, float]]
-
-DEFAULT_LIPSCHITZ_BOX: Box = ((0.0, 1.0), (0.0, 5.0))
+#: The state box ((x1 lo, hi), (x2 lo, hi)) the Lipschitz estimate covers.
+LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at once.
@@ -33,8 +32,8 @@ EventText = list[tuple[str, str]]
 class TriggerParams:
     """Weights and threshold shape of the triggering rule.
 
-    indices selects which error components drive triggering; temperature
-    (index 2) is the controlled output and the default.
+    The temperature error (x2), the controlled output, always drives
+    triggering; trigger_both = 1.0 adds the composition error (x1).
     """
 
     zeta: float
@@ -43,7 +42,7 @@ class TriggerParams:
     m1: float
     m2: float
     varsigma: float
-    indices: tuple[int, ...] = (2,)
+    trigger_both: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.zeta > 0.0:
@@ -60,8 +59,8 @@ class TriggerParams:
             raise InvalidParameterError("m1 + m2 must be positive")
         if not 0.0 < self.varsigma < 1.0:
             raise InvalidParameterError("varsigma must lie in (0,1)")
-        if not self.indices or not set(self.indices) <= {1, 2}:
-            raise InvalidParameterError("indices must be a nonempty subset of {1,2}")
+        if self.trigger_both not in (0.0, 1.0):
+            raise InvalidParameterError("trigger_both must be 0 or 1")
 
 
 @dataclass
@@ -83,10 +82,9 @@ class EventLog:
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Max sampled Jacobian spectral norm over a state box, with safety factor."""
+    """Max sampled Jacobian spectral norm over LIPSCHITZ_BOX, with safety factor."""
 
     l_bar: float
-    box: Box
     sample_count: int
 
     def __post_init__(self) -> None:
@@ -108,17 +106,16 @@ def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
            tp: TriggerParams) -> float:
     """Trigger margin: max_i |zeta*e_i + xi*e_i_dot^2| minus tol.
 
-    The max runs over tp.indices; tol is the thresholds value at the
-    evaluation time.  The printed norm wraps a scalar and is implemented
-    as absolute value.
+    The max runs over i = 2, and also i = 1 when tp.trigger_both is set;
+    tol is the thresholds value at the evaluation time.  The printed norm
+    wraps a scalar and is implemented as absolute value.  A nan term loses
+    the comparison: with i = 2 alone, a nan term gives -inf - tol.
     """
-    val = -math.inf
-    if 1 in tp.indices:
-        val = abs(tp.zeta * e1 + tp.xi * e1dot * e1dot)
-    if 2 in tp.indices:
-        v2 = abs(tp.zeta * e2 + tp.xi * e2dot * e2dot)
-        if v2 > val:
-            val = v2
+    val = (abs(tp.zeta * e1 + tp.xi * e1dot * e1dot) if tp.trigger_both
+           else -math.inf)
+    v2 = abs(tp.zeta * e2 + tp.xi * e2dot * e2dot)
+    if v2 > val:
+        val = v2
     return val - tol
 
 
@@ -197,25 +194,28 @@ def _sobol_2d(m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def estimate_lipschitz(p: DimlessParams,
-                       box: Box = DEFAULT_LIPSCHITZ_BOX,
-                       n: int = 10_000) -> LipschitzEstimate:
-    """Lipschitz constant of the drift over box.
+def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
+    """Lipschitz constant of the drift over LIPSCHITZ_BOX.
 
-    Max Jacobian spectral norm over an n-point Sobol sampling of box
-    (corners included), inflated by a 1.1 safety factor.  Deterministic.
+    Max Jacobian spectral norm over the first 2^14 Sobol points of the
+    box and its four corners, inflated by a 1.1 safety factor.
+    Deterministic.  Raises PlantError where a Jacobian entry is not finite.
     """
-    if n < 100:
-        raise InvalidParameterError("at least 100 samples required")
-    (x1lo, x1hi), (x2lo, x2hi) = box
-    unit = _sobol_2d(max(7, math.ceil(math.log2(n))))
+    (x1lo, x1hi), (x2lo, x2hi) = LIPSCHITZ_BOX
+    unit = _sobol_2d(14)
     # the Sobol points, then the four corners of the box
     x1 = np.append(x1lo + unit[:, 0] * (x1hi - x1lo), [x1lo, x1lo, x1hi, x1hi])
     x2 = np.append(x2lo + unit[:, 1] * (x2hi - x2lo), [x2lo, x2hi, x2lo, x2hi])
-    norms = np.linalg.norm(jacobian_stack(x1, x2, p), 2, axis=(1, 2))
-    worst = float(norms.max())
-    return LipschitzEstimate(l_bar=LIPSCHITZ_SAFETY * worst,
-                             box=box, sample_count=len(x1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        jac = jacobian_stack(x1, x2, p)
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
+    if bad.size:
+        i = bad[0]
+        raise PlantError(f"drift Jacobian is not finite at (x1, x2) = "
+                         f"({x1[i]}, {x2[i]}): {jac[i].tolist()}")
+    norms = np.linalg.norm(jac, 2, axis=(1, 2))
+    return LipschitzEstimate(l_bar=LIPSCHITZ_SAFETY * float(norms.max()),
+                             sample_count=len(x1))
 
 
 def format_blocks(col) -> Iterator[list[str]]:

@@ -10,7 +10,7 @@ import pytest
 
 from etsmc import cli, sim, trigger
 from etsmc.cli import SCENARIO_NAMES, build_parser, main, run_scenario
-from etsmc.config import (DEFAULTS, ConfigError, build_config, config_values,
+from etsmc.config import (KEYS, ConfigError, build_config, config_values,
                           parse_config)
 
 
@@ -71,7 +71,7 @@ class TestBuildConfig:
         assert cfg.trigger.zeta == 0.8
         assert cfg.trigger.psi == 0.5
         assert cfg.trigger.m2 == 0.2025
-        assert cfg.trigger.indices == (2,)
+        assert cfg.trigger.trigger_both == 0.0
         assert cfg.reference.x1_const == 0.4472
         assert cfg.reference.x2ss == 2.6516
         assert cfg.h == 1e-3
@@ -79,7 +79,7 @@ class TestBuildConfig:
         assert (cfg.x0.x1, cfg.x0.x2) == (0.0, 0.0)
 
     def test_trigger_both_switch(self):
-        assert build_config({"trigger_both": 1.0}).trigger.indices == (1, 2)
+        assert build_config({"trigger_both": 1.0}).trigger.trigger_both == 1.0
 
     def test_physical_block_all_or_nothing(self):
         # the physical parameters select nothing in a run, so no part of
@@ -106,9 +106,8 @@ class TestBuildConfig:
 
     def test_every_default_key_roundtrips(self):
         vals = config_values(build_config({}))
-        assert set(DEFAULTS) <= set(vals)
-        for k, v in DEFAULTS.items():
-            assert vals[k] == v
+        defaults = {k: d for k, (_, _, d) in KEYS.items() if d is not None}
+        assert vals == defaults
 
 
 class TestCliParser:
@@ -219,21 +218,6 @@ class TestCliRuns:
         assert rc == 2
         assert "x2c0" in capsys.readouterr().err
 
-    def test_tf0_kelvin_outside_regulate_exits_2(self, tmp_path, capsys):
-        rc = main(["--tf0-kelvin", "999", "--duration", "1.0",
-                   "--out", str(tmp_path / "runs")])
-        assert rc == 2
-        assert "--tf0-kelvin" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
-
-    def test_tf0_kelvin_applies_to_regulate(self, tmp_path):
-        rc = main(["--scenario", "regulate-400", "--tf0-kelvin", "350",
-                   "--duration", "1.0", "--out", str(tmp_path)])
-        assert rc in (0, 1)
-        manifest = json.loads(
-            (tmp_path / "regulate-400" / "manifest.json").read_text())
-        assert manifest["config"]["tf0_kelvin"] == 350.0
-
     @pytest.mark.parametrize("scenario", ["nominal", "disturbed",
                                           "baseline-comparison"])
     @pytest.mark.parametrize("key", ["tf0_kelvin", "setpoint_kelvin"])
@@ -257,15 +241,39 @@ class TestCliRuns:
             (tmp_path / "regulate-400" / "manifest.json").read_text())
         assert manifest["config"]["tf0_kelvin"] == 350.0
 
+    def test_setpoint_kelvin_in_config_on_regulate_exits_2(self, tmp_path,
+                                                           capsys):
+        # the scenario name is the one route to the setpoint of a run
+        cfg = tmp_path / "regulate.cfg"
+        cfg.write_text("setpoint_kelvin = 350\n")
+        rc = main(["--scenario", "regulate-400", "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "setpoint_kelvin = 350.0 conflicts with the scenario " \
+            "regulate-400" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_trigger_both_other_than_0_or_1_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("trigger_both = 2\n")
+        rc = main(["--config", str(cfg), "--duration", "0.02",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "trigger_both must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("scenario,key,duration,message", [
         ("disturbed", "d1_freq = 1e308", "2.5", "phase"),
         ("nominal", "mu = 5e-324", "0.02", "Zeno bound"),
         ("nominal", "k2 = -1e300", "0.02", "k2"),
         ("nominal", "lambda2 = -5e-324", "0.02", "lambda2*beta"),
         ("regulate-500", "gamma = 1e300", "0.02", "overflows"),
+        ("nominal", "da = 1e308", "0.02", "Jacobian is not finite"),
+        ("nominal", "b_rise = 1e308", "0.02", "Jacobian is not finite"),
     ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
             "negative-reference-rate", "gain-divisor-underflow",
-            "drift-exponential-overflow"])
+            "drift-exponential-overflow", "jacobian-da-overflow",
+            "jacobian-b-rise-overflow"])
     def test_extreme_value_exits_2_without_traceback(
             self, tmp_path, scenario, key, duration, message):
         cfg = tmp_path / "extreme.cfg"

@@ -1,0 +1,69 @@
+"""The CLI exit-code contract as a property over extreme config values.
+
+0 is success, 1 is a named run invariant violated and nothing else, 2 is a
+config, plant or IO error reported on an ``error:`` line.  No exception may
+escape ``cli.main``.
+"""
+
+import inspect
+import io
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etsmc import sim
+from etsmc.cli import SCENARIO_NAMES, main
+from etsmc.config import KEYS
+
+#: Every invariant name check_invariants can report.
+INVARIANTS = frozenset(re.findall(r'bad\.append\("([a-z0-9-]+)"\)',
+                                  inspect.getsource(sim.check_invariants)))
+
+#: h and t_end are left out, so --duration 0.02 holds every run to 20 steps.
+CONTRACT_KEYS = sorted(set(KEYS) - {"h", "t_end"})
+
+EXTREMES = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def config_texts(draw):
+    keys = draw(st.lists(st.sampled_from(CONTRACT_KEYS), min_size=1,
+                         max_size=4, unique=True))
+    return "".join(f"{key} = {draw(EXTREMES)!r}\n" for key in keys)
+
+
+def test_invariant_names_are_found():
+    assert "lyapunov-decrease-outside-band" in INVARIANTS
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(SCENARIO_NAMES), text=config_texts())
+def test_exit_code_contract(scenario, text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/extreme.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # an exception escaping main fails the example with its traceback
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["--scenario", scenario, "--config", path,
+                       "--duration", "0.02", "--out", f"{tmp}/runs"])
+    # stderr may also hold warnings when pytest does not capture them
+    lines = err.getvalue().splitlines()
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    prefix = "invariant check failed: "
+    failed = [ln[len(prefix):].split(", ") for ln in lines
+              if ln.startswith(prefix)]
+    assert "Traceback" not in err.getvalue()
+    assert rc in (0, 1, 2)
+    assert len(errors) == (rc == 2), lines
+    assert len(failed) == (rc == 1), lines
+    if failed:
+        assert set(failed[0]) <= INVARIANTS, failed
