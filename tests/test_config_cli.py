@@ -270,10 +270,13 @@ class TestCliRuns:
         ("regulate-500", "gamma = 1e300", "0.02", "overflows"),
         ("nominal", "da = 1e308", "0.02", "Jacobian is not finite"),
         ("nominal", "b_rise = 1e308", "0.02", "Jacobian is not finite"),
+        ("nominal", "lambda1 = 0", "0.02", "trigger band"),
+        ("nominal", "lambda1 = 5e-324", "0.02", "trigger band"),
     ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
             "negative-reference-rate", "gain-divisor-underflow",
             "drift-exponential-overflow", "jacobian-da-overflow",
-            "jacobian-b-rise-overflow"])
+            "jacobian-b-rise-overflow", "band-zero-weight",
+            "band-subnormal-weight-overflow"])
     def test_extreme_value_exits_2_without_traceback(
             self, tmp_path, scenario, key, duration, message):
         cfg = tmp_path / "extreme.cfg"
@@ -398,9 +401,9 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("scenario,config,block_events", [
-    ("nominal", "", [4096, 4096, 1809]),
-    ("regulate-400", "mu = 1\nm1 = 1\n", [265, 0, 0]),
-    ("nominal", "mu = 0.5\nm1 = 2\n", [3, 878, 2]),
+    ("nominal", "", [1024] * 9 + [785]),
+    ("regulate-400", "mu = 1\nm1 = 1\n", [207, 57, 1] + [0] * 7),
+    ("nominal", "mu = 0.5\nm1 = 2\n", [2, 1, 0, 0, 331, 547, 0, 0, 1, 1]),
 ], ids=["dense", "sparse", "mixed"])
 def test_shared_event_text_matches_standalone_writers(
         tmp_path, scenario, config, block_events):

@@ -39,6 +39,11 @@ class TestSimConfig:
         # -0.0: caught with the config, before a run divides by it
         with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
             small_cfg(sliding=SlidingParams(1.0, -5e-324, 25.0))
+        # a zero lambda1, or one so small that the division overflows,
+        # makes the band tols/min(|lambda1|, |lambda2|) infinite
+        for lam1 in (0.0, 5e-324, -5e-324):
+            with pytest.raises(InvalidParameterError, match="trigger band"):
+                small_cfg(sliding=SlidingParams(lam1, 2.0, 25.0))
 
     def test_step_count(self):
         assert small_cfg().step_count() == 50000
@@ -169,7 +174,8 @@ class TestLoopEquivalence:
                 assert traj.u[i] == u, (case, i)
                 assert traj.delta[i] == dlt, (case, i)
                 assert bool(traj.event[i]) == fired, (case, i)
-            assert log.instants == [i * h for i in np.flatnonzero(traj.event)]
+            assert list(log.instants) == [
+                i * h for i in np.flatnonzero(traj.event)]
 
     def test_time_triggered_fires_everywhere(self):
         cfg = small_cfg(t_end=0.2)
@@ -233,8 +239,8 @@ class TestRunOutputs:
             assert not np.shares_memory(a, b), (na, nb)
 
     def test_peak_memory_per_step(self):
-        # the loop writes float64 buffers in place: about 257 B per step at
-        # peak, 226 of them kept by the Trajectory and the EventLog; the
+        # the loop writes float64 buffers in place: about 186 B per step at
+        # peak, 155 of them kept by the Trajectory and the EventLog; the
         # warm-up fills the Lipschitz cache, whose samples would count here
         cfg = small_cfg(t_end=5.0)
         run_event_triggered(small_cfg(t_end=0.02))
@@ -244,7 +250,7 @@ class TestRunOutputs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / cfg.step_count() <= 320
+        assert peak / cfg.step_count() <= 220
 
     def test_physical_range_warning(self):
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
@@ -364,6 +370,13 @@ class TestInvariants:
         instants[4] = instants[3]
         assert "instants-increasing" in check_invariants(traj, bad, cfg)
 
+    def test_detects_subgrid_gap(self, short_run):
+        cfg, traj, log = short_run
+        gaps = list(log.gaps)
+        gaps[2] = 0.5 * cfg.h
+        bad = replace(log, gaps=gaps)
+        assert check_invariants(traj, bad, cfg) == ["gaps-ge-step"]
+
     def test_detects_missed_fire(self, sparse_run):
         cfg, traj, log = sparse_run
         bad = replace_field(traj, "delta")
@@ -391,6 +404,21 @@ def _rowwise_trajectory_csv(traj):
 
 
 class TestTrajectoryCsv:
+    def test_writer_text_is_bounded_by_the_block(self, tmp_path):
+        # an event at every row: the writer holds one CSV_BLOCK of eight
+        # formatted columns at a time, about 1.5 MB at 1,024 rows (5.8 MB
+        # at 4,096), on top of the event-row text it returns
+        traj, _, _ = run_event_triggered(small_cfg(t_end=10.0))
+        assert len(traj.t) == 10_001 and traj.event.all()
+        tracemalloc.start()
+        try:
+            text = write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(t.count("\n") + 1 for t, _ in text) == 10_001
+        assert peak - kept <= 2_000_000
+
     def test_roundtrip_exact(self, tmp_path):
         cfg = small_cfg(t_end=0.05)
         traj, _, _ = run_event_triggered(cfg)

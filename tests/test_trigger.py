@@ -130,18 +130,6 @@ class TestDelta:
                     indexed(*errs, tol)), (errs, tol)
 
 
-class TestEventLog:
-    def test_nonincreasing_instants_rejected(self):
-        log = EventLog(instants=[0.0, 1.0, 1.0], gaps=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            log.check(0.1)
-
-    def test_subgrid_gap_rejected(self):
-        log = EventLog(instants=[0.0, 0.05], gaps=[0.05])
-        with pytest.raises(ValueError):
-            log.check(0.1)
-
-
 class TestZenoBound:
     LIP = LipschitzEstimate(l_bar=4.0, sample_count=100)
 
