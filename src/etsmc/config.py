@@ -29,7 +29,10 @@ RECORDS = {"plant": DimlessParams, "sliding": SlidingParams,
 #: Every accepted key: key -> (record, field, default).  A default of None
 #: marks an optional key.
 KEYS: dict[str, tuple[str, str, Optional[float]]] = {
-    # plant
+    # plant.  E = 49,884 J/mol, R = 8.314 J/(mol K), Tf0 = 300 K, k0 =
+    # 3.784e7 /min and V/F0 = 1 min give gamma = E/(R Tf0) = 20.0 and da =
+    # k0 exp(-gamma) V/F0 = 0.07799; Tc0 = Tf0 gives x2c0 = 0.  They give
+    # b_rise = 0.0133 and beta = 1.0e-6, so those two are not derived.
     "da": ("plant", "da", 0.078),
     "gamma": ("plant", "gamma", 20.0),
     "b_rise": ("plant", "b_rise", 8.0),

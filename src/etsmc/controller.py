@@ -56,10 +56,17 @@ class ReferenceSignal:
         """x2 reference and its rate at the times ts, one exp per point.
 
         Every element equals the Python-float evaluation at that time.
+        Raises InvalidParameterError where either is not finite.
         """
-        ex = pointwise(math.exp, -self.k2 * ts)
-        return (self.x2ss * (1.0 - self.k1 * ex),
-                self.x2ss * self.k1 * self.k2 * ex)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            ex = pointwise(math.exp, -self.k2 * ts)
+            x2ref = self.x2ss * (1.0 - self.k1 * ex)
+            x2ref_dot = self.x2ss * self.k1 * self.k2 * ex
+        bad = np.flatnonzero(~(np.isfinite(x2ref) & np.isfinite(x2ref_dot)))
+        if bad.size:
+            raise InvalidParameterError(
+                f"x2 reference or its rate is not finite at t={ts[bad[0]]}")
+        return x2ref, x2ref_dot
 
     def x2ref(self, t: float) -> float:
         return float(self.x2ref_series(np.array([t]))[0][0])

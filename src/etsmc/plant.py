@@ -1,10 +1,9 @@
-"""Dimensionless CSTR dynamics, disturbance signals and parameter conversion.
+"""Dimensionless CSTR dynamics and disturbance signals.
 
 The simulated model is the two-state dimensionless form of an ideal,
 non-isothermal CSTR with an irreversible exothermic first-order reaction
-A -> B, actuated through the coolant temperature channel.  The physical
-(kelvin / kmol) layer exists only for parameter conversion and reporting;
-the integrator always runs on the dimensionless equations.
+A -> B, actuated through the coolant temperature channel.  The one
+physical input, a regulate run's kelvin setpoint, maps through kelvin_to_x2.
 """
 
 from __future__ import annotations
@@ -63,39 +62,6 @@ class DimlessParams:
         for name in ("da", "gamma", "b_rise", "beta"):
             if not getattr(self, name) > 0.0:
                 raise InvalidParameterError(f"{name} must be positive")
-
-
-@dataclass(frozen=True, slots=True)
-class PhysicalParams:
-    """Physical CSTR constants (kelvin / kmol / m^3 / min units)."""
-
-    k0: float      # rate constant, 1/min
-    caf0: float    # nominal feed concentration, kmol/m^3
-    f0: float      # nominal flow, m^3/min
-    rho: float     # density, g/m^3
-    cp: float      # specific heat, cal/(degC g)
-    dh: float      # heat of reaction, cal/kmol, negative for exothermic
-    rhoc: float    # coolant density, g/m^3
-    cpc: float     # coolant specific heat, cal/(degC g)
-    v: float       # volume, m^3
-    fc: float      # coolant flow, m^3/min
-    e: float       # activation energy, J/mol
-    r: float       # gas constant, J/(mol K)
-    tf0: float     # nominal feed temperature, K
-    tc0: float     # nominal coolant temperature, K
-    a: float       # heat-transfer model parameter
-    b: float       # heat-transfer model exponent, sign unrestricted
-
-    def __post_init__(self) -> None:
-        positive = ("k0", "caf0", "f0", "rho", "cp", "rhoc", "cpc",
-                    "v", "fc", "e", "r", "tf0", "tc0", "a")
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
-        if not self.dh < 0.0:
-            raise InvalidParameterError("dh must be negative (exothermic)")
-        if not math.isfinite(self.e / (self.r * self.tf0)):
-            raise InvalidParameterError("derived gamma is not finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,29 +185,8 @@ def jacobian(x: DimlessState, p: DimlessParams) -> np.ndarray:
     return jacobian_stack(np.array([x.x1]), np.array([x.x2]), p)[0]
 
 
-def heat_transfer_term(pp: PhysicalParams) -> float:
-    """hA = a Fc^(b+1) / (Fc + a Fc^b / (2 rho_c Cp_c))."""
-    den = pp.fc + pp.a * pp.fc ** pp.b / (2.0 * pp.rhoc * pp.cpc)
-    if abs(den) < SINGULAR_TOL:
-        raise InvalidParameterError("heat-transfer denominator vanishes")
-    return pp.a * pp.fc ** (pp.b + 1.0) / den
-
-
-def physical_to_dimensionless(pp: PhysicalParams) -> DimlessParams:
-    """Convert physical constants to the dimensionless parameter record."""
-    gamma = pp.e / (pp.r * pp.tf0)
-    b_rise = (-pp.dh) * pp.caf0 * gamma / (pp.rho * pp.cp * pp.tf0)
-    da = pp.k0 * math.exp(-gamma) * pp.v / pp.f0
-    beta = heat_transfer_term(pp) / (pp.rho * pp.cp * pp.f0)
-    x2c0 = gamma * (pp.tc0 - pp.tf0) / pp.tf0
-    return DimlessParams(da=da, gamma=gamma, b_rise=b_rise,
-                         beta=beta, x2c0=x2c0)
-
-
 def kelvin_to_x2(temp: float, tf0: float, gamma: float) -> float:
-    """Dimensionless temperature gamma*(T - Tf0)/Tf0."""
-    if not tf0 > 0.0:
-        raise InvalidParameterError("tf0 must be positive")
+    """Dimensionless temperature gamma*(T - Tf0)/Tf0; SimConfig checks Tf0."""
     return gamma * (temp - tf0) / tf0
 
 

@@ -291,11 +291,18 @@ def _run_loop(cfg: SimConfig, every_step: bool,
         u_to[i] = u
         sigd_to[i] = lam1 * e1dot + lam2 * e2dot
 
-    sig = lam1 * (x1s - x1ref) + lam2 * (x2s - x2rs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sig = lam1 * (x1s - x1ref) + lam2 * (x2s - x2rs)
+        v = 0.5 * sig * sig
+    # a nonfinite V would make the Lyapunov checks pass vacuously
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise SimulationDivergedError(
+            f"sigma or V = sigma^2/2 is not finite at t={ts[bad[0]]}")
     traj = Trajectory(
         t=ts, x1=x1s, x2=x2s, x1ref=np.full(n + 1, x1ref), x2ref=x2rs,
         u=us, sigma=sig, sigma_dot=sigds, delta=dlts, event=evts,
-        v=0.5 * sig * sig, band=tols / min(abs(lam1), abs(lam2)), eps=epss,
+        v=v, band=tols / min(abs(lam1), abs(lam2)), eps=epss,
     )
 
     steps = np.flatnonzero(evts)
@@ -344,8 +351,10 @@ def verify_reachability(traj: Trajectory) -> ReachabilityResult:
         return ReachabilityResult(applicable=False, eta_hat=None, violations=[])
     s = traj.sigma[mask]
     sd = traj.sigma_dot[mask]
-    rates = -s * sd / np.abs(s)
-    violations = np.flatnonzero(mask)[s * sd >= 0.0]
+    # an overflowing product keeps its sign, and so its verdict
+    with np.errstate(over="ignore"):
+        rates = -s * sd / np.abs(s)
+        violations = np.flatnonzero(mask)[s * sd >= 0.0]
     return ReachabilityResult(
         applicable=True,
         eta_hat=float(rates.min()),
@@ -358,7 +367,9 @@ def compute_metrics(traj: Trajectory, log: EventLog) -> Metrics:
     gaps = log.gaps
     reach = verify_reachability(traj)
     tail = traj.t >= traj.t[-1] - 0.2 * (traj.t[-1] - traj.t[0])
-    e2 = traj.x2 - traj.x2ref
+    # an overflowing square reads inf, over every bound a gate compares with
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean((traj.x2 - traj.x2ref) ** 2)))
     return Metrics(
         event_count=len(log.instants),
         step_count=steps,
@@ -370,7 +381,7 @@ def compute_metrics(traj: Trajectory, log: EventLog) -> Metrics:
         eta_violations=len(reach.violations),
         steady_band_x1_min=float(traj.x1[tail].min()),
         steady_band_x1_max=float(traj.x1[tail].max()),
-        tracking_rmse=float(np.sqrt(np.mean(e2 * e2))),
+        tracking_rmse=rmse,
         max_discretization_error=float(traj.eps.max()),
     )
 

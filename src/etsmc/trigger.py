@@ -126,7 +126,7 @@ def _gain_norms(beta: float, lambda1: float, lambda2: float
     """(spectral norm of M, Euclidean norm of Bbar); constant per design.
 
     Raises PlantError when lambda2*beta, the divisor of M, is zero (it can
-    underflow) or not finite.
+    underflow) or not finite, or when M or ||Bbar|| overflows.
     """
     den = lambda2 * beta
     if not (den != 0.0 and math.isfinite(den)):
@@ -134,8 +134,13 @@ def _gain_norms(beta: float, lambda1: float, lambda2: float
                          f"(lambda2={lambda2}, beta={beta})")
     bbar = np.array([0.0, beta])
     lam = np.array([lambda1, lambda2])
-    m = np.outer(bbar, lam) / den
-    return float(np.linalg.norm(m, 2)), float(np.linalg.norm(bbar))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        m = np.outer(bbar, lam) / den
+        bbar_norm = float(np.linalg.norm(bbar))
+    if not (np.isfinite(m).all() and math.isfinite(bbar_norm)):
+        raise PlantError(f"gain matrix M or ||Bbar|| is not finite "
+                         f"(lambda1={lambda1}, lambda2={lambda2}, beta={beta})")
+    return float(np.linalg.norm(m, 2)), bbar_norm
 
 
 def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,

@@ -272,11 +272,17 @@ class TestCliRuns:
         ("nominal", "b_rise = 1e308", "0.02", "Jacobian is not finite"),
         ("nominal", "lambda1 = 0", "0.02", "trigger band"),
         ("nominal", "lambda1 = 5e-324", "0.02", "trigger band"),
+        ("nominal", "x1ref = -1e308", "0.02", "V = sigma^2/2 is not finite"),
+        ("nominal", "x1ref = 1e300", "0.02", "V = sigma^2/2 is not finite"),
+        ("nominal", "k1 = 1e308", "0.02", "x2 reference"),
+        ("nominal", "beta = 1e300", "0.02", "gain matrix M"),
     ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
             "negative-reference-rate", "gain-divisor-underflow",
             "drift-exponential-overflow", "jacobian-da-overflow",
             "jacobian-b-rise-overflow", "band-zero-weight",
-            "band-subnormal-weight-overflow"])
+            "band-subnormal-weight-overflow", "sigma-at-float-max",
+            "lyapunov-v-overflow", "reference-overflow",
+            "gain-norm-overflow"])
     def test_extreme_value_exits_2_without_traceback(
             self, tmp_path, scenario, key, duration, message):
         cfg = tmp_path / "extreme.cfg"

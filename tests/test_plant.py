@@ -6,20 +6,11 @@ import pytest
 
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
                          DriftOverflowError, InvalidParameterError,
-                         PhysicalParams, PlantError, SingularExponentError,
+                         PlantError, SingularExponentError,
                          composition_nullcline, drift, eval_f1, eval_f2,
-                         heat_transfer_term, jacobian, jacobian_stack,
-                         kelvin_to_x2, physical_to_dimensionless, pointwise)
+                         jacobian, jacobian_stack, kelvin_to_x2, pointwise)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
-
-
-def make_physical(**overrides):
-    base = dict(k0=3.784e7, caf0=1.0, f0=1.0, rho=1e6, cp=1.0, dh=-2.0e5,
-                rhoc=1e6, cpc=1.0, v=1.0, fc=1.0, e=49884.0, r=8.314,
-                tf0=300.0, tc0=300.0, a=1.0, b=0.0)
-    base.update(overrides)
-    return PhysicalParams(**base)
 
 
 class TestDrift:
@@ -137,27 +128,6 @@ class TestJacobianStack:
 
 
 class TestConversions:
-    def test_physical_conversion_matches_defaults(self):
-        pp = make_physical()
-        p = physical_to_dimensionless(pp)
-        assert p.gamma == pytest.approx(20.0, rel=1e-3)
-        assert p.da == pytest.approx(0.078, rel=1e-3)
-
-    def test_coincident_nominal_temperatures(self):
-        p = physical_to_dimensionless(make_physical(tc0=300.0))
-        assert p.x2c0 == 0.0
-
-    def test_heat_transfer_hand_value(self):
-        # a=1, b=0, Fc=1, 2*rhoc*cpc=2 -> hA = 1/(1 + 0.5) = 2/3
-        pp = make_physical(a=1.0, b=0.0, fc=1.0, rhoc=1.0, cpc=1.0)
-        assert heat_transfer_term(pp) == pytest.approx(2.0 / 3.0)
-
-    def test_invalid_physical(self):
-        with pytest.raises(InvalidParameterError):
-            make_physical(dh=1.0)
-        with pytest.raises(InvalidParameterError):
-            make_physical(rho=-1.0)
-
     def test_kelvin_identity_at_nominal(self):
         assert kelvin_to_x2(300.0, 300.0, 20.0) == 0.0
 

@@ -287,6 +287,12 @@ class TestReachability:
         assert res.violations == [1]
         assert res.eta_hat < 0.0
 
+    def test_overflowing_product_keeps_its_sign(self):
+        # sigma*sigma_dot = +-1e350 overflows to +-inf, which still decides
+        res = verify_reachability(
+            synthetic_traj([1e150, 1e150], [1e200, -1e200]))
+        assert res.violations == [0]
+
     def test_not_applicable_inside_band(self):
         traj = synthetic_traj([0.001, -0.002], [1.0, 1.0], band=0.01)
         res = verify_reachability(traj)
@@ -308,6 +314,12 @@ class TestMetrics:
         assert metrics.tracking_rmse == pytest.approx(
             math.sqrt(float(np.mean(e2 * e2))))
         assert metrics.max_discretization_error == traj.eps.max()
+
+    def test_overflowing_tracking_error_reads_inf(self):
+        # e2 = -1e300 while sigma = 2*e1 + 2*e2 cancels to 0
+        cfg = build_config({"x1ref": -1e300, "lambda1": 2.0, "x2ss": 1e300,
+                            "k1": 0.0, "t_end": 0.02})
+        assert run_event_triggered(cfg)[2].tracking_rmse == math.inf
 
 
 @pytest.fixture(scope="module")
