@@ -1,7 +1,8 @@
 """Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
 
 Longer nominal, disturbed and sparse regulate runs pin the two CSV files
-across more rows than one writer block holds.
+across more rows than one writer block holds.  A sparse baseline-comparison
+run pins the metrics of a baseline that differs from its event-triggered run.
 
 Refactors must leave these bytes unchanged.  A change that alters a digest
 on purpose updates it here and says why in CHANGES.md.  The runs write
@@ -10,6 +11,7 @@ under a relative ``--out`` so that the ``outdir`` recorded in
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,6 +20,17 @@ from etsmc.config import build_config
 from etsmc.trigger import estimate_lipschitz
 
 GOLDEN = {
+    # every step fires, so the time-triggered baseline matches the run
+    "baseline-comparison": {
+        "composition.svg": "29f9d2c785fba98c559e3ef54d35888ac0fb2a3d1dc049db30dc8704aa9c129f",
+        "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
+        "events.svg": "003abfa9d8822f02b56966d6602353d59df781de2ce880407e5b4bc9b6370de8",
+        "manifest.json": "ae44898933d16746ae9dd7392b8792d4ff3bd5284220f9b66d268c1a46f174db",
+        "metrics.json": "b9d9f042b171ffd05590ac43a55c8e40c6569673be739178865a405726c8f062",
+        "metrics.txt": "4672f7dba37724df24c9d18e83413540878bfc01b7c18079d209c8785b73fa20",
+        "temperature.svg": "5afc6b3bb914b57cc1f58bba79780eb9ff225e78b8ff0044df27cdab555e710a",
+        "trajectory.csv": "154b9aa0ca0098516fa36fd285ea92d3c7560c2419d8b1308e3a06eaf43013ba",
+    },
     "nominal": {
         "composition.svg": "45f6096a27020a7b4c5e768efb39bd933e19e56d339bc282639062c47ace6a3d",
         "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
@@ -69,6 +82,11 @@ GOLDEN_LONG = {
 
 SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
 
+#: metrics.json of baseline-comparison with SPARSE_CONFIG at --duration 2:
+#: 4 events in 2,000 steps, so the baseline cannot match the run.
+SPARSE_BASELINE_METRICS = (
+    "393d1d758fce4138fc8959547bc9a4e6ecfcf540fe1e5ae23c38feba9b5dbaf0")
+
 L_BAR = 44.22060080686917
 
 
@@ -108,6 +126,18 @@ def test_long_sparse_regulate_csv_digests(tmp_path, monkeypatch):
     digests = _long_csv_digests("regulate-400", tmp_path, monkeypatch,
                                 "--config", "sparse.cfg")
     assert digests == GOLDEN_LONG["regulate-400"]
+
+
+def test_sparse_baseline_comparison_metrics_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
+    # exit 1: lyapunov-decrease-outside-band is known red for this config
+    assert main(["--scenario", "baseline-comparison", "--duration", "2",
+                 "--out", "runs", "--config", "sparse.cfg"]) in (0, 1)
+    data = (tmp_path / "runs" / "baseline-comparison"
+            / "metrics.json").read_bytes()
+    assert json.loads(data)["event_ratio"] < 1.0
+    assert hashlib.sha256(data).hexdigest() == SPARSE_BASELINE_METRICS
 
 
 def test_default_plant_lipschitz_estimate():
