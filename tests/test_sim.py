@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -256,6 +258,70 @@ class TestRunOutputs:
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
         with pytest.warns(RuntimeWarning, match="exceeds feed conversion"):
             run_event_triggered(cfg)
+
+
+
+def assert_same_bits(a, b):
+    for f in fields(Trajectory):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+
+class TestBaselineReuse:
+    """A dense event-triggered run serves its own time-triggered baseline."""
+
+    def test_dense_run_is_its_own_baseline(self):
+        cfg = small_cfg(t_end=0.5)
+        et_traj, _, et_metrics = run_event_triggered(cfg)
+        assert et_traj.event.all()
+        traj, metrics = run_time_triggered(cfg)
+        assert traj is et_traj and metrics is et_metrics
+        # a copy of the config is another object, so it runs the loop
+        loop_traj, loop_metrics = run_time_triggered(replace(cfg))
+        assert loop_traj is not et_traj
+        assert_same_bits(traj, loop_traj)
+        assert metrics == loop_metrics
+
+    @pytest.mark.parametrize("values,flip", [({"mu": 1.0, "m1": 1.0}, False),
+                                             ({}, True)])
+    def test_sparse_or_flipped_run_is_not_reused(self, values, flip):
+        cfg = build_config({"t_end": 0.5, **values})
+        et_traj = run_event_triggered(cfg, flip_control_sign=flip)[0]
+        assert et_traj.event.all() == flip
+        traj, metrics = run_time_triggered(cfg)
+        assert traj.event.all()
+        assert metrics.event_count == cfg.step_count() + 1
+        assert not np.array_equal(traj.u, et_traj.u)
+
+    def test_config_matches_by_identity(self):
+        cfg = small_cfg(t_end=0.5)
+        signed = replace(cfg, x0=DimlessState(0.0, -0.0))
+        assert signed == cfg
+        et_traj = run_event_triggered(cfg)[0]
+        assert not np.signbit(et_traj.x2[0])
+        assert np.signbit(run_time_triggered(signed)[0].x2[0])
+        assert not np.signbit(run_time_triggered(cfg)[0].x2[0])
+
+    def test_slot_holds_the_trajectory_weakly(self):
+        cfg = small_cfg(t_end=0.5)
+        expected, expected_metrics = run_time_triggered(replace(cfg))
+        result = run_event_triggered(cfg)
+        ref = weakref.ref(result[0])
+        del result
+        gc.collect()
+        assert ref() is None
+        traj, metrics = run_time_triggered(cfg)
+        assert_same_bits(traj, expected)
+        assert metrics == expected_metrics
+
+    def test_trajectory_arrays_are_read_only(self):
+        cfg = small_cfg(t_end=0.1)
+        for traj in (run_event_triggered(cfg)[0],
+                     run_time_triggered(replace(cfg))[0]):
+            for f in fields(Trajectory):
+                assert not getattr(traj, f.name).flags.writeable, f.name
+            with pytest.raises(ValueError, match="read-only"):
+                traj.u[0] = 1.0
 
 
 def synthetic_traj(sigma, sigma_dot, band=0.01):
