@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -61,10 +62,18 @@ def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+def _json_values(values: dict) -> dict:
+    """values with each nonfinite float as its text, "inf", "-inf" or "nan",
+    which JSON has no number for."""
+    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in values.items()}
+
+
 def _write_metrics(path_txt: Path, path_json: Path, metrics: dict) -> None:
     lines = [f"{k} = {v}" for k, v in metrics.items()]
     path_txt.write_text("\n".join(lines) + "\n")
-    path_json.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    path_json.write_text(json.dumps(_json_values(metrics), indent=2,
+                                    sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[str]]:
@@ -116,13 +125,13 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
              if p.name != "manifest.json"}
     manifest = RunManifest(
         scenario=name,
-        config=config_values(rcfg),
+        config=_json_values(config_values(rcfg)),
         outdir=str(out),
         files=files,
     )
     (out / "manifest.json").write_text(json.dumps(
         {**asdict(manifest), "invariant_violations": violations},
-        indent=2, sort_keys=True) + "\n")
+        indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest, violations
 
 

@@ -340,6 +340,23 @@ class TestCliRuns:
             1.0 - metrics["event_count"] / metrics["baseline_event_count"])
 
 
+    def test_nonfinite_metric_is_written_as_json_text(self, tmp_path):
+        # sigma cancels to 0 while x2 - x2ref overflows when squared
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("x1ref = -1e300\nlambda1 = 2\nx2ss = 1e300\nk1 = 0\n")
+        assert main(["--config", str(cfg), "--duration", "0.02",
+                     "--out", str(tmp_path)]) == 0
+
+        def strict(name):
+            raise ValueError(f"not JSON: {name}")
+        run_dir = tmp_path / "nominal"
+        metrics = json.loads((run_dir / "metrics.json").read_text(),
+                             parse_constant=strict)
+        json.loads((run_dir / "manifest.json").read_text(),
+                   parse_constant=strict)
+        assert metrics["tracking_rmse"] == "inf"
+        assert "tracking_rmse = inf" in (run_dir / "metrics.txt").read_text()
+
     @pytest.mark.parametrize("scenario,key", [
         ("disturbed", "d1_freq = 1e308"),
         ("nominal", "mu = 5e-324"),
