@@ -7,11 +7,13 @@ escape ``cli.main``.
 
 import inspect
 import io
+import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import sim
@@ -43,8 +45,20 @@ def test_invariant_names_are_found():
     assert "lyapunov-decrease-outside-band" in INVARIANTS
 
 
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# each example reaches a numpy floating-point warning site, which the
+# test suite turns into an error: sigma and V, the x2 reference, the gain
+# norms and the squared tracking error
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(scenario=st.sampled_from(SCENARIO_NAMES), text=config_texts())
+@example(scenario="nominal", text="x1ref = -1e308\nx0_2 = 3\n")
+@example(scenario="nominal", text="k1 = 1e308\n")
+@example(scenario="nominal", text="beta = 1e300\n")
+@example(scenario="baseline-comparison",
+         text="x1ref = -1e300\nlambda1 = 2\nx2ss = 1e300\nk1 = 0\n")
 def test_exit_code_contract(scenario, text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,6 +69,10 @@ def test_exit_code_contract(scenario, text):
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(["--scenario", scenario, "--config", path,
                        "--duration", "0.02", "--out", f"{tmp}/runs"])
+        if rc in (0, 1):
+            for name in ("metrics.json", "manifest.json"):
+                data = (Path(tmp) / "runs" / scenario / name).read_text()
+                json.loads(data, parse_constant=_strict)
     # stderr may also hold warnings when pytest does not capture them
     lines = err.getvalue().splitlines()
     errors = [ln for ln in lines if ln.startswith("error: ")]
