@@ -260,7 +260,6 @@ class TestRunOutputs:
             run_event_triggered(cfg)
 
 
-
 def assert_same_bits(a, b):
     for f in fields(Trajectory):
         x, y = getattr(a, f.name), getattr(b, f.name)
