@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import sim
-from .config import (REGULATE_KEYS, ConfigError, build_config, config_values,
-                     parse_config, read_config)
+from .config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
+                     config_values, parse_config)
 from .plant import PlantError
 from .plots import emit_plot
 from .sim import (SimConfig, check_invariants, resolve_regulation,
@@ -46,20 +46,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
-    if name == "nominal" or name == "baseline-comparison":
-        return replace(cfg, scenario="nominal")
-    if name == "disturbed":
-        return replace(cfg, scenario="disturbed")
+def _kind(name: str) -> str:
+    """The SimConfig scenario kind that the scenario name runs."""
     if name.startswith("regulate-"):
-        if cfg.setpoint_kelvin is not None:
-            raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
-                              f"conflicts with the scenario {name}, whose "
-                              "name sets the setpoint")
-        setpoint = float(name.split("-", 1)[1])
-        cfg = replace(cfg, scenario="regulate", setpoint_kelvin=setpoint)
-        return resolve_regulation(cfg)
-    raise ConfigError(f"unknown scenario {name!r}")
+        return "regulate"
+    return "disturbed" if name == "disturbed" else "nominal"
+
+
+def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
+    kind = _kind(name)
+    if kind != "regulate":
+        return replace(cfg, scenario=kind)
+    if cfg.setpoint_kelvin is not None:
+        raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
+                          f"conflicts with the scenario {name}, whose "
+                          "name sets the setpoint")
+    setpoint = float(name.split("-", 1)[1])
+    cfg = replace(cfg, scenario="regulate", setpoint_kelvin=setpoint)
+    return resolve_regulation(cfg)
 
 
 def _json_values(values: dict) -> dict:
@@ -145,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     parser.add_argument("--out", type=Path, default=Path("runs"),
                         help="output directory root")
-    parser.add_argument("--step", type=float, default=None,
-                        help="integration step override")
     parser.add_argument("--duration", type=float, default=None,
                         help="horizon override")
     return parser
@@ -155,25 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config)
-            if not args.scenario.startswith("regulate-"):
-                # the resolved config cannot tell a key set to its default
-                # from one left out, so look at the file's own keys
-                keys = read_config(args.config)
-                for key in REGULATE_KEYS:
-                    if key in keys:
-                        raise ConfigError(f"{args.config}: {key} applies "
-                                          "only to the regulate-NNN scenarios")
-        else:
-            cfg = build_config({})
-        overrides = {}
-        if args.step is not None:
-            overrides["h"] = args.step
+        cfg = (build_config({}) if args.config is None
+               else parse_config(args.config))
+        # a key the scenario does not read would change nothing; one set to
+        # its default cannot be told from one left out, and changes nothing
+        values = config_values(cfg)
+        for key in UNREAD_KEYS[_kind(args.scenario)]:
+            if values.get(key) != KEYS[key][2]:
+                readers = [n for n in SCENARIO_NAMES
+                           if key not in UNREAD_KEYS[_kind(n)]]
+                raise ConfigError(f"{args.config}: {key} applies only to "
+                                  f"{', '.join(readers)}, not to "
+                                  f"{args.scenario}")
         if args.duration is not None:
-            overrides["t_end"] = args.duration
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, t_end=args.duration)
         manifest, violations = run_scenario(args.scenario, cfg, args.out)
     except (ConfigError, PlantError, sim.SimulationDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,8 +70,16 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
     "setpoint_kelvin": ("run", "setpoint_kelvin", None),
 }
 
-#: The keys that only a regulate run reads.
-REGULATE_KEYS = ("tf0_kelvin", "setpoint_kelvin")
+_DISTURBANCE_KEYS = ("d1_amp", "d1_freq", "d2_amp", "d2_freq")
+
+#: The keys each scenario kind does not read: only a regulate run converts
+#: a kelvin setpoint, which then sets both references, and only a
+#: disturbed run has a disturbance.
+UNREAD_KEYS: dict[str, tuple[str, ...]] = {
+    "nominal": ("tf0_kelvin", "setpoint_kelvin") + _DISTURBANCE_KEYS,
+    "disturbed": ("tf0_kelvin", "setpoint_kelvin"),
+    "regulate": ("x1ref", "x2ss") + _DISTURBANCE_KEYS,
+}
 
 
 def _parse_lines(text: str) -> dict[str, float]:

@@ -69,21 +69,19 @@ class Disturbance:
     """Bounded, measurable sinusoidal disturbance pair.
 
     d1 = amp1 sin(freq1 t) enters the temperature equation, d2 = amp2
-    sin(freq2 t) the composition equation.  Evaluation asserts the declared
-    sup bound.
+    sin(freq2 t) the composition equation; |d_i| <= |amp_i| everywhere.
     """
 
     amp1: float
     freq1: float
     amp2: float
     freq2: float
-    bound: float
 
     def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d1, d2) at the times ts, one sin per point.
 
         Every element equals the Python-float amp * math.sin(freq * t).
-        Raises PlantError on a nonfinite phase or a value over the bound.
+        Raises PlantError on a nonfinite phase.
         """
         out = []
         for amp, freq in ((self.amp1, self.freq1), (self.amp2, self.freq2)):
@@ -94,11 +92,6 @@ class Disturbance:
                 raise PlantError(f"disturbance phase {freq}*t is not finite "
                                  f"at t={ts[bad[0]]}")
             out.append(amp * pointwise(math.sin, phase))
-        bad = np.flatnonzero(np.maximum(np.abs(out[0]), np.abs(out[1]))
-                             > self.bound + 1e-15)
-        if bad.size:
-            raise PlantError(
-                f"disturbance exceeds declared bound at t={ts[bad[0]]}")
         return out[0], out[1]
 
     def eval(self, t: float) -> tuple[float, float]:
@@ -108,13 +101,7 @@ class Disturbance:
 
     @classmethod
     def zero(cls) -> "Disturbance":
-        return cls(amp1=0.0, freq1=0.0, amp2=0.0, freq2=0.0, bound=0.0)
-
-    @classmethod
-    def sinusoidal(cls, amp1: float, freq1: float,
-                   amp2: float, freq2: float) -> "Disturbance":
-        return cls(amp1=amp1, freq1=freq1, amp2=amp2, freq2=freq2,
-                   bound=max(abs(amp1), abs(amp2)))
+        return cls(amp1=0.0, freq1=0.0, amp2=0.0, freq2=0.0)
 
 
 def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:

@@ -96,8 +96,8 @@ class SimConfig:
 
     def disturbance(self) -> Disturbance:
         if self.scenario == "disturbed":
-            return Disturbance.sinusoidal(self.d1_amp, self.d1_freq,
-                                          self.d2_amp, self.d2_freq)
+            return Disturbance(self.d1_amp, self.d1_freq,
+                               self.d2_amp, self.d2_freq)
         return Disturbance.zero()
 
     def step_count(self) -> int:

@@ -154,8 +154,6 @@ def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
     x1 and x2 hold the state components at the events; a memoryview of
     a float64 array reads the array in place.
     """
-    if not lip.l_bar > 0.0:
-        raise InvalidParameterError("Lipschitz constant must be positive")
     if not eps_max > 0.0:
         raise InvalidParameterError("eps_max must be positive")
     m_norm, bbar_norm = _gain_norms(p.beta, sp.lambda1, sp.lambda2)

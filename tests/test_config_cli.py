@@ -123,6 +123,12 @@ class TestCliParser:
                                   "regulate-400", "regulate-500",
                                   "baseline-comparison")
 
+    def test_option_set(self):
+        options = {opt for action in build_parser()._actions
+                   for opt in action.option_strings}
+        assert options - {"-h", "--help"} == {"--scenario", "--config",
+                                              "--out", "--duration"}
+
 
 ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "metrics.json",
              "composition.svg", "temperature.svg", "events.svg",
@@ -192,8 +198,12 @@ class TestCliRuns:
         assert rc == 2
 
     def test_bad_step_exits_2(self, tmp_path, capsys):
-        rc = main(["--step", "-1", "--out", str(tmp_path)])
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text("h = -1\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "runs")])
         assert rc == 2
+        assert "h must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_infinite_horizon_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -252,6 +262,48 @@ class TestCliRuns:
         assert "setpoint_kelvin = 350.0 conflicts with the scenario " \
             "regulate-400" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    # with test_regulate_key_in_config_outside_regulate_exits_2, every
+    # (scenario, key) pair that a scenario does not read
+    @pytest.mark.parametrize("scenario,key", [
+        (scenario, key)
+        for scenarios, keys in [
+            (("nominal", "baseline-comparison"),
+             ("d1_amp", "d1_freq", "d2_amp", "d2_freq")),
+            (("regulate-300", "regulate-400", "regulate-500"),
+             ("x1ref", "x2ss", "d1_amp", "d1_freq", "d2_amp", "d2_freq")),
+        ]
+        for scenario in scenarios for key in keys])
+    def test_key_the_scenario_does_not_read_exits_2(
+            self, tmp_path, capsys, scenario, key):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        rc = main(["--scenario", scenario, "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f" {key} " in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("scenario,line", [
+        ("regulate-400", "tf0_kelvin = 350"),
+        ("nominal", "x1ref = 0.5"), ("nominal", "x2ss = 0.5"),
+        ("baseline-comparison", "x1ref = 0.5"),
+        ("disturbed", "d1_amp = 0.5"), ("disturbed", "d1_freq = 0.5"),
+        ("disturbed", "d2_amp = 0.5"), ("disturbed", "d2_freq = 0.5"),
+    ])
+    def test_key_the_scenario_reads_changes_an_artifact(
+            self, tmp_path, scenario, line):
+        cfg = tmp_path / "read.cfg"
+        cfg.write_text(line + "\n")
+        for out, extra in (("default", []), ("set", ["--config", str(cfg)])):
+            assert main(["--scenario", scenario, *extra, "--duration",
+                         "0.02", "--out", str(tmp_path / out)]) in (0, 1)
+        changed = [p.name for p in sorted((tmp_path / "set" / scenario)
+                                          .iterdir())
+                   if p.name != "manifest.json" and p.read_bytes() !=
+                   (tmp_path / "default" / scenario / p.name).read_bytes()]
+        assert changed
 
     def test_trigger_both_other_than_0_or_1_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "both.cfg"

@@ -100,8 +100,7 @@ class TestDriftVector:
     def test_disturbance_channel_placement(self):
         # d2 enters the composition row with a minus, d1 the temperature
         # row with a plus; at t = pi/2 the sinusoids sit at their amplitudes
-        d = Disturbance(amp1=0.01, freq1=1.0, amp2=0.02, freq2=1.0,
-                        bound=0.05)
+        d = Disturbance(amp1=0.01, freq1=1.0, amp2=0.02, freq2=1.0)
         t = 0.5 * math.pi
         clean = drift_vector(DimlessState(0.2, 0.5), t, NOMINAL,
                              Disturbance.zero(), REF)
