@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
-from etsmc.trigger import CSV_BLOCK, margin, thresholds
+from etsmc.trigger import CSV_BLOCK, EventLog, margin, thresholds
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 LINEAR = DimlessParams(da=1e-300, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
@@ -185,6 +187,25 @@ class TestLoopEquivalence:
         assert traj.event.all()
         assert metrics.event_count == cfg.step_count() + 1
         assert metrics.min_gap == pytest.approx(cfg.h)
+
+
+#: SHA-256 of the sign-flipped falsification run at t_end = 2 (1,994 of
+#: 2,001 steps fire): a change to how the flip is made keeps this string.
+FLIPPED_DIGEST = (
+    "4c1fa5e84d411ac9130972bd759112c2b3d19663be90eef6f4b36f4a6e68bd18")
+
+
+def test_flipped_run_digest():
+    traj, log, metrics = run_event_triggered(build_config({"t_end": 2.0}),
+                                             flip_control_sign=True)
+    digest = hashlib.sha256()
+    # the order of the benchmark's sweep digest, then the metrics
+    for f in fields(Trajectory):
+        digest.update(np.ascontiguousarray(getattr(traj, f.name)).tobytes())
+    for f in fields(EventLog):
+        digest.update(np.asarray(getattr(log, f.name), dtype=float).tobytes())
+    digest.update(json.dumps(asdict(metrics)).encode())
+    assert digest.hexdigest() == FLIPPED_DIGEST
 
 
 class TestRunOutputs:
