@@ -214,8 +214,8 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
                              *d.eval(t_next)))
 
 
-def _run_loop(cfg: SimConfig, every_step: bool,
-              flip_control_sign: bool) -> tuple[Trajectory, EventLog]:
+def _run_loop(cfg: SimConfig, every_step: bool
+              ) -> tuple[Trajectory, EventLog]:
     p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
     d = cfg.disturbance()
     n = cfg.step_count()
@@ -223,7 +223,6 @@ def _run_loop(cfg: SimConfig, every_step: bool,
     beta = p.beta
     lam1, lam2 = sp.lambda1, sp.lambda2
     x1ref = r.x1_const
-    flip = -1.0 if flip_control_sign else 1.0
 
     # the time-only series come from their array homes; i*h here equals
     # the scalar i * h bit for bit.  The loop reads every series, and
@@ -285,8 +284,8 @@ def _run_loop(cfg: SimConfig, every_step: bool,
 
         fire = i == 0 or delta >= 0.0 or every_step
         if fire:
-            u = flip * switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot,
-                                     sp, beta)
+            u = switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot, sp,
+                              beta)
             xk1, xk2 = x1, x2
             e2dot = f2 + beta * u + d1v - x2ref_dot
             evt_to[i] = True
@@ -322,7 +321,7 @@ def _run_loop(cfg: SimConfig, every_step: bool,
 
 
 #: (config, weak reference to the Trajectory, Metrics) of the last
-#: unflipped run_event_triggered run in which every step fired.  That run
+#: run_event_triggered run in which every step fired.  That run
 #: is its own time-triggered baseline: both loops do the same float
 #: operations in the same order, and compute_metrics reads only the event
 #: instants and gaps, which are equal in both logs.  The config matches by
@@ -333,7 +332,7 @@ def _run_loop(cfg: SimConfig, every_step: bool,
 _dense_run: Optional[tuple[SimConfig, weakref.ref, Metrics]] = None
 
 
-def run_event_triggered(cfg: SimConfig, *, flip_control_sign: bool = False
+def run_event_triggered(cfg: SimConfig
                         ) -> tuple[Trajectory, EventLog, Metrics]:
     """Event-triggered closed-loop run (the default operating mode)."""
     global _dense_run
@@ -341,15 +340,14 @@ def run_event_triggered(cfg: SimConfig, *, flip_control_sign: bool = False
     # the t = 0 event is at x0, so a zero Zeno denominator there would fail
     # the post-pass for certain; the denominator does not depend on eps_max
     zeno_bound(cfg.x0, 1.0, lip, cfg.plant, cfg.sliding)
-    traj, log = _run_loop(cfg, every_step=False,
-                          flip_control_sign=flip_control_sign)
+    traj, log = _run_loop(cfg, every_step=False)
     steps = np.flatnonzero(traj.event)
     eps_max = max(float(traj.eps.max()), 1e-300)
     log.bound_at_event = zeno_bounds(
         memoryview(traj.x1[steps]), memoryview(traj.x2[steps]), eps_max, lip,
         cfg.plant, cfg.sliding)
     metrics = compute_metrics(traj, log)
-    if not flip_control_sign and len(steps) == len(traj.t):
+    if len(steps) == len(traj.t):
         _dense_run = (cfg, weakref.ref(traj), metrics)
     return traj, log, metrics
 
@@ -366,7 +364,7 @@ def run_time_triggered(cfg: SimConfig) -> tuple[Trajectory, Metrics]:
         traj = _dense_run[1]()
         if traj is not None:
             return traj, _dense_run[2]
-    traj, log = _run_loop(cfg, every_step=True, flip_control_sign=False)
+    traj, log = _run_loop(cfg, every_step=True)
     return traj, compute_metrics(traj, log)
 
 

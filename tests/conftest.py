@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from etsmc import sim
 from etsmc.config import build_config
+from etsmc.controller import switching_law
 from etsmc.sim import (resolve_regulation, run_event_triggered,
                        run_time_triggered)
 
@@ -53,7 +55,25 @@ def regulate_runs(default_cfg):
     return out
 
 
+def _flipped_law(*args):
+    return -switching_law(*args)
+
+
 @pytest.fixture(scope="session")
-def flipped_run(default_cfg):
+def run_flipped():
+    """run_event_triggered with the loop's control law negated.
+
+    The run takes a copy of the config, so that a dense flipped run, kept
+    as a baseline for the config it ran, is never served for the caller's.
+    """
+    def run(cfg):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "switching_law", _flipped_law)
+            return run_event_triggered(replace(cfg))
+    return run
+
+
+@pytest.fixture(scope="session")
+def flipped_run(default_cfg, run_flipped):
     """Falsification control: actuation sign deliberately inverted."""
-    return run_event_triggered(default_cfg, flip_control_sign=True)
+    return run_flipped(default_cfg)

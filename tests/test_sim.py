@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -137,7 +138,7 @@ def reference_margin(x, u, t, cfg):
 
 class TestLoopEquivalence:
     # moderate gain so that the trigger skips grid points (the flipped
-    # control fires everywhere); the disturbed cases guard the loop's reuse
+    # control, run with the law negated, fires everywhere); the disturbed cases guard the loop's reuse
     # of the drift between steps, since the disturbance must still be read
     # at t - h, t - h/2 and t.  At ~1000 rad per time unit an ulp in the
     # stage time moves the sine, so the fast case also pins that the start
@@ -150,12 +151,13 @@ class TestLoopEquivalence:
         ("nominal", {}, True),
     )
 
-    def test_matches_public_operations_bitwise(self):
+    def test_matches_public_operations_bitwise(self, run_flipped):
         for scenario, values, flip in self.CASES:
             cfg = build_config({"mu": 0.5, "t_end": 0.5, **values},
                                scenario=scenario)
             case = (scenario, values, flip)
-            traj, log, _ = run_event_triggered(cfg, flip_control_sign=flip)
+            run = run_flipped if flip else run_event_triggered
+            traj, log, _ = run(cfg)
             sgn = -1.0 if flip else 1.0
             p, sp, r = cfg.plant, cfg.sliding, cfg.reference
             d = cfg.disturbance()
@@ -195,9 +197,8 @@ FLIPPED_DIGEST = (
     "4c1fa5e84d411ac9130972bd759112c2b3d19663be90eef6f4b36f4a6e68bd18")
 
 
-def test_flipped_run_digest():
-    traj, log, metrics = run_event_triggered(build_config({"t_end": 2.0}),
-                                             flip_control_sign=True)
+def test_flipped_run_digest(run_flipped):
+    traj, log, metrics = run_flipped(build_config({"t_end": 2.0}))
     digest = hashlib.sha256()
     # the order of the benchmark's sweep digest, then the metrics
     for f in fields(Trajectory):
@@ -281,6 +282,12 @@ class TestRunOutputs:
             run_event_triggered(cfg)
 
 
+def test_run_api_takes_only_the_config():
+    # a parameter that only tests set would give the loop a second law
+    for run in (run_event_triggered, run_time_triggered):
+        assert list(inspect.signature(run).parameters) == ["cfg"], run
+
+
 def assert_same_bits(a, b):
     for f in fields(Trajectory):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -302,12 +309,10 @@ class TestBaselineReuse:
         assert_same_bits(traj, loop_traj)
         assert metrics == loop_metrics
 
-    @pytest.mark.parametrize("values,flip", [({"mu": 1.0, "m1": 1.0}, False),
-                                             ({}, True)])
-    def test_sparse_or_flipped_run_is_not_reused(self, values, flip):
-        cfg = build_config({"t_end": 0.5, **values})
-        et_traj = run_event_triggered(cfg, flip_control_sign=flip)[0]
-        assert et_traj.event.all() == flip
+    def test_sparse_run_is_not_reused(self):
+        cfg = build_config({"t_end": 0.5, "mu": 1.0, "m1": 1.0})
+        et_traj = run_event_triggered(cfg)[0]
+        assert not et_traj.event.all()
         traj, metrics = run_time_triggered(cfg)
         assert traj.event.all()
         assert metrics.event_count == cfg.step_count() + 1
