@@ -23,6 +23,10 @@ from .trigger import write_event_csv
 SCENARIO_NAMES = ("nominal", "disturbed", "regulate-300", "regulate-400",
                   "regulate-500", "baseline-comparison")
 
+#: The files a run writes besides manifest.json, which holds their digests.
+ARTIFACTS = ("composition.svg", "events.csv", "events.svg", "metrics.json",
+             "metrics.txt", "temperature.svg", "trajectory.csv")
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -125,8 +129,8 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
                   title=f"Sampling instants ({name})",
                   xlabel="event instant", ylabel="event")
 
-    files = {p.name: _sha256(p) for p in sorted(out.iterdir())
-             if p.name != "manifest.json"}
+    # only what this run wrote: the directory may hold other files
+    files = {name: _sha256(out / name) for name in ARTIFACTS}
     manifest = RunManifest(
         scenario=name,
         config=_json_values(config_values(rcfg)),

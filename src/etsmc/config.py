@@ -126,20 +126,15 @@ def build_config(values: Mapping[str, float],
         raise ConfigError(str(exc)) from exc
 
 
-def read_config(path) -> dict[str, float]:
-    """The key-value pairs of a UTF-8 configuration file, unresolved."""
+def parse_config(path, scenario: str = "nominal") -> SimConfig:
+    """Read, validate and resolve a UTF-8 configuration file."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} "
                               f"at byte {exc.start})") from exc
-    return _parse_lines(text)
-
-
-def parse_config(path, scenario: str = "nominal") -> SimConfig:
-    """Read, validate and resolve a UTF-8 configuration file."""
-    return build_config(read_config(path), scenario=scenario)
+    return build_config(_parse_lines(text), scenario=scenario)
 
 
 def config_values(cfg: SimConfig) -> dict[str, float]:

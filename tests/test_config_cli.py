@@ -157,6 +157,15 @@ class TestCliRuns:
             actual = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             assert actual == digest
 
+    def test_manifest_hashes_only_the_run_artifacts(self, tmp_path, capsys):
+        run_dir = tmp_path / "nominal"
+        (run_dir / "sub").mkdir(parents=True)
+        (run_dir / "notes.txt").write_text("not an artifact\n")
+        assert main(["--duration", "1.0", "--out", str(tmp_path)]) == 0
+        assert "wrote 7 artifacts" in capsys.readouterr().out
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert set(manifest["files"]) == set(ARTIFACTS) - {"manifest.json"}
+
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = build_config({"t_end": 1.0})
         m1, v1 = run_scenario("nominal", cfg, tmp_path / "a")
