@@ -321,14 +321,13 @@ def _run_loop(cfg: SimConfig, every_step: bool
 
 
 #: (config, weak reference to the Trajectory, Metrics) of the last
-#: run_event_triggered run in which every step fired.  That run
-#: is its own time-triggered baseline: both loops do the same float
-#: operations in the same order, and compute_metrics reads only the event
-#: instants and gaps, which are equal in both logs.  The config matches by
-#: identity, since x0_2 = -0.0 equals 0.0 yet writes other bytes; the
-#: trajectory is held weakly, so the slot never keeps one alive.  A
-#: baseline served from here does not repeat the loop's "exceeds feed
-#: conversion" warning.
+#: run_event_triggered run in which every step fired.  That run is its own
+#: time-triggered baseline: both loops do the same float operations in the
+#: same order, and compute_metrics reads only the event instants and gaps,
+#: which are equal in both logs.  The config matches by identity, since
+#: x0_2 = -0.0 equals 0.0 yet writes other bytes; the trajectory is held
+#: weakly, so the slot never keeps one alive.  A baseline served from here
+#: does not repeat the loop's "exceeds feed conversion" warning.
 _dense_run: Optional[tuple[SimConfig, weakref.ref, Metrics]] = None
 
 

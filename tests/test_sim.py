@@ -138,7 +138,7 @@ def reference_margin(x, u, t, cfg):
 
 class TestLoopEquivalence:
     # moderate gain so that the trigger skips grid points (the flipped
-    # control, run with the law negated, fires everywhere); the disturbed cases guard the loop's reuse
+    # control fires everywhere); the disturbed cases guard the loop's reuse
     # of the drift between steps, since the disturbance must still be read
     # at t - h, t - h/2 and t.  At ~1000 rad per time unit an ulp in the
     # stage time moves the sine, so the fast case also pins that the start
