@@ -55,10 +55,6 @@ def regulate_runs(default_cfg):
     return out
 
 
-def _flipped_law(*args):
-    return -switching_law(*args)
-
-
 @pytest.fixture(scope="session")
 def run_flipped():
     """run_event_triggered with the loop's control law negated.
@@ -68,7 +64,8 @@ def run_flipped():
     """
     def run(cfg):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "switching_law", _flipped_law)
+            mp.setattr(sim, "switching_law",
+                       lambda *args: -switching_law(*args))
             return run_event_triggered(replace(cfg))
     return run
 
