@@ -1,13 +1,16 @@
 """Key-value configuration ingestion with documented defaults.
 
 The file format is flat ``key = value`` lines, ``#`` comments, decimal dot.
-Missing keys fall back to the documented default experiment parameterization;
-unknown keys and non-finite values are hard errors.
+A value is ASCII decimal text, as ``repr`` writes a float; ``float()`` would
+also take digit-group underscores and non-ASCII digits.  Missing keys fall
+back to the documented default experiment parameterization; unknown keys and
+non-finite values are hard errors.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
@@ -82,6 +85,12 @@ UNREAD_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The value text _parse_lines accepts.  inf and nan are taken, so that
+#: build_config rejects them as not finite.
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                      r"|inf|infinity|nan)", re.ASCII | re.IGNORECASE)
+
+
 def _parse_lines(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,11 +106,10 @@ def _parse_lines(text: str) -> dict[str, float]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = float(val)
-        except ValueError:
+        if not _DECIMAL.fullmatch(val):
             raise ConfigError(
                 f"line {lineno}: value for {key!r} is not a decimal number")
+        values[key] = float(val)
     return values
 
 

@@ -6,6 +6,16 @@ control, recompute the held control if the margin is nonnegative (the first
 computation at t = 0 is an event by definition), integrate one RK4 step with
 the control frozen across stages, and record.  Identical configurations give
 bit-identical outputs.
+
+The per-step body is one fused kernel.  It evaluates plant.drift (at the
+three later RK4 stages and at the new state), the rest of rk4 and
+trigger.margin in line, with their constants hoisted into locals and every
+operation in its operand order, so each float equals what those functions
+give bit for bit and the step makes no Python call.  Where plant.drift
+would raise, the loop calls it at that point, so every error and its text
+still come from plant.drift.  tests/test_sim.py::TestLoopEquivalence
+replays runs through plant.drift, rk4 and trigger.margin as the bitwise
+oracle of the kernel.
 """
 
 from __future__ import annotations
@@ -20,11 +30,11 @@ from typing import Optional
 import numpy as np
 
 from .controller import ReferenceSignal, SlidingParams, switching_law
-from .plant import (DimlessParams, DimlessState, Disturbance,
+from .plant import (SINGULAR_TOL, DimlessParams, DimlessState, Disturbance,
                     InvalidParameterError, composition_nullcline, drift,
                     kelvin_to_x2)
 from .trigger import (CSV_BLOCK, EventLog, EventText, TriggerParams,
-                      estimate_lipschitz, format_blocks, margin, thresholds,
+                      estimate_lipschitz, format_blocks, thresholds,
                       zeno_bound, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
@@ -220,9 +230,16 @@ def _run_loop(cfg: SimConfig, every_step: bool
     d = cfg.disturbance()
     n = cfg.step_count()
     h = cfg.h
-    beta = p.beta
     lam1, lam2 = sp.lambda1, sp.lambda2
     x1ref = r.x1_const
+    # the constants of plant.drift, rk4 and trigger.margin (see the module
+    # docstring); b_rise*da*(1-x1)*ex associates left, so hoisting its
+    # first product is exact
+    gamma, da, beta, x2c0 = p.gamma, p.da, p.beta, p.x2c0
+    bda = p.b_rise * p.da
+    half, h6 = 0.5 * h, h / 6.0
+    zeta, xi, both = tp.zeta, tp.xi, tp.trigger_both
+    exp, hypot, isfinite, inf = math.exp, math.hypot, math.isfinite, math.inf
 
     # the time-only series come from their array homes; i*h here equals
     # the scalar i * h bit for bit.  The loop reads every series, and
@@ -253,41 +270,105 @@ def _run_loop(cfg: SimConfig, every_step: bool
     warned_x1 = False
     x1, x2 = cfg.x0.x1, cfg.x0.x2
     u = 0.0
+    bu = beta * u
     xk1, xk2 = x1, x2
     f1, f2 = drift(x1, x2, p)
 
+    # Each drift below is plant.drift in line.  Where plant.drift would
+    # raise (1 + x2/gamma within SINGULAR_TOL of zero, or exp overflowing),
+    # the loop calls it at that point instead, so the error is its own.
     for i in range(n + 1):
         t = t_at[i]
         d1v, d2v = d1_at[i], d2_at[i]
         if i > 0:
+            # rk4 from (x1, x2), whose drift (f1, f2) is stage 1
             j = i - 1
-            x1, x2 = rk4(x1, x2, f1, f2, u, t, h, p, d1_0[j], d2_0[j],
-                         d1_mid[j], d2_mid[j], d1v, d2v)
+            d1m, d2m = d1_mid[j], d2_mid[j]
+            a1 = f1 - d2_0[j]
+            a2 = f2 + bu + d1_0[j]
+            y1 = x1 + half * a1
+            y2 = x2 + half * a2
+            den = 1.0 + y2 / gamma
+            if -SINGULAR_TOL < den < SINGULAR_TOL:
+                drift(y1, y2, p)
+            try:
+                ex = exp(y2 / den)
+            except OverflowError:
+                drift(y1, y2, p)
+                raise
+            rem = 1.0 - y1
+            b1 = -y1 + da * rem * ex - d2m
+            b2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+            y1 = x1 + half * b1
+            y2 = x2 + half * b2
+            den = 1.0 + y2 / gamma
+            if -SINGULAR_TOL < den < SINGULAR_TOL:
+                drift(y1, y2, p)
+            try:
+                ex = exp(y2 / den)
+            except OverflowError:
+                drift(y1, y2, p)
+                raise
+            rem = 1.0 - y1
+            c1 = -y1 + da * rem * ex - d2m
+            c2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+            y1 = x1 + h * c1
+            y2 = x2 + h * c2
+            den = 1.0 + y2 / gamma
+            if -SINGULAR_TOL < den < SINGULAR_TOL:
+                drift(y1, y2, p)
+            try:
+                ex = exp(y2 / den)
+            except OverflowError:
+                drift(y1, y2, p)
+                raise
+            rem = 1.0 - y1
+            w1 = -y1 + da * rem * ex - d2v
+            w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
+            x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
+            x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
+            if not (isfinite(x1) and isfinite(x2)):
+                raise SimulationDivergedError(
+                    f"state became nonfinite at t={t}: ({x1}, {x2})")
             if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
                 warnings.warn(
                     f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
                     RuntimeWarning, stacklevel=3)
                 warned_x1 = True
             # also stage 1 of the next step: same state, same drift
-            f1, f2 = drift(x1, x2, p)
+            den = 1.0 + x2 / gamma
+            if -SINGULAR_TOL < den < SINGULAR_TOL:
+                drift(x1, x2, p)
+            try:
+                ex = exp(x2 / den)
+            except OverflowError:
+                drift(x1, x2, p)
+                raise
+            rem = 1.0 - x1
+            f1 = -x1 + da * rem * ex
+            f2 = -x2 + bda * rem * ex - beta * (x2 - x2c0)
 
         x2ref_dot = x2ref_dot_at[i]
         e1 = x1 - x1ref
         e2 = x2 - x2ref_at[i]
         e1dot = f1 - d2v
-        e2dot = f2 + beta * u + d1v - x2ref_dot
-        dlt_to[i] = delta = margin(e1, e2, e1dot, e2dot, tol_at[i], tp)
+        e2dot = f2 + bu + d1v - x2ref_dot
+        # trigger.margin
+        val = abs(zeta * e1 + xi * e1dot * e1dot) if both else -inf
+        v2 = abs(zeta * e2 + xi * e2dot * e2dot)
+        if v2 > val:
+            val = v2
+        dlt_to[i] = delta = val - tol_at[i]
         # discretization error relative to the snapshot held until now,
         # taken before any update at this instant: 0 at t = 0, and at any
         # later event step the distance to the previous snapshot
-        eps_to[i] = math.hypot(x1 - xk1, x2 - xk2)
+        eps_to[i] = hypot(x1 - xk1, x2 - xk2)
 
-        fire = i == 0 or delta >= 0.0 or every_step
-        if fire:
-            u = switching_law(e1, e2, f1 - d2v, f2 + d1v - x2ref_dot, sp,
-                              beta)
+        if i == 0 or delta >= 0.0 or every_step:
+            u = switching_law(e1, e2, e1dot, f2 + d1v - x2ref_dot, sp, beta)
+            bu = beta * u
             xk1, xk2 = x1, x2
-            e2dot = f2 + beta * u + d1v - x2ref_dot
+            e2dot = f2 + bu + d1v - x2ref_dot
             evt_to[i] = True
 
         x1_to[i] = x1

@@ -359,6 +359,21 @@ class TestCliRuns:
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error:") and message in out.stderr
 
+    @pytest.mark.parametrize("line", ["mu = 2_5", "zeta = \u0660.8"],
+                             ids=["digit-group-underscore",
+                                  "arabic-indic-zero"])
+    def test_non_ascii_decimal_value_exits_2(self, tmp_path, capsys, line):
+        # float() reads these as 25.0 and 0.8
+        cfg = tmp_path / "text.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        rc = main(["--config", str(cfg), "--duration", "0.02",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err == (
+            f"error: line 1: value for {key!r} is not a decimal number\n")
+        assert not (tmp_path / "runs").exists()
+
     def test_non_utf8_config_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "latin.cfg"
         cfg.write_bytes(b"mu = 25\n\xff\xfe = 1\n")
@@ -429,6 +444,58 @@ class TestCliRuns:
         assert main(["--scenario", scenario, "--config", str(cfg),
                      "--duration", "2.5", "--out", str(tmp_path / "runs")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    # The reference x2 = -100 drives the temperature down through x2 =
+    # -gamma = -20, where 1 + x2/gamma vanishes.  Each x0_2 was bisected so
+    # that one point of an RK4 step lands on -20 exactly (singular) or is
+    # the first to fall just below it (overflow); the id names that point.
+    # d1_freq = 1.5*pi/h sets the disturbance apart at the middle and the
+    # end of the first step, so that the later points can be reached.
+    @pytest.mark.parametrize("scenario,text,message", [
+        ("nominal", "gamma = 1000000\nx0_2 = 700",
+         "exp(x2/(1+x2/gamma)) overflows "
+         "(x2=-1.2120387540852948e+299, gamma=1000000.0)"),
+        ("nominal", "x2ss = -100\nk1 = 0\nx0_2 = -19.99375",
+         "1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = -100\n"
+         "d1_freq = 3141.592653589793\nx0_2 = -19.9437540625",
+         "1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)"),
+        ("nominal", "x2ss = -100\nk1 = 0\nx0_2 = -19.98750811971875",
+         "1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+         "d1_freq = 4712.38898038469\nx0_2 = -19.990552436888013",
+         "1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+         "d1_freq = 4712.38898038469\nx0_2 = -19.9195",
+         "exp(x2/(1+x2/gamma)) overflows (x2=-20.00015312096196, "
+         "gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+         "d1_freq = 4712.38898038469\nx0_2 = -19.911",
+         "exp(x2/(1+x2/gamma)) overflows (x2=-20.00018459237209, "
+         "gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+         "d1_freq = 4712.38898038469\nx0_2 = -19.9",
+         "exp(x2/(1+x2/gamma)) overflows (x2=-20.00395496641699, "
+         "gamma=20.0)"),
+        ("disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+         "d1_freq = 4712.38898038469\nx0_2 = -19.94075",
+         "exp(x2/(1+x2/gamma)) overflows (x2=-20.00016505873047, "
+         "gamma=20.0)"),
+        ("nominal", "x0_1 = 1.5e308",
+         "state became nonfinite at t=0.001: (nan, nan)"),
+    ], ids=["stage-2-overflow-gamma", "stage-2-singular", "stage-3-singular",
+            "stage-4-singular", "next-drift-singular", "stage-2-overflow",
+            "stage-3-overflow", "stage-4-overflow", "next-drift-overflow",
+            "nonfinite-state"])
+    def test_error_inside_a_step_exits_2(self, tmp_path, capsys, scenario,
+                                         text, message):
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(text + "\n")
+        rc = main(["--scenario", scenario, "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "runs").exists()
 
     def test_zeno_denominator_rejected_before_the_loop(

@@ -13,7 +13,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import sim
@@ -85,3 +86,47 @@ def test_exit_code_contract(scenario, text):
     assert len(failed) == (rc == 1), lines
     if failed:
         assert set(failed[0]) <= INVARIANTS, failed
+
+
+#: --duration and h extremes (None: not set).  No pair of them makes a run
+#: that fits under sim.MAX_STEPS, so each is rejected with the config,
+#: before any array is allocated.
+DURATIONS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
+             -5e-324, 1e308, -1e308, None]
+STEPS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 5e-324,
+         1e300, 1e308, None]
+HORIZON_ERRORS = ("value for 'h' must be finite",
+                  "h must be positive and finite",
+                  "t_end must be finite and at least 10*h",
+                  f"exceeds the ceiling of {sim.MAX_STEPS}")
+
+
+def _no_loop(*args):
+    raise AssertionError("the closed loop ran")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(duration=st.sampled_from(DURATIONS), h=st.sampled_from(STEPS))
+def test_duration_and_step_extremes_exit_2(duration, h):
+    assume(duration is not None or h is not None)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        # a draw that got past the config would run here, and fail
+        mp.setattr(sim, "_run_loop", _no_loop)
+        path = f"{tmp}/horizon.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("" if h is None else f"h = {h!r}\n")
+        argv = ["--config", path, "--out", f"{tmp}/runs"]
+        if duration is not None:
+            # the = form, since argparse reads a bare "-inf" as an option
+            argv.append(f"--duration={duration!r}")
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert not Path(tmp, "runs").exists()
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert rc == 2, lines
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    assert len(errors) == 1, lines
+    assert any(text in errors[0] for text in HORIZON_ERRORS), errors

@@ -11,6 +11,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from etsmc import sim
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams, event_control_update
 from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
@@ -19,7 +20,8 @@ from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
-from etsmc.trigger import CSV_BLOCK, EventLog, margin, thresholds
+from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, EventLog, margin,
+                           thresholds)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 LINEAR = DimlessParams(da=1e-300, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
@@ -136,52 +138,84 @@ def reference_margin(x, u, t, cfg):
                   f2 + p.beta * u + d1v - r.x2ref_dot(t), tol, cfg.trigger)
 
 
+def assert_matches_public_operations(traj, cfg, case, sgn=1.0,
+                                     every_step=False):
+    """traj equals, bit for bit, a replay of cfg through the public
+    operations: drift, rk4, Disturbance.eval, the reference, margin and
+    event_control_update (scaled by sgn), firing at every step if asked."""
+    p, sp, r = cfg.plant, cfg.sliding, cfg.reference
+    d = cfg.disturbance()
+    h = cfg.h
+    x = cfg.x0
+    u = sgn * event_control_update(x, 0.0, p, d, r, sp).u
+    assert traj.u[0] == u and traj.event[0], case
+    for i in range(1, cfg.step_count() + 1):
+        t = i * h
+        x = DimlessState(*rk4(x.x1, x.x2, *drift(x.x1, x.x2, p), u,
+                              t, h, p, *d.eval(t - h),
+                              *d.eval((t - h) + 0.5 * h),
+                              *d.eval(t)))
+        dlt = reference_margin(x, u, t, cfg)
+        fired = every_step or dlt >= 0.0
+        if fired:
+            u = sgn * event_control_update(x, t, p, d, r, sp).u
+        assert traj.x1[i] == x.x1, (case, i)
+        assert traj.x2[i] == x.x2, (case, i)
+        assert traj.u[i] == u, (case, i)
+        assert traj.delta[i] == dlt, (case, i)
+        assert bool(traj.event[i]) == fired, (case, i)
+
+
 class TestLoopEquivalence:
-    # moderate gain so that the trigger skips grid points (the flipped
-    # control fires everywhere); the disturbed cases guard the loop's reuse
-    # of the drift between steps, since the disturbance must still be read
-    # at t - h, t - h/2 and t.  At ~1000 rad per time unit an ulp in the
-    # stage time moves the sine, so the fast case also pins that the start
-    # of a step is t - h, not the previous grid time
+    """The loop's fused kernel against the public operations, bit for bit.
+
+    Moderate gain, so that the trigger skips grid points (the flipped
+    control fires everywhere).  The disturbed cases guard the loop's reuse
+    of the drift between steps, since the disturbance must still be read
+    at t - h, t - h/2 and t.  At ~1000 rad per time unit an ulp in the
+    stage time moves the sine, so the fast case also pins that the start
+    of a step is t - h, not the previous grid time.  The plant case sets
+    every drift constant the kernel hoists away from its default, and the
+    regulate-400 state climbs out of LIPSCHITZ_BOX towards x2ss = 6.67.
+    """
+
     CASES = (
         ("nominal", {}, False),
         ("disturbed", {}, False),
         ("disturbed", {"d1_freq": 997.0, "d2_freq": 1013.0}, False),
         ("nominal", {"trigger_both": 1.0, "m1": 0.5}, False),
+        ("disturbed", {"x2c0": 0.37, "b_rise": 6.5, "beta": 0.45}, False),
+        ("regulate", {"setpoint_kelvin": 400.0, "t_end": 2.0}, False),
         ("nominal", {}, True),
     )
 
+    @staticmethod
+    def config(scenario, values):
+        return resolve_regulation(build_config(
+            {"mu": 0.5, "t_end": 0.5, **values}, scenario=scenario))
+
     def test_matches_public_operations_bitwise(self, run_flipped):
         for scenario, values, flip in self.CASES:
-            cfg = build_config({"mu": 0.5, "t_end": 0.5, **values},
-                               scenario=scenario)
+            cfg = self.config(scenario, values)
             case = (scenario, values, flip)
             run = run_flipped if flip else run_event_triggered
             traj, log, _ = run(cfg)
-            sgn = -1.0 if flip else 1.0
-            p, sp, r = cfg.plant, cfg.sliding, cfg.reference
-            d = cfg.disturbance()
-            h = cfg.h
-            x = cfg.x0
-            u = sgn * event_control_update(x, 0.0, p, d, r, sp).u
-            assert traj.u[0] == u and traj.event[0], case
-            for i in range(1, cfg.step_count() + 1):
-                t = i * h
-                x = DimlessState(*rk4(x.x1, x.x2, *drift(x.x1, x.x2, p), u,
-                                      t, h, p, *d.eval(t - h),
-                                      *d.eval((t - h) + 0.5 * h),
-                                      *d.eval(t)))
-                dlt = reference_margin(x, u, t, cfg)
-                fired = dlt >= 0.0
-                if fired:
-                    u = sgn * event_control_update(x, t, p, d, r, sp).u
-                assert traj.x1[i] == x.x1, (case, i)
-                assert traj.x2[i] == x.x2, (case, i)
-                assert traj.u[i] == u, (case, i)
-                assert traj.delta[i] == dlt, (case, i)
-                assert bool(traj.event[i]) == fired, (case, i)
+            if scenario == "regulate":
+                assert traj.x2.max() > LIPSCHITZ_BOX[1][1], case
+            assert_matches_public_operations(traj, cfg, case,
+                                             sgn=-1.0 if flip else 1.0)
             assert list(log.instants) == [
-                i * h for i in np.flatnonzero(traj.event)]
+                i * cfg.h for i in np.flatnonzero(traj.event)]
+
+    def test_time_triggered_matches_public_operations_bitwise(self):
+        # a sparse run, and a copy of its config, so that the loop runs
+        # with every_step set instead of the slot serving a dense run
+        cfg = self.config("disturbed", {})
+        assert not run_event_triggered(cfg)[0].event.all()
+        traj, metrics = run_time_triggered(replace(cfg))
+        assert_matches_public_operations(traj, cfg, "time-triggered",
+                                         every_step=True)
+        assert metrics.event_count == len(traj.t)
 
     def test_time_triggered_fires_everywhere(self):
         cfg = small_cfg(t_end=0.2)
@@ -189,6 +223,24 @@ class TestLoopEquivalence:
         assert traj.event.all()
         assert metrics.event_count == cfg.step_count() + 1
         assert metrics.min_gap == pytest.approx(cfg.h)
+
+
+def test_loop_calls_drift_only_at_x0(monkeypatch):
+    # the kernel evaluates every later drift in line: a Python call per
+    # RK4 stage costs more than the arithmetic it does
+    calls = []
+
+    def counted(x1, x2, p):
+        calls.append((x1, x2))
+        return drift(x1, x2, p)
+
+    monkeypatch.setattr(sim, "drift", counted)
+    cfg = small_cfg(t_end=0.1)
+    for run in (run_event_triggered, run_time_triggered):
+        calls.clear()
+        traj = run(replace(cfg))[0]
+        assert cfg.step_count() == 100 and traj.event.all()
+        assert calls == [(cfg.x0.x1, cfg.x0.x2)], run
 
 
 #: SHA-256 of the sign-flipped falsification run at t_end = 2 (1,994 of
