@@ -1,16 +1,18 @@
 """Key-value configuration ingestion with documented defaults.
 
 The file format is flat ``key = value`` lines, ``#`` comments, decimal dot.
-A value is ASCII decimal text, as ``repr`` writes a float; ``float()`` would
-also take digit-group underscores and non-ASCII digits.  Missing keys fall
-back to the documented default experiment parameterization; unknown keys and
-non-finite values are hard errors.
+Keys are ASCII, any case.  A value is ASCII decimal text, as ``repr`` writes
+a float; ``float()`` would also take digit-group underscores and non-ASCII
+digits.  Only ASCII spaces are stripped.  Missing keys fall back to the
+documented default experiment parameterization; unknown keys and non-finite
+values are hard errors.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
@@ -94,14 +96,15 @@ _DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
 def _parse_lines(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(string.whitespace)
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
+        key = key.strip(string.whitespace)
+        key = key.lower() if key.isascii() else key  # U+212A would fold to k
+        val = val.strip(string.whitespace)
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in KEYS:

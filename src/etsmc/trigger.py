@@ -6,7 +6,7 @@ import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from typing import Optional
 
 import numpy as np
@@ -17,6 +17,7 @@ from .plant import (DimlessParams, DimlessState, InvalidParameterError,
 
 #: The state box ((x1 lo, hi), (x2 lo, hi)) the Lipschitz estimate covers.
 LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
+#: Factor on the certified bound: it covers rounding, and keeps l_bar's bits.
 LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at
@@ -83,7 +84,7 @@ class EventLog:
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Max sampled Jacobian spectral norm over LIPSCHITZ_BOX, with safety factor."""
+    """Bound l_bar on ||J|| over LIPSCHITZ_BOX, from sample_count Jacobians."""
 
     l_bar: float
     sample_count: int
@@ -177,39 +178,33 @@ def zeno_bound(x_k: DimlessState, eps_max: float, lip: LipschitzEstimate,
     return zeno_bounds([x_k.x1], [x_k.x2], eps_max, lip, p, sp)[0]
 
 
-def _sobol_2d(m: int) -> np.ndarray:
-    """First 2^m points of the unscrambled 2-D Sobol sequence, (2^m, 2).
-
-    Gray-code order.  Dimension 1 is van der Corput base 2; dimension 2
-    has the primitive polynomial x + 1, so its direction numbers obey
-    v_k = v_(k-1) xor (v_(k-1) >> 1) (Joe & Kuo, SIAM J. Sci. Comput.
-    30(5), 2008).  Direction numbers are 32-bit integers scaled by 2^-32.
-    """
-    v = np.empty((m, 2), dtype=np.int64)
-    v[0] = 1 << 31
-    for k in range(1, m):
-        v[k] = v[k - 1, 0] >> 1, v[k - 1, 1] ^ (v[k - 1, 1] >> 1)
-    i = np.arange(1 << m)
-    gray = i ^ (i >> 1)
-    out = np.zeros((1 << m, 2), dtype=np.int64)
-    for k in range(m):
-        out ^= ((gray >> k) & 1)[:, None] * v[k]
-    return out * 2.0 ** -32
+def _spectral_norm_2x2(a: float, b: float, c: float, d: float) -> float:
+    """Largest singular value of [[a, b], [c, d]], in closed form."""
+    # a power-of-two scale is exact and keeps F^2 from overflowing
+    scale = 2.0 ** (math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] - 1)
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    fro2 = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)  # >= 0 but for rounding
+    return scale * math.sqrt((fro2 + math.sqrt(inner)) / 2.0)
 
 
 @functools.lru_cache(maxsize=16)
 def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
-    """Lipschitz constant of the drift over LIPSCHITZ_BOX.
+    """Certified Lipschitz constant of the drift over LIPSCHITZ_BOX.
 
-    Max Jacobian spectral norm over the first 2^14 Sobol points of the
-    box and its four corners, inflated by a 1.1 safety factor.
-    Deterministic.  Raises PlantError where a Jacobian entry is not finite.
+    As 1 + x2lo/gamma > 0, den = 1 + x2/gamma > 0 in the box, so ex =
+    exp(x2/den) rises with x2 and -1 - Da*ex, -B*Da*ex peak in magnitude
+    at an x2 bound.  The other entries are affine in (1 - x1)*ex/den^2,
+    whose x2 factor peaks once, at x2* = gamma(gamma - 2)/2, so they peak
+    at an x1 bound and at an x2 bound or x2*.  Then the entrywise max B of
+    |J| over those points bounds |J|, and ||B||_2 bounds ||J||_2, in the
+    box.  Raises PlantError where a Jacobian entry is not finite.
     """
     (x1lo, x1hi), (x2lo, x2hi) = LIPSCHITZ_BOX
-    unit = _sobol_2d(14)
-    # the Sobol points, then the four corners of the box
-    x1 = np.append(x1lo + unit[:, 0] * (x1hi - x1lo), [x1lo, x1lo, x1hi, x1hi])
-    x2 = np.append(x2lo + unit[:, 1] * (x2hi - x2lo), [x2lo, x2hi, x2lo, x2hi])
+    peak = p.gamma * (p.gamma - 2.0) / 2.0  # x2*
+    x2s = [x2lo, x2hi, peak] if x2lo < peak < x2hi else [x2lo, x2hi]
+    x1, x2 = (np.array(c) for c in zip(*product((x1lo, x1hi), x2s)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         jac = jacobian_stack(x1, x2, p)
     bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
@@ -217,9 +212,10 @@ def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
         i = bad[0]
         raise PlantError(f"drift Jacobian is not finite at (x1, x2) = "
                          f"({x1[i]}, {x2[i]}): {jac[i].tolist()}")
-    norms = np.linalg.norm(jac, 2, axis=(1, 2))
-    return LipschitzEstimate(l_bar=LIPSCHITZ_SAFETY * float(norms.max()),
-                             sample_count=len(x1))
+    bound = np.abs(jac).max(axis=0).ravel().tolist()
+    return LipschitzEstimate(
+        l_bar=LIPSCHITZ_SAFETY * _spectral_norm_2x2(*bound),
+        sample_count=len(x1))
 
 
 def format_blocks(col) -> Iterator[list[str]]:

@@ -374,6 +374,33 @@ class TestCliRuns:
             f"error: line 1: value for {key!r} is not a decimal number\n")
         assert not (tmp_path / "runs").exists()
 
+    def test_non_ascii_key_exits_2(self, tmp_path, capsys):
+        # str.lower() folds the KELVIN SIGN U+212A to k, so this read as k1
+        cfg = tmp_path / "key.cfg"
+        cfg.write_text("\u212a1 = 0.5\n", encoding="utf-8")
+        rc = main(["--config", str(cfg), "--duration", "0.02",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: unknown key '\u212a1'\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("mu = 25\u00a0", "value for 'mu' is not a decimal number"),
+        ("\u00a0mu = 25", "unknown key '\\xa0mu'"),
+        ("mu\u2003= 25", "unknown key 'mu\\u2003'"),
+    ], ids=["nbsp-after-value", "nbsp-before-key", "em-space-after-key"])
+    def test_non_ascii_space_exits_2(self, tmp_path, capsys, line,
+                                     message):
+        # str.strip() drops these, so each line read as mu = 25
+        cfg = tmp_path / "space.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        rc = main(["--config", str(cfg), "--duration", "0.02",
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_non_utf8_config_exits_2_without_traceback(self, tmp_path):
         cfg = tmp_path / "latin.cfg"
         cfg.write_bytes(b"mu = 25\n\xff\xfe = 1\n")

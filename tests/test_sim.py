@@ -317,7 +317,8 @@ class TestRunOutputs:
     def test_peak_memory_per_step(self):
         # the loop writes float64 buffers in place: about 186 B per step at
         # peak, 155 of them kept by the Trajectory and the EventLog; the
-        # warm-up fills the Lipschitz cache, whose samples would count here
+        # warm-up keeps one-time allocations, such as the Lipschitz and
+        # gain-norm caches, out of the count
         cfg = small_cfg(t_end=5.0)
         run_event_triggered(small_cfg(t_end=0.02))
         tracemalloc.start()

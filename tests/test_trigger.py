@@ -8,10 +8,10 @@ import pytest
 
 from etsmc.controller import SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
-                         PlantError)
+                         PlantError, jacobian_stack)
 from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
                            EventLog, LipschitzEstimate,
-                           TriggerParams, _gain_norms, _sobol_2d,
+                           TriggerParams, _gain_norms, _spectral_norm_2x2,
                            estimate_lipschitz, format_blocks, margin,
                            thresholds, write_event_csv, zeno_bound,
                            zeno_bounds)
@@ -200,14 +200,6 @@ class TestZenoBound:
             zeno_bounds([0.4, 0.0], [2.6, 0.0], 0.01, self.LIP, NOMINAL, sp)
 
 
-def _spectral_norm_2x2(f11, f12, f21, f22):
-    """Closed-form largest singular value of a 2x2 matrix."""
-    fro2 = f11 * f11 + f12 * f12 + f21 * f21 + f22 * f22
-    det = f11 * f22 - f12 * f21
-    inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)
-    return math.sqrt((fro2 + math.sqrt(inner)) / 2.0)
-
-
 class TestLipschitz:
     def test_linear_limit(self):
         # with a vanishing reaction term the Jacobian is constant
@@ -240,14 +232,37 @@ class TestLipschitz:
         assert abs(est.l_bar / LIPSCHITZ_SAFETY - grid_max) <= 0.05 * grid_max
 
     def test_closed_form_helper_agrees_with_numpy(self):
+        # the squared Frobenius norm alone would overflow at scale 1e300
+        # and underflow at 1e-300
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            m = rng.normal(size=(2, 2))
-            assert _spectral_norm_2x2(*m.ravel()) == pytest.approx(
-                np.linalg.norm(m, 2), rel=1e-10)
+        for scale in [1.0] * 50 + [1e-300] * 10 + [1e300] * 10:
+            m = rng.normal(size=(2, 2)) * scale
+            assert _spectral_norm_2x2(*m.ravel().tolist()) == pytest.approx(
+                np.linalg.norm(m, 2), rel=1e-10, abs=0.0)
 
     def test_default_plant_sample_count(self):
-        assert estimate_lipschitz(NOMINAL).sample_count == 16388
+        # the four corners; x2* = 180 lies outside the box
+        assert estimate_lipschitz(NOMINAL).sample_count == 4
+
+    @pytest.mark.parametrize("p,count", [
+        (NOMINAL, 4),
+        (replace(NOMINAL, da=1e-300), 4),
+        # x2* = gamma(gamma - 2)/2 = 2.625 is inside the box, so the two
+        # points on the line x2 = x2* join the corners
+        (replace(NOMINAL, gamma=3.5), 6),
+    ], ids=["nominal", "linear-limit", "interior-peak"])
+    def test_bound_covers_dense_grid(self, p, count):
+        est = estimate_lipschitz(p)
+        assert est.sample_count == count
+        (x1lo, x1hi), (x2lo, x2hi) = LIPSCHITZ_BOX
+        x1g, x2g = np.meshgrid(np.linspace(x1lo, x1hi, 201),
+                               np.linspace(x2lo, x2hi, 801), indexing="ij")
+        jac = jacobian_stack(x1g.ravel(), x2g.ravel(), p)
+        grid_max = float(np.linalg.norm(jac, 2, axis=(1, 2)).max())
+        assert est.l_bar >= grid_max
+        # the bound itself, without the safety factor, is certified: it
+        # misses the grid maximum by rounding at most
+        assert est.l_bar / LIPSCHITZ_SAFETY >= grid_max * (1.0 - 1e-14)
 
     @pytest.mark.parametrize("field", ["da", "b_rise"])
     def test_nonfinite_jacobian_raises(self, field):
@@ -255,29 +270,6 @@ class TestLipschitz:
         # the point is named before any norm is taken
         with pytest.raises(PlantError, match="Jacobian is not finite"):
             estimate_lipschitz(replace(NOMINAL, **{field: 1e308}))
-
-
-class TestSobol:
-    def test_first_points_pinned(self):
-        pts = _sobol_2d(3)
-        assert pts[:, 0].tolist() == [0.0, 0.5, 0.75, 0.25,
-                                      0.375, 0.875, 0.625, 0.125]
-        assert pts[:, 1].tolist() == [0.0, 0.5, 0.25, 0.75,
-                                      0.375, 0.875, 0.125, 0.625]
-
-    def test_small_set_is_prefix_of_large_set(self):
-        small, large = _sobol_2d(7), _sobol_2d(14)
-        assert large.shape == (1 << 14, 2)
-        assert np.array_equal(large[:1 << 7], small)
-
-    def test_points_are_distinct_dyadics_in_unit_square(self):
-        pts = _sobol_2d(10)
-        assert pts.min() >= 0.0 and pts.max() < 1.0
-        # each coordinate of a 2^m unscrambled set is a permutation of
-        # the multiples of 2^-m
-        grid = np.arange(1 << 10) / (1 << 10)
-        assert np.array_equal(np.sort(pts[:, 0]), grid)
-        assert np.array_equal(np.sort(pts[:, 1]), grid)
 
 
 def _rowwise_event_csv(log):
