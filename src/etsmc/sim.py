@@ -12,8 +12,10 @@ three later RK4 stages and at the new state), the rest of rk4 and
 trigger.margin in line, with their constants hoisted into locals and every
 operation in its operand order, so each float equals what those functions
 give bit for bit and the step makes no Python call.  Where plant.drift
-would raise, the loop calls it at that point, so every error and its text
-still come from plant.drift.  tests/test_sim.py::TestLoopEquivalence
+would raise on a singular denominator, the loop calls it at that point;
+where an exp overflows, the loop replays the step through rk4 and
+plant.drift from its recorded start.  So every error and its text still
+come from plant.drift.  tests/test_sim.py::TestLoopEquivalence
 replays runs through plant.drift, rk4 and trigger.margin as the bitwise
 oracle of the kernel.
 """
@@ -82,7 +84,7 @@ class SimConfig:
                 f"ceiling of {MAX_STEPS}")
         if self.scenario not in SCENARIOS:
             raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
-        # the divisor of the Zeno bound's gain matrix M; it can underflow
+        # the divisor of controller.switching_law; it can underflow
         den = self.sliding.lambda2 * self.plant.beta
         if not (den != 0.0 and math.isfinite(den)):
             raise InvalidParameterError(
@@ -274,79 +276,70 @@ def _run_loop(cfg: SimConfig, every_step: bool
     xk1, xk2 = x1, x2
     f1, f2 = drift(x1, x2, p)
 
-    # Each drift below is plant.drift in line.  Where plant.drift would
-    # raise (1 + x2/gamma within SINGULAR_TOL of zero, or exp overflowing),
-    # the loop calls it at that point instead, so the error is its own.
+    # Each drift below is plant.drift in line.  Where 1 + x2/gamma lies
+    # within SINGULAR_TOL of zero, the loop calls plant.drift at that point
+    # instead, so the error is its own; an overflowing exp is replayed.
     for i in range(n + 1):
         t = t_at[i]
         d1v, d2v = d1_at[i], d2_at[i]
         if i > 0:
             # rk4 from (x1, x2), whose drift (f1, f2) is stage 1
             j = i - 1
-            d1m, d2m = d1_mid[j], d2_mid[j]
-            a1 = f1 - d2_0[j]
-            a2 = f2 + bu + d1_0[j]
-            y1 = x1 + half * a1
-            y2 = x2 + half * a2
-            den = 1.0 + y2 / gamma
-            if -SINGULAR_TOL < den < SINGULAR_TOL:
-                drift(y1, y2, p)
             try:
+                d1m, d2m = d1_mid[j], d2_mid[j]
+                a1 = f1 - d2_0[j]
+                a2 = f2 + bu + d1_0[j]
+                y1 = x1 + half * a1
+                y2 = x2 + half * a2
+                den = 1.0 + y2 / gamma
+                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                    drift(y1, y2, p)
                 ex = exp(y2 / den)
-            except OverflowError:
-                drift(y1, y2, p)
-                raise
-            rem = 1.0 - y1
-            b1 = -y1 + da * rem * ex - d2m
-            b2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
-            y1 = x1 + half * b1
-            y2 = x2 + half * b2
-            den = 1.0 + y2 / gamma
-            if -SINGULAR_TOL < den < SINGULAR_TOL:
-                drift(y1, y2, p)
-            try:
+                rem = 1.0 - y1
+                b1 = -y1 + da * rem * ex - d2m
+                b2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+                y1 = x1 + half * b1
+                y2 = x2 + half * b2
+                den = 1.0 + y2 / gamma
+                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                    drift(y1, y2, p)
                 ex = exp(y2 / den)
-            except OverflowError:
-                drift(y1, y2, p)
-                raise
-            rem = 1.0 - y1
-            c1 = -y1 + da * rem * ex - d2m
-            c2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
-            y1 = x1 + h * c1
-            y2 = x2 + h * c2
-            den = 1.0 + y2 / gamma
-            if -SINGULAR_TOL < den < SINGULAR_TOL:
-                drift(y1, y2, p)
-            try:
+                rem = 1.0 - y1
+                c1 = -y1 + da * rem * ex - d2m
+                c2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+                y1 = x1 + h * c1
+                y2 = x2 + h * c2
+                den = 1.0 + y2 / gamma
+                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                    drift(y1, y2, p)
                 ex = exp(y2 / den)
-            except OverflowError:
-                drift(y1, y2, p)
-                raise
-            rem = 1.0 - y1
-            w1 = -y1 + da * rem * ex - d2v
-            w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
-            x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
-            x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
-            if not (isfinite(x1) and isfinite(x2)):
-                raise SimulationDivergedError(
-                    f"state became nonfinite at t={t}: ({x1}, {x2})")
-            if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
-                warnings.warn(
-                    f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
-                    RuntimeWarning, stacklevel=3)
-                warned_x1 = True
-            # also stage 1 of the next step: same state, same drift
-            den = 1.0 + x2 / gamma
-            if -SINGULAR_TOL < den < SINGULAR_TOL:
-                drift(x1, x2, p)
-            try:
+                rem = 1.0 - y1
+                w1 = -y1 + da * rem * ex - d2v
+                w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
+                x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
+                x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
+                if not (isfinite(x1) and isfinite(x2)):
+                    raise SimulationDivergedError(
+                        f"state became nonfinite at t={t}: ({x1}, {x2})")
+                if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
+                    warnings.warn(
+                        f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
+                        RuntimeWarning, stacklevel=3)
+                    warned_x1 = True
+                # also stage 1 of the next step: same state, same drift
+                den = 1.0 + x2 / gamma
+                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                    drift(x1, x2, p)
                 ex = exp(x2 / den)
+                rem = 1.0 - x1
+                f1 = -x1 + da * rem * ex
+                f2 = -x2 + bda * rem * ex - beta * (x2 - x2c0)
             except OverflowError:
-                drift(x1, x2, p)
+                # an exp overflowed: replay the step from its recorded
+                # start through rk4 and plant.drift, which raise there
+                drift(*rk4(x1_to[j], x2_to[j], f1, f2, u, t, h, p, d1_0[j],
+                           d2_0[j], d1_mid[j], d2_mid[j], d1v, d2v), p)
                 raise
-            rem = 1.0 - x1
-            f1 = -x1 + da * rem * ex
-            f2 = -x2 + bda * rem * ex - beta * (x2 - x2c0)
 
         x2ref_dot = x2ref_dot_at[i]
         e1 = x1 - x1ref

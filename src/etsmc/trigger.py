@@ -121,29 +121,6 @@ def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
     return val - tol
 
 
-@functools.lru_cache(maxsize=64)
-def _gain_norms(beta: float, lambda1: float, lambda2: float
-                ) -> tuple[float, float]:
-    """(spectral norm of M, Euclidean norm of Bbar); constant per design.
-
-    Raises PlantError when lambda2*beta, the divisor of M, is zero (it can
-    underflow) or not finite, or when M or ||Bbar|| overflows.
-    """
-    den = lambda2 * beta
-    if not (den != 0.0 and math.isfinite(den)):
-        raise PlantError(f"lambda2*beta = {den} is zero or not finite "
-                         f"(lambda2={lambda2}, beta={beta})")
-    bbar = np.array([0.0, beta])
-    lam = np.array([lambda1, lambda2])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        m = np.outer(bbar, lam) / den
-        bbar_norm = float(np.linalg.norm(bbar))
-    if not (np.isfinite(m).all() and math.isfinite(bbar_norm)):
-        raise PlantError(f"gain matrix M or ||Bbar|| is not finite "
-                         f"(lambda1={lambda1}, lambda2={lambda2}, beta={beta})")
-    return float(np.linalg.norm(m, 2)), bbar_norm
-
-
 def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
                 lip: LipschitzEstimate, p: DimlessParams, sp: SlidingParams
                 ) -> list[float]:
@@ -151,16 +128,21 @@ def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
 
     T_min = (1/L) ln(1 + L*eps_max / (L*(1 + ||M||)*||x_k|| + ||Bbar||*mu))
     with Bbar = (0, beta)^T and M = Bbar lambda2^-1 beta^-1 lambda^T;
-    matrix norm spectral, vector norm Euclidean.  Strictly positive.
-    x1 and x2 hold the state components at the events; a memoryview of
-    a float64 array reads the array in place.
+    matrix norm spectral, vector norm Euclidean.  As beta > 0, ||Bbar|| =
+    beta, and M has rank one, so ||M|| = ||Bbar|| ||lambda||/|lambda2*beta|
+    = ||lambda||/|lambda2|.  Strictly positive.  x1 and x2 hold the state
+    components at the events; a memoryview of a float64 array reads the
+    array in place.  Raises PlantError when ||M|| overflows.
     """
     if not eps_max > 0.0:
         raise InvalidParameterError("eps_max must be positive")
-    m_norm, bbar_norm = _gain_norms(p.beta, sp.lambda1, sp.lambda2)
+    m_norm = math.hypot(sp.lambda1, sp.lambda2) / abs(sp.lambda2)
+    if not math.isfinite(m_norm):
+        raise PlantError(f"gain matrix M is not finite "
+                         f"(lambda1={sp.lambda1}, lambda2={sp.lambda2})")
     l_bar = lip.l_bar
     gain = l_bar * (1.0 + m_norm)
-    ctrl = bbar_norm * sp.mu
+    ctrl = p.beta * sp.mu
     num = l_bar * eps_max
     # every denominator is at least ||Bbar||*mu >= 0; it is zero only when
     # that product underflows to 0 and x_k is the origin

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etsmc import cli, sim, trigger
@@ -336,14 +337,16 @@ class TestCliRuns:
         ("nominal", "x1ref = -1e308", "0.02", "V = sigma^2/2 is not finite"),
         ("nominal", "x1ref = 1e300", "0.02", "V = sigma^2/2 is not finite"),
         ("nominal", "k1 = 1e308", "0.02", "x2 reference"),
-        ("nominal", "beta = 1e300", "0.02", "gain matrix M"),
+        ("nominal", "beta = 1e300", "0.02", "state became nonfinite"),
+        ("nominal", "lambda1 = 1e300\nlambda2 = 1e-10", "0.02",
+         "gain matrix M"),
     ], ids=["disturbance-phase-overflow", "zeno-denominator-underflow",
             "negative-reference-rate", "gain-divisor-underflow",
             "drift-exponential-overflow", "jacobian-da-overflow",
             "jacobian-b-rise-overflow", "band-zero-weight",
             "band-subnormal-weight-overflow", "sigma-at-float-max",
             "lyapunov-v-overflow", "reference-overflow",
-            "gain-norm-overflow"])
+            "huge-beta-state-overflow", "gain-norm-overflow"])
     def test_extreme_value_exits_2_without_traceback(
             self, tmp_path, scenario, key, duration, message):
         cfg = tmp_path / "extreme.cfg"
@@ -561,6 +564,23 @@ def test_run_scenario_calls_each_writer_once_with_its_path(tmp_path,
     out = tmp_path / "nominal"
     assert calls == [("write_trajectory_csv", (out / "trajectory.csv",)),
                      ("write_event_csv", (out / "events.csv",))]
+
+
+def test_artifacts_need_no_lapack(tmp_path, monkeypatch):
+    """No artifact byte depends on a LAPACK build: a run and its writers
+    make no np.linalg call, on the default design or another."""
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+    monkeypatch.setattr(np.linalg, "norm", no_lapack)
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    nominal = replace(build_config({}), t_end=0.05)
+    design = replace(
+        nominal, plant=replace(nominal.plant, beta=0.45),
+        sliding=replace(nominal.sliding, lambda1=1.3, lambda2=2.7))
+    for out, cfg in (("default", nominal), ("design", design)):
+        run_scenario("nominal", cfg, tmp_path / out)
+        for name in cli.ARTIFACTS:
+            assert (tmp_path / out / "nominal" / name).is_file(), (out, name)
 
 
 def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):

@@ -42,10 +42,14 @@ class TestSimConfig:
             small_cfg(scenario="warp")
         with pytest.raises(InvalidParameterError):
             small_cfg(scenario="regulate")  # setpoint missing
-        # lambda2*beta, the divisor of the Zeno bound's M, underflows to
-        # -0.0: caught with the config, before a run divides by it
+        # lambda2*beta, the divisor of the switching law, underflows to
+        # -0.0 or overflows to inf: caught with the config, before a run
+        # divides by it
         with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
             small_cfg(sliding=SlidingParams(1.0, -5e-324, 25.0))
+        with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
+            small_cfg(plant=replace(NOMINAL, beta=10.0),
+                      sliding=SlidingParams(1.0, 1e308, 25.0))
         # a zero lambda1, or one so small that the division overflows,
         # makes the band tols/min(|lambda1|, |lambda2|) infinite
         for lam1 in (0.0, 5e-324, -5e-324):
@@ -317,8 +321,8 @@ class TestRunOutputs:
     def test_peak_memory_per_step(self):
         # the loop writes float64 buffers in place: about 186 B per step at
         # peak, 155 of them kept by the Trajectory and the EventLog; the
-        # warm-up keeps one-time allocations, such as the Lipschitz and
-        # gain-norm caches, out of the count
+        # warm-up keeps one-time allocations, such as the Lipschitz cache,
+        # out of the count
         cfg = small_cfg(t_end=5.0)
         run_event_triggered(small_cfg(t_end=0.02))
         tracemalloc.start()

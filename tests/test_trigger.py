@@ -11,7 +11,7 @@ from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
                          PlantError, jacobian_stack)
 from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
                            EventLog, LipschitzEstimate,
-                           TriggerParams, _gain_norms, _spectral_norm_2x2,
+                           TriggerParams, _spectral_norm_2x2,
                            estimate_lipschitz, format_blocks, margin,
                            thresholds, write_event_csv, zeno_bound,
                            zeno_bounds)
@@ -167,12 +167,13 @@ class TestZenoBound:
         rng = np.random.default_rng(3)
         x1 = rng.uniform(0.0, 1.0, 200).tolist()
         x2 = rng.uniform(0.0, 5.0, 200).tolist()
-        m_norm, bbar_norm = _gain_norms(NOMINAL.beta, SP.lambda1, SP.lambda2)
+        # ||M|| = ||lambda||/|lambda2| and ||Bbar|| = beta
+        m_norm = math.hypot(1.0, 2.0) / 2.0
         lbar, eps = self.LIP.l_bar, 0.013
         expected = []
         for a, b in zip(x1, x2):
             denom = (lbar * (1.0 + m_norm) * math.hypot(a, b)
-                     + bbar_norm * SP.mu)
+                     + NOMINAL.beta * SP.mu)
             expected.append(math.log1p(lbar * eps / denom) / lbar)
         assert zeno_bounds(x1, x2, eps, self.LIP, NOMINAL, SP) == expected
 
@@ -182,13 +183,30 @@ class TestZenoBound:
         with pytest.raises(InvalidParameterError):
             LipschitzEstimate(l_bar=0.0, sample_count=100)
 
-    @pytest.mark.parametrize("lambda2,beta", [(-5e-324, 0.3),
-                                              (1e308, 10.0)],
-                             ids=["underflow", "overflow"])
-    def test_degenerate_gain_divisor_raises(self, lambda2, beta):
-        # lambda2*beta rounds to -0.0 or inf, so M cannot be formed
-        with pytest.raises(PlantError, match="lambda2\\*beta"):
-            _gain_norms(beta, 1.0, lambda2)
+    def test_gain_norms_match_the_svd_of_m(self):
+        # M = Bbar lambda^T/(lambda2 beta) has rank one, so its spectral
+        # norm is ||lambda||/|lambda2|, and ||Bbar|| = beta: the bound
+        # takes both in closed form, within 4 ulp of the SVD of M, and
+        # with its very bits on the default design
+        rng = np.random.default_rng(19)
+        betas, l1s, l2s = rng.uniform(0.1, 5.0, (3, 1500))
+        l1s *= rng.choice([-1.0, 1.0], 1500)
+        l2s *= rng.choice([-1.0, 1.0], 1500)
+        designs = [(NOMINAL.beta, SP.lambda1, SP.lambda2, 0)] + [
+            (*d, 4) for d in zip(betas.tolist(), l1s.tolist(), l2s.tolist())]
+        x, eps, lbar = DimlessState(0.4, 2.6), 0.013, self.LIP.l_bar
+        for beta, l1, l2, ulps in designs:
+            bbar = np.array([0.0, beta])
+            svd = float(np.linalg.norm(np.outer(bbar, [l1, l2]) / (l2 * beta),
+                                       2))
+            m_norm = math.hypot(l1, l2) / abs(l2)
+            assert abs(m_norm - svd) <= ulps * math.ulp(svd), (beta, l1, l2)
+            assert float(np.linalg.norm(bbar)) == beta
+            sp = SlidingParams(l1, l2, 25.0)
+            denom = (lbar * (1.0 + m_norm) * math.hypot(x.x1, x.x2)
+                     + beta * sp.mu)
+            assert zeno_bound(x, eps, self.LIP, replace(NOMINAL, beta=beta),
+                              sp) == math.log1p(lbar * eps / denom) / lbar
 
     def test_underflowing_control_term_raises(self):
         # ||Bbar||*mu = 0.3 * 5e-324 rounds to 0: the origin's denominator
