@@ -6,6 +6,7 @@ from itertools import chain, product
 import numpy as np
 import pytest
 
+from etsmc.config import build_config
 from etsmc.controller import SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
                          PlantError, jacobian_stack)
@@ -182,6 +183,17 @@ class TestZenoBound:
             zeno_bound(DimlessState(0.4, 2.6), 0.0, self.LIP, NOMINAL, SP)
         with pytest.raises(InvalidParameterError):
             LipschitzEstimate(l_bar=0.0, sample_count=100)
+
+    @pytest.mark.parametrize("lambda2,beta", [(-5e-324, 0.3),
+                                              (1e308, 10.0)],
+                             ids=["underflow", "overflow"])
+    def test_degenerate_gain_divisor_raises(self, lambda2, beta):
+        # lambda2*beta rounds to -0.0 or inf, so M = Bbar lambda^T/(lambda2
+        # beta) cannot be formed; the closed form ||lambda||/|lambda2| never
+        # takes that product, and the design is refused with the config
+        with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
+            replace(build_config({}), plant=replace(NOMINAL, beta=beta),
+                    sliding=SlidingParams(1.0, lambda2, 25.0))
 
     def test_gain_norms_match_the_svd_of_m(self):
         # M = Bbar lambda^T/(lambda2 beta) has rank one, so its spectral
