@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, product, repeat
 from typing import Optional
@@ -21,9 +21,11 @@ LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at
-#: once.  On a dense run the trajectory writer holds about 1.5 MB of text
-#: at 1024 rows, against 5.8 MB at 4096, which wrote no faster.
-CSV_BLOCK = 1024
+#: once.  On a dense run the trajectory writer holds about 0.8 MB of text
+#: at 512 rows, against 1.5 MB at 1,024 and 5.8 MB at 4,096.  On a 50k-step
+#: dense run both writers took as long at 512 rows as at 1,024 (best of 21
+#: on a 2-vCPU VM: 0.31 against 0.33 s), and longer at 256 (0.37 s).
+CSV_BLOCK = 512
 
 #: Text of the t_k and delta_fired columns of events.csv, as the trajectory
 #: writer formatted it: one pair of newline-joined strings per CSV_BLOCK
@@ -70,10 +72,13 @@ class TriggerParams:
 class EventLog:
     """Time-ordered record of triggering instants and derived quantities.
 
-    The loop fills instants, gaps and delta_at_event as array('d'): 8 B
-    per value, read by np.asarray without a copy, and Python floats when
-    indexed or iterated.  bound_at_event stays the list zeno_bounds
-    returns, which the benchmark's Zeno probe compares with a list.
+    The loop fills instants, gaps and delta_at_event as read-only float64
+    memoryviews: 8 B per value, read by np.asarray without a copy, and
+    Python floats when indexed or iterated.  When every grid point fired,
+    instants and delta_at_event view the trajectory's t and delta
+    themselves and cost nothing.  bound_at_event stays the list
+    zeno_bounds returns, which the benchmark's Zeno probe compares with a
+    list.
     """
 
     instants: Sequence[float] = field(default_factory=list)
@@ -121,7 +126,7 @@ def margin(e1: float, e2: float, e1dot: float, e2dot: float, tol: float,
     return val - tol
 
 
-def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
+def zeno_bounds(x1: Iterable[float], x2: Iterable[float], eps_max: float,
                 lip: LipschitzEstimate, p: DimlessParams, sp: SlidingParams
                 ) -> list[float]:
     """Theoretical lower bound on the next inter-event time at each state.
@@ -130,9 +135,9 @@ def zeno_bounds(x1: Sequence[float], x2: Sequence[float], eps_max: float,
     with Bbar = (0, beta)^T and M = Bbar lambda2^-1 beta^-1 lambda^T;
     matrix norm spectral, vector norm Euclidean.  As beta > 0, ||Bbar|| =
     beta, and M has rank one, so ||M|| = ||Bbar|| ||lambda||/|lambda2*beta|
-    = ||lambda||/|lambda2|.  Strictly positive.  x1 and x2 hold the state
-    components at the events; a memoryview of a float64 array reads the
-    array in place.  Raises PlantError when ||M|| overflows.
+    = ||lambda||/|lambda2|.  Strictly positive.  x1 and x2 yield the state
+    components at the events; itertools.compress over memoryviews reads
+    the trajectory in place.  Raises PlantError when ||M|| overflows.
     """
     if not eps_max > 0.0:
         raise InvalidParameterError("eps_max must be positive")

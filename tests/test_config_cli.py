@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -598,10 +599,29 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
     assert calls == [(cfg,)]
 
 
+def test_whole_run_peak_memory_per_step(tmp_path):
+    """A dense run's process peak sits in the writers, past the loop: the
+    records, the event-row text and one CSV_BLOCK of formatted text are
+    held at once.  About 241 B per step at 10,001 steps; 270 leaves a 12%
+    margin.  The warm-up keeps one-time allocations out of the count."""
+    cfg = build_config({"t_end": 10.0})
+    run_scenario("nominal", replace(cfg, t_end=0.02), tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        run_scenario("nominal", cfg, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traj, _, _ = sim.run_event_triggered(cfg)
+    assert len(traj.t) == 10_001 and traj.event.all()
+    assert peak / cfg.step_count() <= 270
+
+
 @pytest.mark.parametrize("scenario,config,block_events", [
-    ("nominal", "", [1024] * 9 + [785]),
-    ("regulate-400", "mu = 1\nm1 = 1\n", [207, 57, 1] + [0] * 7),
-    ("nominal", "mu = 0.5\nm1 = 2\n", [2, 1, 0, 0, 331, 547, 0, 0, 1, 1]),
+    ("nominal", "", [512] * 19 + [273]),
+    ("regulate-400", "mu = 1\nm1 = 1\n", [13, 194, 57, 0, 0, 1] + [0] * 14),
+    ("nominal", "mu = 0.5\nm1 = 2\n",
+     [1, 1, 1] + [0] * 6 + [331, 512, 35] + [0] * 5 + [1, 1, 0]),
 ], ids=["dense", "sparse", "mixed"])
 def test_shared_event_text_matches_standalone_writers(
         tmp_path, scenario, config, block_events):

@@ -310,15 +310,40 @@ class TestRunOutputs:
         arrays = {f.name: getattr(traj, f.name) for f in fields(traj)}
         for name, a in arrays.items():
             assert a.dtype == (bool if name == "event" else np.float64), name
-            assert a.flags.c_contiguous, name
+            # x1ref is one value, broadcast over the grid
+            assert a.flags.c_contiguous or name == "x1ref", name
         for (na, a), (nb, b) in itertools.combinations(arrays.items(), 2):
             assert not np.shares_memory(a, b), (na, nb)
 
+    def test_dense_log_views_the_trajectory(self, short_run):
+        _, traj, log = short_run
+        assert traj.event.all()
+        for name, rec in (("instants", traj.t), ("delta_at_event", traj.delta)):
+            view = np.asarray(getattr(log, name))
+            assert np.shares_memory(view, rec), name
+            assert getattr(log, name).readonly and not view.flags.writeable
+
+    def test_sparse_log_owns_its_values(self, sparse_run):
+        _, traj, log = sparse_run
+        for name in ("instants", "gaps", "delta_at_event"):
+            assert getattr(log, name).readonly, name
+            for rec in (traj.t, traj.delta):
+                assert not np.shares_memory(np.asarray(getattr(log, name)),
+                                            rec), name
+        assert np.array_equal(log.instants, traj.t[traj.event])
+        assert np.array_equal(log.delta_at_event, traj.delta[traj.event])
+
+    def test_x1ref_is_a_read_only_view_of_one_value(self, short_run):
+        cfg, traj, _ = short_run
+        assert traj.x1ref.strides == (0,) and not traj.x1ref.flags.writeable
+        assert (traj.x1ref.tobytes() == np.full(
+            cfg.step_count() + 1, cfg.reference.x1_const).tobytes())
+
     def test_peak_memory_per_step(self):
-        # the loop writes float64 buffers in place: about 186 B per step at
-        # peak, 155 of them kept by the Trajectory and the EventLog; the
-        # warm-up keeps one-time allocations, such as the Lipschitz cache,
-        # out of the count
+        # the loop writes float64 buffers in place: about 153 B per step at
+        # peak, 130 of them kept by the Trajectory and the EventLog, so 170
+        # leaves an 11% margin; the warm-up keeps one-time allocations,
+        # such as the Lipschitz cache, out of the count
         cfg = small_cfg(t_end=5.0)
         run_event_triggered(small_cfg(t_end=0.02))
         tracemalloc.start()
@@ -327,7 +352,7 @@ class TestRunOutputs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / cfg.step_count() <= 220
+        assert peak / cfg.step_count() <= 170
 
     def test_physical_range_warning(self):
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
@@ -562,8 +587,9 @@ def _rowwise_trajectory_csv(traj):
 class TestTrajectoryCsv:
     def test_writer_text_is_bounded_by_the_block(self, tmp_path):
         # an event at every row: the writer holds one CSV_BLOCK of eight
-        # formatted columns at a time, about 1.5 MB at 1,024 rows (5.8 MB
-        # at 4,096), on top of the event-row text it returns
+        # formatted columns at a time, about 0.79 MB at 512 rows (1.5 MB at
+        # 1,024), on top of the event-row text it returns; 900,000 B leaves
+        # a 14% margin
         traj, _, _ = run_event_triggered(small_cfg(t_end=10.0))
         assert len(traj.t) == 10_001 and traj.event.all()
         tracemalloc.start()
@@ -573,7 +599,7 @@ class TestTrajectoryCsv:
         finally:
             tracemalloc.stop()
         assert sum(t.count("\n") + 1 for t, _ in text) == 10_001
-        assert peak - kept <= 2_000_000
+        assert peak - kept <= 900_000
 
     def test_roundtrip_exact(self, tmp_path):
         cfg = small_cfg(t_end=0.05)
