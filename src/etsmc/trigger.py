@@ -21,8 +21,8 @@ LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at
-#: once.  On a dense run the trajectory writer holds about 0.8 MB of text
-#: at 512 rows, against 1.5 MB at 1,024 and 5.8 MB at 4,096.  On a 50k-step
+#: once.  On a dense run the trajectory writer holds about 0.7 MB of text
+#: at 512 rows, against 1.4 MB at 1,024 and 5.7 MB at 4,096.  On a 50k-step
 #: dense run both writers took as long at 512 rows as at 1,024 (best of 21
 #: on a 2-vCPU VM: 0.31 against 0.33 s), and longer at 256 (0.37 s).
 CSV_BLOCK = 512
@@ -76,7 +76,8 @@ class EventLog:
     memoryviews: 8 B per value, read by np.asarray without a copy, and
     Python floats when indexed or iterated.  When every grid point fired,
     instants and delta_at_event view the trajectory's t and delta
-    themselves and cost nothing.  bound_at_event stays the list
+    themselves, and gaps views its one value h with stride 0: all three
+    cost nothing.  bound_at_event stays the list
     zeno_bounds returns, which the benchmark's Zeno probe compares with a
     list.
     """
@@ -206,39 +207,41 @@ def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
 
 
 def format_blocks(col) -> Iterator[list[str]]:
-    """repr of each element of the float column col, CSV_BLOCK at a time.
+    """repr of each element of the float sequence col, CSV_BLOCK at a time.
 
-    A run of bitwise-equal elements is formatted once, also where it
+    col is any sliceable sequence of floats: an ndarray, a memoryview, a
+    list.  It is read one block at a time, so no column-sized copy is
+    made.  A run of bitwise-equal elements is formatted once, also where it
     crosses into the next block.  Runs are found on the int64 view, so
     -0.0 and 0.0 stay apart and nan still prints nan.
     """
-    col = np.asarray(col, dtype=np.float64)
-    bits = col.view(np.int64)
-    head = np.ones(len(col), dtype=bool)  # where a run starts
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    last = ""
+    last, last_bits = "", None
     for a in range(0, len(col), CSV_BLOCK):
-        block = col[a:a + CSV_BLOCK]
-        starts = np.flatnonzero(head[a:a + CSV_BLOCK])
+        block = np.asarray(col[a:a + CSV_BLOCK], dtype=np.float64)
+        bits = block.view(np.int64)
+        head = np.empty(len(block), dtype=bool)  # where a run starts
+        head[0] = a == 0 or bits[0] != last_bits
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
         if len(starts) == len(block):
             text = list(map(repr, block.tolist()))
         else:
             heads = list(map(repr, block[starts].tolist()))
-            if not head[a]:
+            if not head[0]:
                 # the block opens inside the previous block's last run
                 starts = np.insert(starts, 0, 0)
                 heads.insert(0, last)
             counts = np.diff(starts, append=len(block)).tolist()
             text = list(chain.from_iterable(map(repeat, heads, counts)))
-        last = text[-1]
+        last, last_bits = text[-1], bits[-1]
         yield text
 
 
-def _shared_blocks(texts: list[str], n: int) -> Iterator[list[str]]:
-    """The lines of texts, regrouped CSV_BLOCK at a time over n rows."""
-    lines = chain.from_iterable(map(str.splitlines, texts))
-    for _ in range(0, n, CSV_BLOCK):
-        yield list(islice(lines, CSV_BLOCK))
+def _blocks(lines: Iterable[str], n: int) -> Iterator[list[str]]:
+    """The first n of lines, CSV_BLOCK at a time."""
+    lines = iter(lines)
+    for a in range(0, n, CSV_BLOCK):
+        yield list(islice(lines, min(CSV_BLOCK, n - a)))
 
 
 def write_event_csv(log: EventLog, path,
@@ -251,8 +254,8 @@ def write_event_csv(log: EventLog, path,
     and delta_fired text instead of formatting those values again.
     """
     n = len(log.instants)
-    gaps = np.full(n, math.nan)
-    gaps[:len(log.gaps[:n])] = log.gaps[:n]
+    gaps = chain(chain.from_iterable(format_blocks(log.gaps[:n])),
+                 repeat("nan"))
     if event_text is None:
         times, deltas = (format_blocks(log.instants),
                          format_blocks(log.delta_at_event))
@@ -263,8 +266,10 @@ def write_event_csv(log: EventLog, path,
         if rows != n:
             raise ValueError(f"event_text holds {rows} event rows, "
                              f"the log {n}")
-        times, deltas = _shared_blocks(t_texts, n), _shared_blocks(d_texts, n)
-    blocks = zip(times, format_blocks(gaps), deltas,
+        times, deltas = (_blocks(chain.from_iterable(map(str.splitlines,
+                                                         texts)), n)
+                         for texts in (t_texts, d_texts))
+    blocks = zip(times, _blocks(gaps, n), deltas,
                  format_blocks(log.bound_at_event), strict=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")

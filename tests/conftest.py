@@ -1,6 +1,7 @@
 """Shared fixtures: each full-horizon closed-loop run executes once per session."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,28 @@ from etsmc.config import build_config
 from etsmc.controller import switching_law
 from etsmc.sim import (resolve_regulation, run_event_triggered,
                        run_time_triggered)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn, *args, warm=None) -> (fn(*args), kept, peak).
+
+    kept and peak are the bytes tracemalloc counts during the one call:
+    still allocated when it returns (its result included) and at most.
+    A warm tuple of arguments runs fn on them first, untraced, so that
+    one-time allocations such as caches stay out of the count.
+    """
+    def traced(fn, *args, warm=None):
+        if warm is not None:
+            fn(*warm)
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+    return traced
 
 
 @pytest.fixture(scope="session")

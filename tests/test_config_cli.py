@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -599,22 +598,18 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
     assert calls == [(cfg,)]
 
 
-def test_whole_run_peak_memory_per_step(tmp_path):
+def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):
     """A dense run's process peak sits in the writers, past the loop: the
     records, the event-row text and one CSV_BLOCK of formatted text are
-    held at once.  About 241 B per step at 10,001 steps; 270 leaves a 12%
-    margin.  The warm-up keeps one-time allocations out of the count."""
+    held at once.  About 234 B per step at 10,001 steps; 240 leaves a 2.5%
+    margin, below the 242 the writers took with column-sized copies."""
     cfg = build_config({"t_end": 10.0})
-    run_scenario("nominal", replace(cfg, t_end=0.02), tmp_path / "warm")
-    tracemalloc.start()
-    try:
-        run_scenario("nominal", cfg, tmp_path / "run")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(
+        run_scenario, "nominal", cfg, tmp_path / "run",
+        warm=("nominal", replace(cfg, t_end=0.02), tmp_path / "warm"))
     traj, _, _ = sim.run_event_triggered(cfg)
     assert len(traj.t) == 10_001 and traj.event.all()
-    assert peak / cfg.step_count() <= 270
+    assert peak / cfg.step_count() <= 240
 
 
 @pytest.mark.parametrize("scenario,config,block_events", [

@@ -4,7 +4,6 @@ import inspect
 import itertools
 import json
 import math
-import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
 
@@ -316,17 +315,23 @@ class TestRunOutputs:
             assert not np.shares_memory(a, b), (na, nb)
 
     def test_dense_log_views_the_trajectory(self, short_run):
-        _, traj, log = short_run
+        cfg, traj, log = short_run
         assert traj.event.all()
         for name, rec in (("instants", traj.t), ("delta_at_event", traj.delta)):
             view = np.asarray(getattr(log, name))
             assert np.shares_memory(view, rec), name
             assert getattr(log, name).readonly and not view.flags.writeable
+        # every gap is 1*h = h: one value broadcast over the gaps
+        gaps = np.asarray(log.gaps)
+        assert log.gaps.readonly and not gaps.flags.writeable
+        assert gaps.strides == (0,)
+        assert gaps.tobytes() == np.full(cfg.step_count(), cfg.h).tobytes()
 
     def test_sparse_log_owns_its_values(self, sparse_run):
         _, traj, log = sparse_run
         for name in ("instants", "gaps", "delta_at_event"):
             assert getattr(log, name).readonly, name
+            assert getattr(log, name).c_contiguous, name
             for rec in (traj.t, traj.delta):
                 assert not np.shares_memory(np.asarray(getattr(log, name)),
                                             rec), name
@@ -339,20 +344,15 @@ class TestRunOutputs:
         assert (traj.x1ref.tobytes() == np.full(
             cfg.step_count() + 1, cfg.reference.x1_const).tobytes())
 
-    def test_peak_memory_per_step(self):
-        # the loop writes float64 buffers in place: about 153 B per step at
-        # peak, 130 of them kept by the Trajectory and the EventLog, so 170
-        # leaves an 11% margin; the warm-up keeps one-time allocations,
-        # such as the Lipschitz cache, out of the count
+    def test_peak_memory_per_step(self, traced_peak):
+        # the loop writes float64 buffers in place: about 145 B per step at
+        # peak, 122 of them kept by the Trajectory and the EventLog (a
+        # dense run keeps no gaps); 150 leaves a 3% margin, below the 153 a
+        # dense run took while it kept its gaps
         cfg = small_cfg(t_end=5.0)
-        run_event_triggered(small_cfg(t_end=0.02))
-        tracemalloc.start()
-        try:
-            run_event_triggered(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / cfg.step_count() <= 170
+        _, _, peak = traced_peak(run_event_triggered, cfg,
+                                 warm=(small_cfg(t_end=0.02),))
+        assert peak / cfg.step_count() <= 150
 
     def test_physical_range_warning(self):
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
@@ -585,21 +585,18 @@ def _rowwise_trajectory_csv(traj):
 
 
 class TestTrajectoryCsv:
-    def test_writer_text_is_bounded_by_the_block(self, tmp_path):
+    def test_writer_text_is_bounded_by_the_block(self, tmp_path,
+                                                 traced_peak):
         # an event at every row: the writer holds one CSV_BLOCK of eight
-        # formatted columns at a time, about 0.79 MB at 512 rows (1.5 MB at
-        # 1,024), on top of the event-row text it returns; 900,000 B leaves
-        # a 14% margin
+        # formatted columns at a time, about 0.71 MB at 512 rows, on top of
+        # the event-row text it returns; 750,000 B leaves a 5% margin, below
+        # the 0.79 MB it took while format_blocks read whole columns
         traj, _, _ = run_event_triggered(small_cfg(t_end=10.0))
         assert len(traj.t) == 10_001 and traj.event.all()
-        tracemalloc.start()
-        try:
-            text = write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        text, kept, peak = traced_peak(write_trajectory_csv, traj,
+                                       tmp_path / "trajectory.csv")
         assert sum(t.count("\n") + 1 for t, _ in text) == 10_001
-        assert peak - kept <= 900_000
+        assert peak - kept <= 750_000
 
     def test_roundtrip_exact(self, tmp_path):
         cfg = small_cfg(t_end=0.05)

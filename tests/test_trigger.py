@@ -5,11 +5,14 @@ from itertools import chain, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams
 from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
                          PlantError, jacobian_stack)
+from etsmc.sim import run_event_triggered, write_trajectory_csv
 from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
                            EventLog, LipschitzEstimate,
                            TriggerParams, _spectral_norm_2x2,
@@ -314,14 +317,52 @@ def _rowwise_event_csv(log):
 
 SPECIAL = [-0.0, math.nan, math.inf, 5e-324, 1e16, 1e-5]
 
+#: nans with payloads: quiet, negative, signalling, and high bits set
+PAYLOAD_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0x7FF8DEADBEEF0000],
+                        dtype=np.uint64).view(np.float64).tolist()
+
+#: the column forms format_blocks reads, each built from a list of floats
+COLUMN_FORMS = {
+    "ndarray": np.array,
+    "memoryview": lambda values: memoryview(np.array(values)).toreadonly(),
+    "list": list,
+    "zero-stride": lambda values: np.broadcast_to(values[0], len(values)),
+}
+
 
 class TestFormatBlocks:
-    def check(self, col):
+    def check(self, col, values=None):
+        """format_blocks(col) gives repr of each of values (by default the
+        elements of col), CSV_BLOCK to a block but the last."""
+        if values is None:
+            values = np.asarray(col, dtype=float).tolist()
         blocks = list(format_blocks(col))
         assert [len(b) for b in blocks] == [
             min(CSV_BLOCK, len(col) - a) for a in range(0, len(col), CSV_BLOCK)]
-        assert list(chain.from_iterable(blocks)) == list(
-            map(repr, np.asarray(col, dtype=float).tolist()))
+        assert list(chain.from_iterable(blocks)) == [repr(x) for x in values]
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(runs=st.lists(st.tuples(
+               st.one_of(st.sampled_from(SPECIAL + PAYLOAD_NANS
+                                         + [0.0, -math.inf, 1.0 / 3.0]),
+                         st.floats()),
+               st.integers(1, CSV_BLOCK + 8)), min_size=1, max_size=6),
+           form=st.sampled_from(sorted(COLUMN_FORMS)))
+    @example(runs=[(1.0, CSV_BLOCK - 1), (0.0, 1), (-0.0, CSV_BLOCK),
+                   (0.0, 2)], form="memoryview")  # signs flip at the edges
+    @example(runs=[(PAYLOAD_NANS[0], CSV_BLOCK), (math.nan, CSV_BLOCK + 1)],
+             form="list")
+    @example(runs=[(-0.0, 2 * CSV_BLOCK + 1)], form="zero-stride")
+    def test_matches_repr_of_each_element(self, runs, form):
+        # a run is one value repeated; runs up to CSV_BLOCK + 8 long cross
+        # the block edges, and a zero-stride column is its first run's
+        # value broadcast over the column's length
+        values = [v for v, count in runs for _ in range(count)]
+        if form == "zero-stride":
+            values = values[:1] * len(values)
+        self.check(COLUMN_FORMS[form](values), values)
 
     def test_signed_zeros_stay_apart(self):
         self.check(np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0]))
@@ -365,23 +406,41 @@ class TestEventCsv:
         assert path.read_text().splitlines()[1] == "0,0.0,nan,-0.0,5e-324"
 
     def test_blocks_match_rowwise_formatter(self, tmp_path):
-        n = 2 * CSV_BLOCK + 3
-        rng = np.random.default_rng(11)
-        instants = np.cumsum(rng.uniform(1e-3, 0.5, n)).tolist()
-        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
-                for _ in range(3)]
-        for j, col in enumerate(cols):
-            # the special values at the block edges and inside a block
-            for k, v in enumerate(SPECIAL):
-                col[[CSV_BLOCK - 1 + k + j, 2 * CSV_BLOCK + j % 3,
-                     17 * k + j]] = v
-        log = EventLog(instants=instants, gaps=cols[0][:-1].tolist(),
-                       delta_at_event=cols[1].tolist(),
-                       bound_at_event=cols[2].tolist())
-        path = tmp_path / "events.csv"
-        write_event_csv(log, path)
-        assert path.read_bytes() == _rowwise_event_csv(log).encode()
-        assert len(path.read_text().splitlines()) == n + 1
+        # the second length has n - 1 gaps, a multiple of CSV_BLOCK, so the
+        # last event's nan interval is the one row of the last block
+        for n in (2 * CSV_BLOCK + 3, 2 * CSV_BLOCK + 1):
+            rng = np.random.default_rng(11)
+            instants = np.cumsum(rng.uniform(1e-3, 0.5, n)).tolist()
+            cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+                    for _ in range(3)]
+            for j, col in enumerate(cols):
+                # the special values at the block edges and inside a block
+                for k, v in enumerate(SPECIAL):
+                    col[[CSV_BLOCK - 1 + k + j,
+                         min(2 * CSV_BLOCK + j % 3, n - 1), 17 * k + j]] = v
+            log = EventLog(instants=instants, gaps=cols[0][:-1].tolist(),
+                           delta_at_event=cols[1].tolist(),
+                           bound_at_event=cols[2].tolist())
+            path = tmp_path / f"events-{n}.csv"
+            write_event_csv(log, path)
+            assert path.read_bytes() == _rowwise_event_csv(log).encode(), n
+            assert len(path.read_text().splitlines()) == n + 1, n
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["alone", "shared-text"])
+    def test_writer_text_is_bounded_by_the_block(self, tmp_path, traced_peak,
+                                                 shared):
+        # an event at every row of 10,001: the writer holds one CSV_BLOCK
+        # of formatted rows at a time and no column-sized copy of the log,
+        # about 0.35 MB either way; 400,000 B leaves a 13% margin, below
+        # the 0.52 to 0.54 MB it took with a padded copy of the gaps
+        traj, log, _ = run_event_triggered(build_config({"t_end": 10.0}))
+        assert len(log.instants) == 10_001
+        text = (write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+                if shared else None)
+        _, kept, peak = traced_peak(write_event_csv, log,
+                                    tmp_path / "events.csv", text)
+        assert peak - kept <= 400_000
 
     def test_format_and_open_last_interval(self, tmp_path):
         log = EventLog(instants=[0.0, 0.25, 1.0], gaps=[0.25, 0.75],
