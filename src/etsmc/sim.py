@@ -556,13 +556,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> EventText:
         blocks = zip(*map(format_blocks, cols), strict=True)
         for a, block in zip(range(0, len(traj.t), CSV_BLOCK), blocks,
                             strict=True):
-            event = traj.event[a:a + CSV_BLOCK]
-            flags = map(("0", "1").__getitem__, event.tolist())
+            fired = traj.event[a:a + CSV_BLOCK].tolist()
+            flags = map(("0", "1").__getitem__, fired)
             fh.write("\n".join(map(",".join, zip(*block, flags, strict=True))))
             fh.write("\n")
-            ts, deltas = block[0], block[-1]
-            if not event.all():
-                rows = np.flatnonzero(event).tolist()
-                ts, deltas = ([c[i] for i in rows] for c in (ts, deltas))
-            event_text.append(("\n".join(ts), "\n".join(deltas)))
+            event_text.append(("\n".join(compress(block[0], fired)),
+                               "\n".join(compress(block[-1], fired))))
     return event_text

@@ -28,8 +28,9 @@ LIPSCHITZ_SAFETY = 1.1
 CSV_BLOCK = 512
 
 #: Text of the t_k and delta_fired columns of events.csv, as the trajectory
-#: writer formatted it: one pair of newline-joined strings per CSV_BLOCK
-#: trajectory rows, holding the values at that block's event rows.
+#: writer formatted it: one pair of newline-joined strings per trajectory
+#: block of CSV_BLOCK rows, holding the values at that block's event rows,
+#: and empty for a block with no events.
 EventText = list[tuple[str, str]]
 
 
@@ -211,37 +212,24 @@ def format_blocks(col) -> Iterator[list[str]]:
 
     col is any sliceable sequence of floats: an ndarray, a memoryview, a
     list.  It is read one block at a time, so no column-sized copy is
-    made.  A run of bitwise-equal elements is formatted once, also where it
-    crosses into the next block.  Runs are found on the int64 view, so
-    -0.0 and 0.0 stay apart and nan still prints nan.
+    made, and no state passes from one block to the next.  A run of
+    bitwise-equal elements within a block is formatted once.  Runs are
+    found on the int64 view, so -0.0 and 0.0 stay apart and nan still
+    prints nan.
     """
-    last, last_bits = "", None
     for a in range(0, len(col), CSV_BLOCK):
         block = np.asarray(col[a:a + CSV_BLOCK], dtype=np.float64)
         bits = block.view(np.int64)
         head = np.empty(len(block), dtype=bool)  # where a run starts
-        head[0] = a == 0 or bits[0] != last_bits
+        head[0] = True
         np.not_equal(bits[1:], bits[:-1], out=head[1:])
         starts = np.flatnonzero(head)
         if len(starts) == len(block):
-            text = list(map(repr, block.tolist()))
+            yield list(map(repr, block.tolist()))
         else:
-            heads = list(map(repr, block[starts].tolist()))
-            if not head[0]:
-                # the block opens inside the previous block's last run
-                starts = np.insert(starts, 0, 0)
-                heads.insert(0, last)
+            heads = map(repr, block[starts].tolist())
             counts = np.diff(starts, append=len(block)).tolist()
-            text = list(chain.from_iterable(map(repeat, heads, counts)))
-        last, last_bits = text[-1], bits[-1]
-        yield text
-
-
-def _blocks(lines: Iterable[str], n: int) -> Iterator[list[str]]:
-    """The first n of lines, CSV_BLOCK at a time."""
-    lines = iter(lines)
-    for a in range(0, n, CSV_BLOCK):
-        yield list(islice(lines, min(CSV_BLOCK, n - a)))
+            yield list(chain.from_iterable(map(repeat, heads, counts)))
 
 
 def write_event_csv(log: EventLog, path,
@@ -249,31 +237,39 @@ def write_event_csv(log: EventLog, path,
     """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound.
 
     The last event has no successor; its interval T_k is written as nan.
-    Rows are formatted CSV_BLOCK at a time.  event_text, as returned by
-    sim.write_trajectory_csv for the run that made log, supplies the t_k
-    and delta_fired text instead of formatting those values again.
+    One loop writes the rows a block of t_k and delta_fired text at a
+    time: CSV_BLOCK events formatted here or, given event_text as returned
+    by sim.write_trajectory_csv for the run that made log, each non-empty
+    block of that text.  T_k and zeno_bound are drawn from format_blocks
+    as the rows need them.  Raises ValueError, before path is opened,
+    unless the log holds n - 1 gaps and n of its other values, and
+    event_text n rows, for n instants.
     """
     n = len(log.instants)
-    gaps = chain(chain.from_iterable(format_blocks(log.gaps[:n])),
-                 repeat("nan"))
+    lengths = (len(log.gaps), len(log.delta_at_event),
+               len(log.bound_at_event))
+    if lengths != (n - 1, n, n):
+        raise ValueError(f"the event log holds {n} instants and "
+                         "(gaps, delta_at_event, bound_at_event) = "
+                         f"{lengths}, not {(n - 1, n, n)}")
     if event_text is None:
-        times, deltas = (format_blocks(log.instants),
-                         format_blocks(log.delta_at_event))
+        texts = zip(format_blocks(log.instants),
+                    format_blocks(log.delta_at_event))
     else:
-        t_texts = [t for t, _ in event_text]
-        d_texts = [d for _, d in event_text]
-        rows = sum(text.count("\n") + 1 for text in t_texts if text)
+        rows = sum(t.count("\n") + 1 for t, _ in event_text if t)
         if rows != n:
             raise ValueError(f"event_text holds {rows} event rows, "
                              f"the log {n}")
-        times, deltas = (_blocks(chain.from_iterable(map(str.splitlines,
-                                                         texts)), n)
-                         for texts in (t_texts, d_texts))
-    blocks = zip(times, _blocks(gaps, n), deltas,
-                 format_blocks(log.bound_at_event), strict=True)
+        texts = ((t.split("\n"), d.split("\n")) for t, d in event_text if t)
+    gaps = chain(chain.from_iterable(format_blocks(log.gaps)), ["nan"])
+    bounds = chain.from_iterable(format_blocks(log.bound_at_event))
+    k = 0
     with open(path, "w", newline="\n") as fh:
         fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")
-        for a, cols in zip(range(0, n, CSV_BLOCK), blocks, strict=True):
-            ks = map(str, range(a, a + len(cols[0])))
-            fh.write("\n".join(map(",".join, zip(ks, *cols, strict=True))))
+        for times, deltas in texts:
+            m = len(times)
+            cols = (map(str, range(k, k + m)), times, islice(gaps, m),
+                    deltas, islice(bounds, m))
+            fh.write("\n".join(map(",".join, zip(*cols, strict=True))))
             fh.write("\n")
+            k += m

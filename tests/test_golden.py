@@ -1,7 +1,7 @@
 """Pinned behaviour: SHA-256 of every CLI artifact on short runs, and l_bar.
 
-Longer nominal, disturbed and sparse regulate runs pin the two CSV files
-across more rows than one writer block holds.  A sparse baseline-comparison
+Longer nominal, disturbed, sparse regulate and mixed nominal runs pin the
+two CSV files across more rows than one writer block holds.  A sparse baseline-comparison
 run pins the metrics of a baseline that differs from its event-triggered run.
 
 Refactors must leave these bytes unchanged.  A change that alters a digest
@@ -73,14 +73,24 @@ GOLDEN_LONG = {
         "events.csv": "5909f5208013c4b0ecb8cb682c1e9603cb6440e417583bd391c77e869dc73616",
         "trajectory.csv": "79f8c1896b869026daa8b2e4bd405df520ca34206acf7b5cb160b288d3b6139e",
     },
-    # regulate-400 with SPARSE_CONFIG: 265 events, all in the first block
+    # regulate-400 with SPARSE_CONFIG: 265 events, in writer blocks 0, 1,
+    # 2 and 5 (13, 194, 57 and 1 of them)
     "regulate-400": {
         "events.csv": "c080772bd879eefda6c4c28f999a515b62f2f1da88d3ad98a0f14749d48c161b",
         "trajectory.csv": "406ea7b6cecc9a6d5693d877a7f9b0a1dcf3660fabd612b7ff1e27dcbec84c57",
     },
+    # nominal with MIXED_CONFIG: 883 events, whose writer blocks hold one
+    # event, a full block of them or none, [1, 1, 1] + [0]*6 + [331, 512,
+    # 35] + [0]*5 + [1, 1, 0], so the event text the CLI shares between
+    # the writers has every kind of block in one file
+    "nominal-mixed": {
+        "events.csv": "980420bfa815c4dd2fd91f60f6ab6270a5cce00d5680e64c2ed3bbe7cf150b6e",
+        "trajectory.csv": "cf638c7f495a50af55702b9682a2d49c89f774c0948ed46f2f7b685196652cc9",
+    },
 }
 
 SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
+MIXED_CONFIG = "mu = 0.5\nm1 = 2\n"
 
 #: metrics.json of baseline-comparison with SPARSE_CONFIG at --duration 2:
 #: 4 events in 2,000 steps, so the baseline cannot match the run.
@@ -108,7 +118,7 @@ def _long_csv_digests(scenario, tmp_path, monkeypatch, *extra):
                  "--out", "runs", *extra]) in (0, 1)
     run_dir = tmp_path / "runs" / scenario
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in GOLDEN_LONG[scenario]}
+            for name in ("events.csv", "trajectory.csv")}
 
 
 def test_long_nominal_csv_digests(tmp_path, monkeypatch):
@@ -126,6 +136,13 @@ def test_long_sparse_regulate_csv_digests(tmp_path, monkeypatch):
     digests = _long_csv_digests("regulate-400", tmp_path, monkeypatch,
                                 "--config", "sparse.cfg")
     assert digests == GOLDEN_LONG["regulate-400"]
+
+
+def test_long_mixed_nominal_csv_digests(tmp_path, monkeypatch):
+    (tmp_path / "mixed.cfg").write_text(MIXED_CONFIG)
+    digests = _long_csv_digests("nominal", tmp_path, monkeypatch,
+                                "--config", "mixed.cfg")
+    assert digests == GOLDEN_LONG["nominal-mixed"]
 
 
 def test_sparse_baseline_comparison_metrics_digest(tmp_path, monkeypatch):

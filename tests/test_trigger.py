@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import replace
 from itertools import chain, product
@@ -357,8 +358,9 @@ class TestFormatBlocks:
     @example(runs=[(-0.0, 2 * CSV_BLOCK + 1)], form="zero-stride")
     def test_matches_repr_of_each_element(self, runs, form):
         # a run is one value repeated; runs up to CSV_BLOCK + 8 long cross
-        # the block edges, and a zero-stride column is its first run's
-        # value broadcast over the column's length
+        # the block edges, where each block formats its own part of the
+        # run, and a zero-stride column is its first run's value broadcast
+        # over the column's length
         values = [v for v, count in runs for _ in range(count)]
         if form == "zero-stride":
             values = values[:1] * len(values)
@@ -382,7 +384,9 @@ class TestFormatBlocks:
         n = 3 * CSV_BLOCK + 2
         col = np.random.default_rng(5).standard_normal(n)
         # a run over the first edge, one over the whole middle block and
-        # the second edge, a block starting a run, and a one-row last block
+        # the second edge, a block starting a run, and a one-row last block;
+        # each block finds its runs alone, so a run over an edge is formatted
+        # once on each side of it
         col[CSV_BLOCK - 3:CSV_BLOCK + 4] = 0.25
         col[CSV_BLOCK + 10:2 * CSV_BLOCK + 7] = -0.0
         col[2 * CSV_BLOCK + 7:2 * CSV_BLOCK + 9] = 0.0
@@ -464,9 +468,39 @@ class TestEventCsv:
         path = tmp_path / "events.csv"
         write_event_csv(log, path, event_text=[("0.0", "-0.1"), ("", ""),
                                                ("0.25", "0.0")])
-        assert path.read_bytes() == _rowwise_event_csv(log).encode()
-        with pytest.raises(ValueError, match="1 event rows, the log 2"):
-            write_event_csv(log, path, event_text=[("0.0", "-0.1")])
+        written = path.read_bytes()
+        assert written == _rowwise_event_csv(log).encode()
+        # the count is checked before the file is opened, so a refused
+        # call leaves the file as it was
+        for text, rows in (([("0.0", "-0.1")], 1),
+                           ([("0.0\n0.25", "-0.1\n0.0"), ("1.0", "0.5")], 3)):
+            with pytest.raises(ValueError,
+                               match=f"{rows} event rows, the log 2"):
+                write_event_csv(log, path, event_text=text)
+            assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("gaps,deltas,bounds", [
+        ([0.25, 0.5], [-0.1, 0.0], [1e-4, 2e-4]),
+        ([], [-0.1, 0.0], [1e-4, 2e-4]),
+        ([0.25], [-0.1, 0.0], [1e-4, 2e-4, 3e-4]),
+        ([0.25], [-0.1, 0.0], [1e-4]),
+        ([0.25], [-0.1, 0.0, 0.02], [1e-4, 2e-4]),
+    ], ids=["extra-gap", "no-gap", "extra-bound", "missing-bound",
+            "extra-delta"])
+    def test_log_columns_must_match_the_instants(self, tmp_path, gaps,
+                                                 deltas, bounds):
+        # n instants take n - 1 gaps and n margins and bounds; anything
+        # else is refused before the file is opened, where it would
+        # otherwise write a wrong T_k or drop rows
+        log = EventLog(instants=[0.0, 0.25], gaps=gaps,
+                       bound_at_event=bounds, delta_at_event=deltas)
+        path = tmp_path / "events.csv"
+        lengths = (len(gaps), len(deltas), len(bounds))
+        with pytest.raises(ValueError, match=re.escape(
+                f"2 instants and (gaps, delta_at_event, bound_at_event) = "
+                f"{lengths}, not (1, 2, 2)")):
+            write_event_csv(log, path)
+        assert not path.exists()
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)
