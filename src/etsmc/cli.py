@@ -20,8 +20,13 @@ from .sim import (SimConfig, check_invariants, resolve_regulation,
                   write_trajectory_csv)
 from .trigger import write_event_csv
 
-SCENARIO_NAMES = ("nominal", "disturbed", "regulate-300", "regulate-400",
-                  "regulate-500", "baseline-comparison")
+#: Each scenario name -> (SimConfig scenario kind, the setpoint in kelvin
+#: that the name sets, or None).
+SCENARIOS: dict[str, tuple[str, float | None]] = {
+    "nominal": ("nominal", None), "disturbed": ("disturbed", None),
+    "regulate-300": ("regulate", 300.0), "regulate-400": ("regulate", 400.0),
+    "regulate-500": ("regulate", 500.0),
+    "baseline-comparison": ("nominal", None)}
 
 #: The files a run writes besides manifest.json, which holds their digests.
 ARTIFACTS = ("composition.svg", "events.csv", "events.svg", "metrics.json",
@@ -50,24 +55,29 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _kind(name: str) -> str:
-    """The SimConfig scenario kind that the scenario name runs."""
-    if name.startswith("regulate-"):
-        return "regulate"
-    return "disturbed" if name == "disturbed" else "nominal"
-
-
 def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
-    kind = _kind(name)
-    if kind != "regulate":
-        return replace(cfg, scenario=kind)
+    """The run config of the scenario name on cfg.  Raises ConfigError for
+    an unknown name, and for a key that the scenario does not read
+    (config.UNREAD_KEYS) set off its default: one at its default cannot
+    be told from one left out, and changes nothing."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; "
+                          f"expected one of {', '.join(SCENARIOS)}")
+    kind, setpoint = SCENARIOS[name]
+    values = config_values(cfg)
+    for key in UNREAD_KEYS[kind]:
+        if values.get(key) != KEYS[key][2]:
+            readers = [n for n, (k, _) in SCENARIOS.items()
+                       if key not in UNREAD_KEYS[k]]
+            raise ConfigError(f"{key} applies only to {', '.join(readers)}, "
+                              f"not to {name}")
+    # only a regulate run reads setpoint_kelvin, and its name sets it
     if cfg.setpoint_kelvin is not None:
         raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
                           f"conflicts with the scenario {name}, whose "
                           "name sets the setpoint")
-    setpoint = float(name.split("-", 1)[1])
-    cfg = replace(cfg, scenario="regulate", setpoint_kelvin=setpoint)
-    return resolve_regulation(cfg)
+    return resolve_regulation(
+        replace(cfg, scenario=kind, setpoint_kelvin=setpoint))
 
 
 def _json_values(values: dict) -> dict:
@@ -87,9 +97,6 @@ def _write_metrics(path_txt: Path, path_json: Path, metrics: dict) -> None:
 def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[str]]:
     """Execute one named scenario, write all artifacts, return manifest and
     the list of violated run invariants."""
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(f"unknown scenario {name!r}; "
-                          f"expected one of {', '.join(SCENARIO_NAMES)}")
     out = Path(outdir) / name
     rcfg = _scenario_config(name, cfg)
 
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="etsmc",
         description="Event-triggered sliding-mode CSTR simulation runner")
     parser.add_argument("--scenario", default="nominal",
-                        choices=SCENARIO_NAMES)
+                        choices=SCENARIOS)
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value configuration file")
     parser.add_argument("--out", type=Path, default=Path("runs"),
@@ -163,16 +170,6 @@ def main(argv=None) -> int:
     try:
         cfg = (build_config({}) if args.config is None
                else parse_config(args.config))
-        # a key the scenario does not read would change nothing; one set to
-        # its default cannot be told from one left out, and changes nothing
-        values = config_values(cfg)
-        for key in UNREAD_KEYS[_kind(args.scenario)]:
-            if values.get(key) != KEYS[key][2]:
-                readers = [n for n in SCENARIO_NAMES
-                           if key not in UNREAD_KEYS[_kind(n)]]
-                raise ConfigError(f"{args.config}: {key} applies only to "
-                                  f"{', '.join(readers)}, not to "
-                                  f"{args.scenario}")
         if args.duration is not None:
             cfg = replace(cfg, t_end=args.duration)
         manifest, violations = run_scenario(args.scenario, cfg, args.out)

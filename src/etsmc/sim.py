@@ -539,7 +539,7 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
     instants = np.asarray(log.instants)
     if np.any(instants[1:] <= instants[:-1]):
         bad.append("instants-increasing")
-    return list(dict.fromkeys(bad))
+    return bad
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> EventText:
@@ -547,9 +547,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> EventText:
 
     Rows are formatted CSV_BLOCK at a time.  Returns the text of t and
     delta at the event rows, per block, for trigger.write_event_csv.
+    Raises ValueError, before path is opened, unless every column holds
+    len(t) rows.
     """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
+    lengths = tuple(map(len, (*cols, traj.event)))
+    if lengths.count(len(traj.t)) != len(lengths):
+        raise ValueError("the trajectory columns (t, x1, x2, x1ref, x2ref, "
+                         f"u, sigma, delta, event) hold {lengths} rows, "
+                         f"not {len(traj.t)} each")
     event_text = []
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")

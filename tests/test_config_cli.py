@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from etsmc import cli, sim, trigger
-from etsmc.cli import SCENARIO_NAMES, build_parser, main, run_scenario
-from etsmc.config import (KEYS, ConfigError, build_config, config_values,
-                          parse_config)
+from etsmc.cli import SCENARIOS, build_parser, main, run_scenario
+from etsmc.config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
+                          config_values, parse_config)
 
 
 class TestParsing:
@@ -120,9 +120,13 @@ class TestCliParser:
             parser.parse_args(["--scenario", "bogus"])
 
     def test_scenario_name_set(self):
-        assert SCENARIO_NAMES == ("nominal", "disturbed", "regulate-300",
-                                  "regulate-400", "regulate-500",
-                                  "baseline-comparison")
+        assert tuple(SCENARIOS) == ("nominal", "disturbed", "regulate-300",
+                                    "regulate-400", "regulate-500",
+                                    "baseline-comparison")
+
+    def test_scenario_kinds_are_the_config_kinds(self):
+        kinds = {kind for kind, _ in SCENARIOS.values()}
+        assert kinds == set(sim.SCENARIOS) == set(UNREAD_KEYS)
 
     def test_option_set(self):
         options = {opt for action in build_parser()._actions
@@ -294,6 +298,41 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f" {key} " in err
         assert not (tmp_path / "runs").exists()
+
+    def test_run_scenario_rejects_a_key_the_scenario_does_not_read(
+            self, tmp_path):
+        # a library caller gets the rule a config file gets
+        cfg = build_config({"d1_amp": 0.1})
+        with pytest.raises(ConfigError, match="^d1_amp applies only to "
+                           "disturbed, not to nominal$"):
+            run_scenario("nominal", cfg, tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
+
+    def test_unknown_scenario_lists_the_scenarios(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            run_scenario("regulate-450", build_config({}), tmp_path / "runs")
+        assert str(exc.value) == (
+            "unknown scenario 'regulate-450'; expected one of nominal, "
+            "disturbed, regulate-300, regulate-400, regulate-500, "
+            "baseline-comparison")
+        assert not (tmp_path / "runs").exists()
+
+    def test_one_event_run_plots_the_instant_alone(self, tmp_path):
+        # a tolerance this wide fires only at t = 0: no inter-event gap
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("m1 = 1000000\n")
+        assert main(["--config", str(cfg), "--duration", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        run_dir = tmp_path / "nominal"
+        rows = (run_dir / "events.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].split(",")[2] == "nan"
+        svg = (run_dir / "events.svg").read_text()
+        assert ">Sampling instants (nominal)</text>" in svg
+        assert svg.count("<line") == 3  # two axes and one stem
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["event_count"] == 1
+        assert [metrics[k] for k in ("min_gap", "mean_gap", "max_gap")] == [
+            None, None, None]
 
     @pytest.mark.parametrize("scenario,line", [
         ("regulate-400", "tf0_kelvin = 350"),

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import sim
-from etsmc.cli import SCENARIO_NAMES, main
+from etsmc.cli import SCENARIOS, main
 from etsmc.config import KEYS
 
 #: Every invariant name check_invariants can report.
@@ -54,7 +54,7 @@ def _strict(name):
 # test suite turns into an error: sigma and V, the x2 reference, the gain
 # norms and the squared tracking error
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(scenario=st.sampled_from(SCENARIO_NAMES), text=config_texts())
+@given(scenario=st.sampled_from(list(SCENARIOS)), text=config_texts())
 @example(scenario="nominal", text="x1ref = -1e308\nx0_2 = 3\n")
 @example(scenario="nominal", text="k1 = 1e308\n")
 @example(scenario="nominal", text="beta = 1e300\n")

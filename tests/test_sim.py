@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import weakref
 from dataclasses import asdict, fields, replace
 
@@ -612,6 +613,25 @@ class TestTrajectoryCsv:
             back = np.array([float(v) for v in cols[j]])
             assert np.array_equal(back, getattr(traj, name))
         assert [int(v) for v in cols[8]] == list(traj.event.astype(int))
+
+    @pytest.mark.parametrize("name,rows", [("sigma", -1), ("event", 1)],
+                             ids=["short-sigma", "long-event"])
+    def test_columns_must_match_t(self, tmp_path, name, rows):
+        # checked before the file is opened, so a refused call leaves a
+        # good trajectory.csv as it was
+        traj, _, _ = run_event_triggered(small_cfg(t_end=2.0))
+        n = len(traj.t)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        written = path.read_bytes()
+        col = getattr(traj, name)
+        col = col[:rows] if rows < 0 else np.append(col, col[:rows])
+        lengths = tuple(n + rows * (c == name) for c in (
+            "t", "x1", "x2", "x1ref", "x2ref", "u", "sigma", "delta", "event"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"hold {lengths} rows, not {n} each")):
+            write_trajectory_csv(replace(traj, **{name: col}), path)
+        assert path.read_bytes() == written
 
     def test_blocks_match_rowwise_formatter(self, tmp_path):
         n = 2 * CSV_BLOCK + 3
