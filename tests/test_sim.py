@@ -1,16 +1,19 @@
 import gc
 import hashlib
+import importlib
 import inspect
 import itertools
 import json
 import math
+import pkgutil
 import re
 import weakref
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+import etsmc
 from etsmc import sim
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams, event_control_update
@@ -259,6 +262,21 @@ def test_flipped_run_digest(run_flipped):
         digest.update(np.asarray(getattr(log, f.name), dtype=float).tobytes())
     digest.update(json.dumps(asdict(metrics)).encode())
     assert digest.hexdigest() == FLIPPED_DIGEST
+
+
+def test_every_dataclass_is_frozen():
+    # a record, once made, is a value: no field of it is ever reassigned
+    found = []
+    for info in pkgutil.iter_modules(etsmc.__path__):
+        if info.name == "__main__":
+            continue  # running it would start a run
+        module = importlib.import_module(f"etsmc.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                found.append(obj.__qualname__)
+                assert obj.__dataclass_params__.frozen, obj.__qualname__
+    assert {"EventLog", "Trajectory", "RunManifest"} <= set(found)
 
 
 class TestRunOutputs:
@@ -552,12 +570,24 @@ class TestInvariants:
         instants[4] = instants[3]
         assert "instants-increasing" in check_invariants(traj, bad, cfg)
 
-    def test_detects_subgrid_gap(self, short_run):
-        cfg, traj, log = short_run
+    @pytest.mark.parametrize("h", [1e-3, 1e-13])
+    def test_detects_subgrid_gap(self, h):
+        # a logged gap is k*h rounded, k >= 1, so half a step is flagged at
+        # any step, not only where h is above an absolute tolerance
+        cfg = small_cfg(h=h, t_end=20 * h)
+        traj, log, _ = run_event_triggered(cfg)
+        assert check_invariants(traj, log, cfg) == []
         gaps = list(log.gaps)
-        gaps[2] = 0.5 * cfg.h
+        gaps[2] = 0.5 * h
         bad = replace(log, gaps=gaps)
         assert check_invariants(traj, bad, cfg) == ["gaps-ge-step"]
+
+    def test_detects_fire_with_negative_margin(self, sparse_run):
+        # t = 0 fires whatever its margin; a later fire needs delta >= 0
+        cfg, traj, log = sparse_run
+        bad = replace_field(traj, "delta")
+        bad.delta[np.flatnonzero(traj.event)[1]] = -0.5
+        assert check_invariants(bad, log, cfg) == ["delta-log-consistency"]
 
     def test_detects_missed_fire(self, sparse_run):
         cfg, traj, log = sparse_run
