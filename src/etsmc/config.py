@@ -103,7 +103,8 @@ def decimal(text: str, name: str) -> float:
 
 def _parse_lines(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # text mode reads \r and \r\n as \n; splitlines() also splits at \x0c
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(string.whitespace)
         if not line:
             continue
@@ -128,8 +129,7 @@ def build_config(values: Mapping[str, float],
             raise ConfigError(f"unknown key {key!r}")
         if not math.isfinite(val):
             raise ConfigError(f"value for {key!r} must be finite, got {val}")
-    v = {k: default for k, (_, _, default) in KEYS.items()}
-    v.update(values)
+    v = {k: default for k, (_, _, default) in KEYS.items()} | dict(values)
 
     fields: dict[str, dict] = {}
     for key, (record, field, _) in KEYS.items():

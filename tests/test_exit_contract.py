@@ -1,8 +1,10 @@
-"""The CLI exit-code contract as a property over extreme config values.
+"""The CLI exit-code contract: a table of exit-2 cases, and properties
+over extreme config values.
 
 0 is success, 1 is a named run invariant violated and nothing else, 2 is a
 config, plant or IO error reported on an ``error:`` line.  No exception may
-escape ``cli.main``.
+escape ``cli.main``.  ``EXIT_2`` lists the inputs that must exit 2, each
+with its ``error:`` text, and ``test_exit_2`` runs every row in process.
 """
 
 import inspect
@@ -10,6 +12,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -101,7 +104,7 @@ HORIZON_ERRORS = ("value for 'h' must be finite",
                   f"exceeds the ceiling of {sim.MAX_STEPS}")
 
 
-def _no_loop(*args):
+def _no_loop(*args, **kwargs):
     raise AssertionError("the closed loop ran")
 
 
@@ -130,3 +133,190 @@ def test_duration_and_step_extremes_exit_2(duration, h):
     errors = [ln for ln in lines if ln.startswith("error: ")]
     assert len(errors) == 1, lines
     assert any(text in errors[0] for text in HORIZON_ERRORS), errors
+
+
+#: (id, scenario, config text or None, extra argv, stderr text,
+#: before_loop).  The text is part of the one stderr line; a text from
+#: "error: " to "\n" is the whole line.  A before_loop row fails with the
+#: config or the checks ahead of the closed loop, which it never enters.
+EXIT_2 = [
+    # the config file
+    ("unknown-key", "nominal", "unknown_key = 1", "", "error:", True),
+    ("physical-block", "nominal", "k0 = 3.784e7\ncaf0 = 1\nf0 = 1\nrho = 1e6\n"
+     "cp = 1\ndh = -2e5\nrhoc = 1e6\ncpc = 1\nv = 1\nfc = 1\ne = 49884\n"
+     "r = 8.314\ntf0 = 300\ntc0 = 300\na = 1\nb = 0", "--duration 1",
+     "unknown key 'k0'", True),
+    ("missing-config", "nominal", None, "--config absent.cfg", "error:", True),
+    ("digit-group-underscore", "nominal", "mu = 2_5", "--duration 0.02",
+     "error: line 1: value for 'mu' is not a decimal number\n", True),
+    ("arabic-indic-zero", "nominal", "zeta = \u0660.8", "--duration 0.02",
+     "error: line 1: value for 'zeta' is not a decimal number\n", True),
+    ("key-kelvin-sign", "nominal", "\u212a1 = 0.5", "--duration 0.02",
+     "error: line 1: unknown key '\u212a1'\n", True),
+    ("nbsp-after-value", "nominal", "mu = 25\u00a0", "--duration 0.02",
+     "error: line 1: value for 'mu' is not a decimal number\n", True),
+    ("nbsp-before-key", "nominal", "\u00a0mu = 25", "--duration 0.02",
+     "error: line 1: unknown key '\\xa0mu'\n", True),
+    ("em-space-after-key", "nominal", "mu\u2003= 25", "--duration 0.02",
+     "error: line 1: unknown key 'mu\\u2003'\n", True),
+    ("non-utf8", "nominal", b"mu = 25\n\xff\xfe = 1", "--duration 0.02",
+     "UTF-8", True),
+    # a line ends at \n alone, not at the other breaks of str.splitlines()
+    ("file-separator", "nominal", "mu = 1\x1ch = 2e-3", "--duration 0.02",
+     "error: line 1: value for 'mu' is not a decimal number\n", True),
+    ("line-separator", "nominal", "mu = 1\u2028h = 2e-3", "--duration 0.02",
+     "error: line 1: value for 'mu' is not a decimal number\n", True),
+    ("form-feed", "nominal", "mu = 1\x0ch = 2e-3\nzeta = bad",
+     "--duration 0.02",
+     "error: line 1: value for 'mu' is not a decimal number\n", True),
+    # values out of range
+    ("negative-step", "nominal", "h = -1", "", "h must be positive", True),
+    ("infinite-horizon", "nominal", "t_end = inf", "", "finite", True),
+    ("step-ceiling", "nominal", "t_end = 1e9", "", "ceiling", True),
+    ("nonfinite-plant-value", "nominal", "x2c0 = nan", "", "x2c0", True),
+    ("trigger_both-2", "nominal", "trigger_both = 2", "--duration 0.02",
+     "trigger_both must be 0 or 1", True),
+    ("tf0_kelvin-0", "regulate-400", "tf0_kelvin = 0", "--duration 0.02",
+     "error: tf0_kelvin must be positive and finite\n", True),
+    ("tf0_kelvin--300", "regulate-400", "tf0_kelvin = -300", "--duration 0.02",
+     "error: tf0_kelvin must be positive and finite\n", True),
+    # --duration takes the text a config value takes
+    ("duration-digit-group-underscore", "nominal", None, "--duration 1_0e-1",
+     "error: --duration '1_0e-1' is not a decimal number\n", True),
+    ("duration-arabic-indic-digits", "nominal", None,
+     "--duration \u0660.\u0660\u0662",
+     "error: --duration '\u0660.\u0660\u0662' is not a decimal number\n",
+     True),
+    # a setpoint that the scenario name sets
+    ("setpoint_kelvin-regulate-400", "regulate-400", "setpoint_kelvin = 350",
+     "--duration 0.02", "setpoint_kelvin = 350.0 conflicts with the "
+     "scenario regulate-400", True),
+    # extreme values, each reported where numpy would warn or overflow
+    ("disturbance-phase-overflow", "disturbed", "d1_freq = 1e308",
+     "--duration 2.5", "phase", False),
+    ("zeno-denominator-underflow", "nominal", "mu = 5e-324",
+     "--duration 0.02", "Zeno bound", True),
+    ("negative-reference-rate", "nominal", "k2 = -1e300", "--duration 0.02",
+     "k2", True),
+    ("gain-divisor-underflow", "nominal", "lambda2 = -5e-324",
+     "--duration 0.02", "lambda2*beta", True),
+    ("drift-exponential-overflow", "regulate-500", "gamma = 1e300",
+     "--duration 0.02", "overflows", True),
+    ("jacobian-da-overflow", "nominal", "da = 1e308", "--duration 0.02",
+     "Jacobian is not finite", True),
+    ("jacobian-b-rise-overflow", "nominal", "b_rise = 1e308",
+     "--duration 0.02", "Jacobian is not finite", True),
+    ("band-zero-weight", "nominal", "lambda1 = 0", "--duration 0.02",
+     "trigger band", True),
+    ("band-subnormal-weight-overflow", "nominal", "lambda1 = 5e-324",
+     "--duration 0.02", "trigger band", True),
+    ("sigma-at-float-max", "nominal", "x1ref = -1e308", "--duration 0.02",
+     "V = sigma^2/2 is not finite", False),
+    ("lyapunov-v-overflow", "nominal", "x1ref = 1e300", "--duration 0.02",
+     "V = sigma^2/2 is not finite", False),
+    ("reference-overflow", "nominal", "k1 = 1e308", "--duration 0.02",
+     "x2 reference", False),
+    ("huge-beta-state-overflow", "nominal", "beta = 1e300", "--duration 0.02",
+     "state became nonfinite", False),
+    ("gain-norm-overflow", "nominal", "lambda1 = 1e300\nlambda2 = 1e-10",
+     "--duration 0.02", "gain matrix M", True),
+    ("loop-error", "disturbed", "d1_freq = 1e308", "--duration 2.5", "error:",
+     False),
+    ("zeno-denominator", "nominal", "mu = 5e-324", "--duration 2.5", "error:",
+     True),
+    ("zeno-denominator-full-horizon", "nominal", "mu = 5e-324", "",
+     "error: Zeno bound denominator L(1 + ||M||)||x_k|| + ||Bbar||*mu is "
+     "not positive (mu=5e-324)\n", True),
+    # The reference x2 = -100 drives the temperature down through x2 =
+    # -gamma = -20, where 1 + x2/gamma vanishes.  Each x0_2 was bisected so
+    # that one point of an RK4 step lands on -20 exactly (singular) or is
+    # the first to fall just below it (overflow); the id names that point.
+    # d1_freq = 1.5*pi/h sets the disturbance apart at the middle and the
+    # end of the first step, so that the later points can be reached.
+    ("stage-2-overflow-gamma", "nominal", "gamma = 1000000\nx0_2 = 700",
+     "--duration 0.02", "error: exp(x2/(1+x2/gamma)) overflows "
+     "(x2=-1.2120387540852948e+299, gamma=1000000.0)\n", False),
+    ("stage-2-singular", "nominal", "x2ss = -100\nk1 = 0\nx0_2 = -19.99375",
+     "--duration 0.02",
+     "error: 1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)\n", False),
+    ("stage-3-singular", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = -100\n"
+     "d1_freq = 3141.592653589793\nx0_2 = -19.9437540625", "--duration 0.02",
+     "error: 1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)\n", False),
+    ("stage-4-singular", "nominal",
+     "x2ss = -100\nk1 = 0\nx0_2 = -19.98750811971875", "--duration 0.02",
+     "error: 1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)\n", False),
+    ("next-drift-singular", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+     "d1_freq = 4712.38898038469\nx0_2 = -19.990552436888013",
+     "--duration 0.02",
+     "error: 1 + x2/gamma vanishes (x2=-20.0, gamma=20.0)\n", False),
+    ("stage-2-overflow", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+     "d1_freq = 4712.38898038469\nx0_2 = -19.9195", "--duration 0.02",
+     "error: exp(x2/(1+x2/gamma)) overflows (x2=-20.00015312096196, "
+     "gamma=20.0)\n", False),
+    ("stage-3-overflow", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+     "d1_freq = 4712.38898038469\nx0_2 = -19.911", "--duration 0.02",
+     "error: exp(x2/(1+x2/gamma)) overflows (x2=-20.00018459237209, "
+     "gamma=20.0)\n", False),
+    ("stage-4-overflow", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+     "d1_freq = 4712.38898038469\nx0_2 = -19.9", "--duration 0.02",
+     "error: exp(x2/(1+x2/gamma)) overflows (x2=-20.00395496641699, "
+     "gamma=20.0)\n", False),
+    ("next-drift-overflow", "disturbed", "x2ss = -100\nk1 = 0\nd1_amp = 10\n"
+     "d1_freq = 4712.38898038469\nx0_2 = -19.94075", "--duration 0.02",
+     "error: exp(x2/(1+x2/gamma)) overflows (x2=-20.00016505873047, "
+     "gamma=20.0)\n", False),
+    ("nonfinite-state", "nominal", "x0_1 = 1.5e308", "--duration 0.02",
+     "error: state became nonfinite at t=0.001: (nan, nan)\n", False),
+]
+
+#: (scenario, config line): a key that the scenario does not read, set off
+#: its default, exits 2 before the scenario runs
+UNREAD = [
+    ("nominal", "tf0_kelvin = 350"), ("nominal", "setpoint_kelvin = 350"),
+    ("nominal", "d1_amp = 0.5"), ("nominal", "d1_freq = 0.5"),
+    ("nominal", "d2_amp = 0.5"), ("nominal", "d2_freq = 0.5"),
+    ("disturbed", "tf0_kelvin = 350"), ("disturbed", "setpoint_kelvin = 350"),
+    ("baseline-comparison", "tf0_kelvin = 350"),
+    ("baseline-comparison", "setpoint_kelvin = 350"),
+    ("baseline-comparison", "d1_amp = 0.5"),
+    ("baseline-comparison", "d1_freq = 0.5"),
+    ("baseline-comparison", "d2_amp = 0.5"),
+    ("baseline-comparison", "d2_freq = 0.5"),
+    ("regulate-300", "x1ref = 0.5"), ("regulate-300", "x2ss = 0.5"),
+    ("regulate-300", "d1_amp = 0.5"), ("regulate-300", "d1_freq = 0.5"),
+    ("regulate-300", "d2_amp = 0.5"), ("regulate-300", "d2_freq = 0.5"),
+    ("regulate-400", "x1ref = 0.5"), ("regulate-400", "x2ss = 0.5"),
+    ("regulate-400", "d1_amp = 0.5"), ("regulate-400", "d1_freq = 0.5"),
+    ("regulate-400", "d2_amp = 0.5"), ("regulate-400", "d2_freq = 0.5"),
+    ("regulate-500", "x1ref = 0.5"), ("regulate-500", "x2ss = 0.5"),
+    ("regulate-500", "d1_amp = 0.5"), ("regulate-500", "d1_freq = 0.5"),
+    ("regulate-500", "d2_amp = 0.5"), ("regulate-500", "d2_freq = 0.5"),
+]
+EXIT_2 += [(f"{scenario}-{line.split()[0]}", scenario, line, "--duration 0.02",
+            f"{line.split()[0]} applies only to", True)
+           for scenario, line in UNREAD]
+
+
+@pytest.mark.parametrize("scenario,config,argv,text,before_loop",
+                         [row[1:] for row in EXIT_2],
+                         ids=[row[0] for row in EXIT_2])
+def test_exit_2(tmp_path, monkeypatch, capsys, scenario, config, argv, text,
+                before_loop):
+    monkeypatch.chdir(tmp_path)
+    if before_loop:
+        monkeypatch.setattr(sim, "_run_loop", _no_loop)
+    if config is not None:
+        data = config if isinstance(config, bytes) else config.encode()
+        Path("run.cfg").write_bytes(data + b"\n")
+        argv = f"--config run.cfg {argv}"
+    # a warning would have printed ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--scenario", scenario, *argv.split(), "--out", "runs"])
+    out, err = capsys.readouterr()
+    assert (rc, out, caught) == (2, "", [])
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+    assert text in err
+    assert not Path("runs").exists()
