@@ -13,6 +13,7 @@ from etsmc import cli, sim, trigger
 from etsmc.cli import SCENARIOS, build_parser, main, run_scenario
 from etsmc.config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
                           config_values, parse_config)
+from test_exit_contract import EXIT_2, exit_2_test
 
 
 class TestParsing:
@@ -289,6 +290,69 @@ class TestCliRuns:
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error:") and "UTF-8" in out.stderr
         assert not (tmp_path / "runs").exists()
+
+    # the exit-2 cases, each a row or rows of test_exit_contract.EXIT_2
+    test_bad_config_exits_2 = exit_2_test("unknown-key")
+    test_physical_block_exits_2 = exit_2_test("physical-block")
+    test_missing_config_exits_2 = exit_2_test("missing-config")
+    test_non_utf8_config_exits_2 = exit_2_test("non-utf8")
+    test_non_ascii_key_exits_2 = exit_2_test("key-kelvin-sign")
+    test_bad_step_exits_2 = exit_2_test("negative-step")
+    test_infinite_horizon_exits_2 = exit_2_test("infinite-horizon")
+    test_step_ceiling_exits_2_before_running = exit_2_test("step-ceiling")
+    test_nonfinite_plant_value_exits_2 = exit_2_test("nonfinite-plant-value")
+    test_trigger_both_other_than_0_or_1_exits_2 = exit_2_test(
+        "trigger_both-2")
+    test_setpoint_kelvin_in_config_on_regulate_exits_2 = exit_2_test(
+        "setpoint_kelvin-regulate-400")
+    test_zeno_denominator_rejected_before_the_loop = exit_2_test(
+        "zeno-denominator-full-horizon")
+    test_non_ascii_decimal_value_exits_2 = exit_2_test(
+        "digit-group-underscore", "arabic-indic-zero")
+    test_non_ascii_space_exits_2 = exit_2_test(
+        "nbsp-after-value", "nbsp-before-key", "em-space-after-key")
+    test_line_end_other_than_newline_exits_2 = exit_2_test(
+        "file-separator", "line-separator", "form-feed")
+    test_non_ascii_decimal_duration_exits_2 = exit_2_test(
+        "duration-digit-group-underscore", "duration-arabic-indic-digits",
+        ids=["digit-group-underscore", "arabic-indic-digits"])
+    test_nonpositive_feed_temperature_exits_2 = exit_2_test(
+        "tf0_kelvin-0", "tf0_kelvin--300", ids=["0", "-300"])
+    test_regulate_key_in_config_outside_regulate_exits_2 = exit_2_test(
+        "nominal-tf0_kelvin", "disturbed-tf0_kelvin",
+        "baseline-comparison-tf0_kelvin", "nominal-setpoint_kelvin",
+        "disturbed-setpoint_kelvin", "baseline-comparison-setpoint_kelvin",
+        ids=["tf0_kelvin-nominal", "tf0_kelvin-disturbed",
+             "tf0_kelvin-baseline-comparison", "setpoint_kelvin-nominal",
+             "setpoint_kelvin-disturbed",
+             "setpoint_kelvin-baseline-comparison"])
+    test_key_the_scenario_does_not_read_exits_2 = exit_2_test(
+        *(f"{scenario}-{key}"
+          for scenario in ("nominal", "baseline-comparison")
+          for key in ("d1_amp", "d1_freq", "d2_amp", "d2_freq")),
+        *(f"regulate-{kelvin}-{key}" for kelvin in (300, 400, 500)
+          for key in ("x1ref", "x2ss", "d1_amp", "d1_freq", "d2_amp",
+                      "d2_freq")))
+    test_extreme_value_exits_2_without_traceback = exit_2_test(
+        "disturbance-phase-overflow", "zeno-denominator-underflow",
+        "negative-reference-rate", "gain-divisor-underflow",
+        "drift-exponential-overflow", "jacobian-da-overflow",
+        "jacobian-b-rise-overflow", "band-zero-weight",
+        "band-subnormal-weight-overflow", "sigma-at-float-max",
+        "lyapunov-v-overflow", "reference-overflow",
+        "huge-beta-state-overflow", "gain-norm-overflow")
+    test_exit_2_leaves_no_run_directory = exit_2_test("loop-error",
+                                                      "zeno-denominator")
+    test_error_inside_a_step_exits_2 = exit_2_test(
+        "stage-2-overflow-gamma", "stage-2-singular", "stage-3-singular",
+        "stage-4-singular", "next-drift-singular", "stage-2-overflow",
+        "stage-3-overflow", "stage-4-overflow", "next-drift-overflow",
+        "nonfinite-state")
+
+    def test_every_exit_2_row_runs_once(self):
+        rows = [row for test in vars(TestCliRuns).values()
+                for row in getattr(test, "rows", ())]
+        assert sorted(rows) == sorted(row[0] for row in EXIT_2)
 
     def test_import_does_not_load_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"

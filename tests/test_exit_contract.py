@@ -4,7 +4,9 @@ over extreme config values.
 0 is success, 1 is a named run invariant violated and nothing else, 2 is a
 config, plant or IO error reported on an ``error:`` line.  No exception may
 escape ``cli.main``.  ``EXIT_2`` lists the inputs that must exit 2, each
-with its ``error:`` text, and ``test_exit_2`` runs every row in process.
+with its ``error:`` text, and ``run_exit_2`` runs one row in process.
+``TestCliRuns`` in test_config_cli.py runs every row, under the name its
+case has there.
 """
 
 import inspect
@@ -297,11 +299,12 @@ EXIT_2 += [(f"{scenario}-{line.split()[0]}", scenario, line, "--duration 0.02",
            for scenario, line in UNREAD]
 
 
-@pytest.mark.parametrize("scenario,config,argv,text,before_loop",
-                         [row[1:] for row in EXIT_2],
-                         ids=[row[0] for row in EXIT_2])
-def test_exit_2(tmp_path, monkeypatch, capsys, scenario, config, argv, text,
-                before_loop):
+ROWS = {row[0]: row[1:] for row in EXIT_2}
+
+
+def run_exit_2(row_id, tmp_path, monkeypatch, capsys):
+    """Run the EXIT_2 row row_id through main in tmp_path and check it."""
+    scenario, config, argv, text, before_loop = ROWS[row_id]
     monkeypatch.chdir(tmp_path)
     if before_loop:
         monkeypatch.setattr(sim, "_run_loop", _no_loop)
@@ -320,3 +323,18 @@ def test_exit_2(tmp_path, monkeypatch, capsys, scenario, config, argv, text,
     assert err.count("\n") == 1, err
     assert text in err
     assert not Path("runs").exists()
+
+
+def exit_2_test(*row_ids, ids=None):
+    """A test method that runs the given EXIT_2 rows through run_exit_2:
+    one row as a plain test, more as one case each (named by ids, or else
+    by the row ids).  Its rows attribute lists the rows it runs."""
+    if len(row_ids) == 1:
+        def test(self, tmp_path, monkeypatch, capsys):
+            run_exit_2(row_ids[0], tmp_path, monkeypatch, capsys)
+    else:
+        @pytest.mark.parametrize("row_id", row_ids, ids=ids)
+        def test(self, row_id, tmp_path, monkeypatch, capsys):
+            run_exit_2(row_id, tmp_path, monkeypatch, capsys)
+    test.rows = row_ids
+    return test
