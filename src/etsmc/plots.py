@@ -7,7 +7,10 @@ timestamps.  Line style for state profiles, stem style for event intervals.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 500
@@ -26,24 +29,30 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _scale(vals: Sequence[float]) -> tuple[float, float]:
+def _scale(arrays: list) -> tuple[float, float]:
+    """Bounds of the values of arrays, taken in order by builtin min and
+    max: a nan gives the bound only where it comes first (np.min would
+    return nan wherever one is)."""
+    vals = np.concatenate(arrays).tolist()
     lo = min(vals)
     hi = max(vals)
     if hi == lo:
-        lo -= 0.5
-        hi += 0.5
+        if math.isinf(lo):
+            raise PlotError(f"cannot scale an axis whose values are all {lo}")
+        # at |lo| >= 2**53 rounding absorbs +-0.5; one ulp always separates
+        pad = 0.5 if lo - 0.5 != hi + 0.5 else math.ulp(lo)
+        lo -= pad
+        hi += pad
     return lo, hi
 
 
-def _thin(xs: Sequence[float], ys: Sequence[float]) -> tuple[list, list]:
+def _thin(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stride-th point and the last, at most MAX_POINTS + 1 of them."""
     n = len(xs)
-    if n <= MAX_POINTS:
-        return list(xs), list(ys)
     stride = -(-n // MAX_POINTS)
-    keep = list(range(0, n, stride))
-    if keep[-1] != n - 1:
-        keep.append(n - 1)
-    return [xs[i] for i in keep], [ys[i] for i in keep]
+    if (n - 1) % stride:
+        return np.append(xs[::stride], xs[-1]), np.append(ys[::stride], ys[-1])
+    return xs[::stride], ys[::stride]
 
 
 def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
@@ -52,10 +61,16 @@ def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     """Write a standalone SVG for the named (xs, ys) series.
 
     style is 'line' (polyline per series) or 'stem' (vertical bar per point).
-    Raises PlotError on empty input; no file is written in that case.
+    xs and ys are read as float64 arrays, without a copy where they already
+    are one (an ndarray, a memoryview of doubles); a series longer than
+    MAX_POINTS keeps every stride-th point and the last.
+    Raises PlotError on empty input or an axis flat at +-inf; no file is
+    written in that case.
     """
     if style not in ("line", "stem"):
         raise PlotError(f"unknown style {style!r}")
+    series = [(name, np.asarray(xs, dtype=np.float64),
+               np.asarray(ys, dtype=np.float64)) for name, xs, ys in series]
     if not series or any(len(xs) == 0 or len(ys) == 0 for _, xs, ys in series):
         raise PlotError("cannot plot empty series")
     for name, xs, ys in series:
@@ -63,17 +78,15 @@ def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
             raise PlotError(f"series {name!r}: mismatched lengths")
 
     thinned = [(name, *_thin(xs, ys)) for name, xs, ys in series]
-    all_x = [v for _, xs, _ in thinned for v in xs]
-    all_y = [v for _, _, ys in thinned for v in ys]
-    if style == "stem":
-        all_y = all_y + [0.0]
-    xlo, xhi = _scale(all_x)
-    ylo, yhi = _scale(all_y)
+    xlo, xhi = _scale([xs for _, xs, _ in thinned])
+    ylo, yhi = _scale([ys for _, _, ys in thinned]
+                      + ([[0.0]] if style == "stem" else []))
 
-    def px(v: float) -> float:
+    # the same float operations, in the same order, on a point or an array
+    def px(v):
         return MARGIN + (v - xlo) / (xhi - xlo) * (WIDTH - 2 * MARGIN)
 
-    def py(v: float) -> float:
+    def py(v):
         return HEIGHT - MARGIN - (v - ylo) / (yhi - ylo) * (HEIGHT - 2 * MARGIN)
 
     parts = [
@@ -116,23 +129,24 @@ def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 
     for idx, (name, xs, ys) in enumerate(thinned):
         color = PALETTE[idx % len(PALETTE)]
+        # Python float semantics: an overflow gives inf and inf - inf nan,
+        # silently; the axes are never flat here, so nothing divides by 0
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            pxs, pys = px(xs).tolist(), py(ys).tolist()
         if style == "line":
-            pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
-                           for x, y in zip(xs, ys))
+            pts = " ".join(map("{:.3f},{:.3f}".format, pxs, pys))
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         else:
-            base = py(0.0)
-            for x, y in zip(xs, ys):
-                parts.append(
-                    f'<line x1="{_fmt(px(x))}" y1="{_fmt(base)}" '
-                    f'x2="{_fmt(px(x))}" y2="{_fmt(py(y))}" '
-                    f'stroke="{color}" stroke-width="1"/>')
+            base = _fmt(py(0.0))
+            parts.extend(f'<line x1="{x}" y1="{base}" x2="{x}" y2="{y:.3f}" '
+                         f'stroke="{color}" stroke-width="1"/>'
+                         for x, y in zip(map(_fmt, pxs), pys))
         if name:
             parts.append(
                 f'<text x="{WIDTH - MARGIN}" y="{MARGIN + 16 * (idx + 1)}" '
                 f'text-anchor="end" font-family="sans-serif" font-size="12" '
                 f'fill="{color}">{name}</text>')
-    parts.append("</svg>")
+    parts.append("</svg>\n")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(parts))
