@@ -43,16 +43,9 @@ class RunManifest:
     invariant_violations: list[str]
 
 
-#: Bytes read per update by _sha256: bounds what a digest holds at once.
-HASH_CHUNK = 1 << 16
-
-
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:

@@ -8,6 +8,7 @@ timestamps.  Line style for state profiles, stem style for event intervals.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +40,11 @@ def _scale(arrays: list) -> tuple[float, float]:
     if hi == lo:
         if math.isinf(lo):
             raise PlotError(f"cannot scale an axis whose values are all {lo}")
-        # at |lo| >= 2**53 rounding absorbs +-0.5; one ulp always separates
+        # at |lo| >= 2**53 rounding absorbs +-0.5; one ulp always separates,
+        # but past +-float max it overflows, so that bound stays put
         pad = 0.5 if lo - 0.5 != hi + 0.5 else math.ulp(lo)
-        lo -= pad
-        hi += pad
+        lo = max(lo - pad, -sys.float_info.max)
+        hi = min(hi + pad, sys.float_info.max)
     return lo, hi
 
 

@@ -275,7 +275,6 @@ def _run_loop(cfg: SimConfig, every_step: bool
     x1_to, x2_to, u_to, sigd_to, dlt_to, eps_to, evt_to = map(
         memoryview, (x1s, x2s, us, sigds, dlts, epss, evts))
 
-    warned_x1 = False
     x1, x2 = cfg.x0.x1, cfg.x0.x2
     u = 0.0
     bu = beta * u
@@ -286,7 +285,6 @@ def _run_loop(cfg: SimConfig, every_step: bool
     # within SINGULAR_TOL of zero, the loop calls plant.drift at that point
     # instead, so the error is its own; an overflowing exp is replayed.
     for i in range(n + 1):
-        t = t_at[i]
         d1v, d2v = d1_at[i], d2_at[i]
         if i > 0:
             # rk4 from (x1, x2), whose drift (f1, f2) is stage 1
@@ -326,12 +324,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
                 x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
                 if not (isfinite(x1) and isfinite(x2)):
                     raise SimulationDivergedError(
-                        f"state became nonfinite at t={t}: ({x1}, {x2})")
-                if x1 >= 1.0 + X1_PHYSICAL_TOL and not warned_x1:
-                    warnings.warn(
-                        f"x1={x1:.4f} exceeds feed conversion at t={t:.4f}",
-                        RuntimeWarning, stacklevel=3)
-                    warned_x1 = True
+                        f"state became nonfinite at t={t_at[i]}: ({x1}, {x2})")
                 # also stage 1 of the next step: same state, same drift
                 den = 1.0 + x2 / gamma
                 if -SINGULAR_TOL < den < SINGULAR_TOL:
@@ -343,8 +336,9 @@ def _run_loop(cfg: SimConfig, every_step: bool
             except OverflowError:
                 # an exp overflowed: replay the step from its recorded
                 # start through rk4 and plant.drift, which raise there
-                drift(*rk4(x1_to[j], x2_to[j], f1, f2, u, t, h, p, d1_0[j],
-                           d2_0[j], d1_mid[j], d2_mid[j], d1v, d2v), p)
+                drift(*rk4(x1_to[j], x2_to[j], f1, f2, u, t_at[i], h, p,
+                           d1_0[j], d2_0[j], d1_mid[j], d2_mid[j], d1v, d2v),
+                      p)
                 raise
 
         x2ref_dot = x2ref_dot_at[i]
@@ -392,6 +386,13 @@ def _run_loop(cfg: SimConfig, every_step: bool
     if bad.size:
         raise SimulationDivergedError(
             f"sigma or V = sigma^2/2 is not finite at t={ts[bad[0]]}")
+    # from the finished records: a run that fails above warns of nothing
+    over = np.flatnonzero(x1s[1:] >= 1.0 + X1_PHYSICAL_TOL)
+    if over.size:
+        i = over[0] + 1
+        warnings.warn(
+            f"x1={x1s[i]:.4f} exceeds feed conversion at t={ts[i]:.4f}",
+            RuntimeWarning, stacklevel=3)
     tols /= min(abs(lam1), abs(lam2))
     traj = Trajectory(
         t=ts, x1=x1s, x2=x2s, x1ref=np.broadcast_to(x1ref, n + 1),
@@ -420,8 +421,8 @@ def _run_loop(cfg: SimConfig, every_step: bool
 #: same order, and compute_metrics reads only the gaps, equal in both runs.
 #: The config matches by identity, since x0_2 = -0.0 equals 0.0 yet writes
 #: other bytes; the trajectory is held weakly, so the slot never keeps one
-#: alive.  A baseline served from here does not repeat the loop's "exceeds
-#: feed conversion" warning.
+#: alive.  A baseline served from here does not repeat _run_loop's
+#: "exceeds feed conversion" warning.
 _dense_run: Optional[tuple[SimConfig, weakref.ref, Metrics]] = None
 
 

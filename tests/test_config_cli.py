@@ -341,6 +341,8 @@ class TestCliRuns:
         "band-subnormal-weight-overflow", "sigma-at-float-max",
         "lyapunov-v-overflow", "reference-overflow",
         "huge-beta-state-overflow", "gain-norm-overflow")
+    test_failed_run_prints_its_error_alone = exit_2_test(
+        "warning-then-record-error")
     test_exit_2_leaves_no_run_directory = exit_2_test("loop-error",
                                                       "zeno-denominator")
     test_error_inside_a_step_exits_2 = exit_2_test(

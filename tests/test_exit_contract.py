@@ -216,6 +216,9 @@ EXIT_2 = [
      "V = sigma^2/2 is not finite", False),
     ("lyapunov-v-overflow", "nominal", "x1ref = 1e300", "--duration 0.02",
      "V = sigma^2/2 is not finite", False),
+    # x1 passes 1.1 at the first step, but a failed run warns of nothing
+    ("warning-then-record-error", "nominal", "x1ref = 1e300\nx0_1 = 1.2",
+     "--duration 0.02", "V = sigma^2/2 is not finite", False),
     ("reference-overflow", "nominal", "k1 = 1e308", "--duration 0.02",
      "x2 reference", False),
     ("huge-beta-state-overflow", "nominal", "beta = 1e300", "--duration 0.02",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ def test_flat_axis_beyond_half_unit_resolution(tmp_path):
     assert ">99999999999999984.000<" in text
     assert ">100000000000000016.000<" in text
     assert 'points="60.000,250.000 400.000,250.000 740.000,250.000"' in text
+
+
+@pytest.mark.parametrize("value,edge", [(sys.float_info.max, "60.000"),
+                                        (-sys.float_info.max, "440.000")])
+def test_flat_axis_at_largest_float_keeps_finite_bounds(tmp_path, value,
+                                                        edge):
+    # one ulp outward from +-float max overflows: that bound stays put,
+    # so the values lie on the edge of the plot
+    path = tmp_path / "flat.svg"
+    emit_plot([("c", [0.0, 1.0, 2.0], [value] * 3)], "line", path)
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    assert (f'points="60.000,{edge} 400.000,{edge} 740.000,{edge}"'
+            in text)
+    path = tmp_path / "flat-x.svg"
+    emit_plot([("c", [value] * 3, [0.0, 1.0, 2.0])], "line", path)
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])

@@ -7,6 +7,7 @@ import json
 import math
 import pkgutil
 import re
+import warnings
 import weakref
 from dataclasses import asdict, fields, is_dataclass, replace
 
@@ -372,9 +373,19 @@ class TestRunOutputs:
         assert peak / cfg.step_count() <= 150
 
     def test_physical_range_warning(self):
+        # one warning, at the first step past 1 + X1_PHYSICAL_TOL, and
+        # attributed to the caller of the run (stacklevel); a copy of the
+        # config makes the baseline run its own loop
         cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
-        with pytest.warns(RuntimeWarning, match="exceeds feed conversion"):
-            run_event_triggered(cfg)
+        for run, arg in ((run_event_triggered, cfg),
+                         (run_time_triggered, replace(cfg))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(arg)
+            assert [(str(w.message), w.category, w.filename)
+                    for w in caught] == [
+                ("x1=1.1988 exceeds feed conversion at t=0.0010",
+                 RuntimeWarning, __file__)], run
 
 
 def test_run_api_takes_only_the_config():
