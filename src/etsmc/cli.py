@@ -10,7 +10,6 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import sim
 from .config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
                      config_values, decimal, parse_config)
 from .plant import PlantError
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
             t_end = decimal(args.duration, f"--duration {args.duration!r}")
             cfg = replace(cfg, t_end=t_end)
         manifest, violations = run_scenario(args.scenario, cfg, args.out)
-    except (ConfigError, PlantError, sim.SimulationDivergedError, OSError) as exc:
+    except (ConfigError, PlantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(manifest.files)} artifacts to "

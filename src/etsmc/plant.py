@@ -18,19 +18,12 @@ SINGULAR_TOL = 1e-12
 
 
 class PlantError(ValueError):
-    """Base class for plant-level errors."""
-
-
-class SingularExponentError(PlantError):
-    """Raised when 1 + x2/gamma is numerically zero (nonphysical temperature)."""
+    """A run the model cannot carry: a singular or overflowing exponent; a
+    nonfinite state, disturbance, gain or Jacobian; an invalid parameter."""
 
 
 class InvalidParameterError(PlantError):
     """Raised when a parameter record violates its positivity invariants."""
-
-
-class DriftOverflowError(PlantError):
-    """Raised when exp(x2/(1+x2/gamma)) overflows a float."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,14 +106,12 @@ def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:
     """
     den = 1.0 + x2 / p.gamma
     if abs(den) < SINGULAR_TOL:
-        raise SingularExponentError(
-            f"1 + x2/gamma vanishes (x2={x2}, gamma={p.gamma})")
+        raise PlantError(f"1 + x2/gamma vanishes (x2={x2}, gamma={p.gamma})")
     try:
         ex = math.exp(x2 / den)
     except OverflowError:
-        raise DriftOverflowError(
-            f"exp(x2/(1+x2/gamma)) overflows (x2={x2}, gamma={p.gamma})"
-        ) from None
+        raise PlantError(f"exp(x2/(1+x2/gamma)) overflows "
+                         f"(x2={x2}, gamma={p.gamma})") from None
     return (-x1 + p.da * (1.0 - x1) * ex,
             -x2 + p.b_rise * p.da * (1.0 - x1) * ex - p.beta * (x2 - p.x2c0))
 
@@ -156,7 +147,7 @@ def jacobian_stack(x1: np.ndarray, x2: np.ndarray,
     den = 1.0 + x2 / p.gamma
     bad = np.flatnonzero(np.abs(den) < SINGULAR_TOL)
     if bad.size:
-        raise SingularExponentError(
+        raise PlantError(
             f"1 + x2/gamma vanishes (x2={x2[bad[0]]}, gamma={p.gamma})")
     ex = pointwise(math.exp, x2 / den)
     dex = ex / (den * den)  # derivative of the exponential w.r.t. x2

@@ -512,6 +512,13 @@ class TestMetrics:
             math.sqrt(float(np.mean(e2 * e2))))
         assert metrics.max_discretization_error == traj.eps.max()
 
+    def test_mean_gap_sums_left_to_right(self):
+        # ten gaps of 0.1 sum to 0.9999999999999999 left to right, and to
+        # 1.0 in the compensated sum() of Python 3.12 and later
+        traj = synthetic_traj([1.0] * 11, [-1.0] * 11)
+        metrics = sim.compute_metrics(traj, [0.1] * 10)
+        assert metrics.mean_gap == 0.09999999999999999
+
     def test_overflowing_tracking_error_reads_inf(self):
         # e2 = -1e300 while sigma = 2*e1 + 2*e2 cancels to 0
         cfg = build_config({"x1ref": -1e300, "lambda1": 2.0, "x2ss": 1e300,
