@@ -49,22 +49,28 @@ def _sha256(path: Path) -> str:
 
 def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
     """The run config of the scenario name on cfg.  Raises ConfigError for
-    an unknown name, and for a key that the scenario does not read
-    (config.UNREAD_KEYS) set off its default: one at its default cannot
-    be told from one left out, and changes nothing."""
+    an unknown name, for a setpoint_kelvin other than the name's, and for
+    a key that the scenario does not read (config.UNREAD_KEYS) set off
+    both its default and what the name resolves it to: at either value it
+    changes nothing, so a manifest's config re-runs its scenario."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; "
                           f"expected one of {', '.join(SCENARIOS)}")
     kind, setpoint = SCENARIOS[name]
     values = config_values(cfg)
+    # resolved with the unread keys at their defaults: none vouches for itself
+    base = build_config({k: v for k, v in values.items()
+                         if k not in UNREAD_KEYS[kind]})
+    resolved = config_values(resolve_regulation(
+        replace(base, scenario=kind, setpoint_kelvin=setpoint)))
     for key in UNREAD_KEYS[kind]:
-        if values.get(key) != KEYS[key][2]:
+        if values.get(key) not in (KEYS[key][2], resolved.get(key)):
             readers = [n for n, (k, _) in SCENARIOS.items()
                        if key not in UNREAD_KEYS[k]]
             raise ConfigError(f"{key} applies only to {', '.join(readers)}, "
                               f"not to {name}")
     # only a regulate run reads setpoint_kelvin, and its name sets it
-    if cfg.setpoint_kelvin is not None:
+    if cfg.setpoint_kelvin not in (None, setpoint):
         raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
                           f"conflicts with the scenario {name}, whose "
                           "name sets the setpoint")

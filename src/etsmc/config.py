@@ -16,14 +16,9 @@ import string
 from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
-from .plant import DimlessParams, DimlessState, InvalidParameterError
+from .plant import ConfigError, DimlessParams, DimlessState
 from .sim import SimConfig
 from .trigger import TriggerParams
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration input."""
-
 
 #: The record type behind each record name of KEYS.  "run" keys are
 #: SimConfig fields themselves.
@@ -134,11 +129,8 @@ def build_config(values: Mapping[str, float],
     fields: dict[str, dict] = {}
     for key, (record, field, _) in KEYS.items():
         fields.setdefault(record, {})[field] = v[key]
-    try:
-        records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
-        return SimConfig(**fields["run"], **records, scenario=scenario)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
+    return SimConfig(**fields["run"], **records, scenario=scenario)
 
 
 def parse_config(path, scenario: str = "nominal") -> SimConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DimlessParams, DimlessState, Disturbance
-from .plant import InvalidParameterError, drift, pointwise
+from .plant import ConfigError, PlantError, drift, pointwise
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,9 +26,9 @@ class SlidingParams:
 
     def __post_init__(self) -> None:
         if self.lambda2 == 0.0:
-            raise InvalidParameterError("lambda2 must be nonzero")
+            raise ConfigError("lambda2 must be nonzero")
         if not self.mu > 0.0:
-            raise InvalidParameterError("mu must be positive")
+            raise ConfigError("mu must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,16 +47,16 @@ class ReferenceSignal:
     def __post_init__(self) -> None:
         for name in ("x1_const", "x2ss", "k1", "k2"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         # exp(-k2*t) stays in [0, 1] on t >= 0 instead of overflowing
         if not self.k2 >= 0.0:
-            raise InvalidParameterError("k2 must be nonnegative")
+            raise ConfigError("k2 must be nonnegative")
 
     def x2ref_series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x2 reference and its rate at the times ts, one exp per point.
 
         Every element equals the Python-float evaluation at that time.
-        Raises InvalidParameterError where either is not finite.
+        Raises PlantError where either is not finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             ex = pointwise(math.exp, -self.k2 * ts)
@@ -64,7 +64,7 @@ class ReferenceSignal:
             x2ref_dot = self.x2ss * self.k1 * self.k2 * ex
         bad = np.flatnonzero(~(np.isfinite(x2ref) & np.isfinite(x2ref_dot)))
         if bad.size:
-            raise InvalidParameterError(
+            raise PlantError(
                 f"x2 reference or its rate is not finite at t={ts[bad[0]]}")
         return x2ref, x2ref_dot
 

@@ -17,13 +17,14 @@ import numpy as np
 SINGULAR_TOL = 1e-12
 
 
+class ConfigError(ValueError):
+    """Malformed or invalid configuration input, from a file or a caller."""
+
+
 class PlantError(ValueError):
     """A run the model cannot carry: a singular or overflowing exponent; a
-    nonfinite state, disturbance, gain or Jacobian; an invalid parameter."""
-
-
-class InvalidParameterError(PlantError):
-    """Raised when a parameter record violates its positivity invariants."""
+    nonfinite state, disturbance, reference, gain or Jacobian; a computed
+    bound that is not positive."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +55,7 @@ class DimlessParams:
     def __post_init__(self) -> None:
         for name in ("da", "gamma", "b_rise", "beta"):
             if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True, slots=True)

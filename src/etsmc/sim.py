@@ -35,9 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .controller import ReferenceSignal, SlidingParams, switching_law
-from .plant import (SINGULAR_TOL, DimlessParams, DimlessState, Disturbance,
-                    InvalidParameterError, PlantError, composition_nullcline,
-                    drift, kelvin_to_x2)
+from .plant import (SINGULAR_TOL, ConfigError, DimlessParams, DimlessState,
+                    Disturbance, PlantError, composition_nullcline, drift,
+                    kelvin_to_x2)
 from .trigger import (CSV_BLOCK, EventLog, EventText, TriggerParams,
                       estimate_lipschitz, format_blocks, thresholds,
                       zeno_bound, zeno_bounds)
@@ -74,37 +74,33 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.h < math.inf:
-            raise InvalidParameterError("h must be positive and finite")
+            raise ConfigError("h must be positive and finite")
         if not 10.0 * self.h <= self.t_end < math.inf:
-            raise InvalidParameterError(
-                "t_end must be finite and at least 10*h")
+            raise ConfigError("t_end must be finite and at least 10*h")
         if not self.t_end / self.h <= MAX_STEPS:
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"t_end/h = {self.t_end / self.h:.6g} steps exceeds the "
                 f"ceiling of {MAX_STEPS}")
         if self.scenario not in SCENARIOS:
-            raise InvalidParameterError(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
         # the divisor of controller.switching_law; it can underflow
         den = self.sliding.lambda2 * self.plant.beta
         if not (den != 0.0 and math.isfinite(den)):
-            raise InvalidParameterError(
-                f"lambda2*beta = {den} is zero or not finite")
+            raise ConfigError(f"lambda2*beta = {den} is zero or not finite")
         # the band tols/min(|lambda1|, |lambda2|) is widest at t = 0; an
         # infinite band would make the reaching checks pass vacuously
         tp = self.trigger
         lam = min(abs(self.sliding.lambda1), abs(self.sliding.lambda2))
         band0 = tp.psi * (tp.m1 + tp.m2) / lam if lam > 0.0 else math.inf
         if not math.isfinite(band0):
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"trigger band tols/min(|lambda1|, |lambda2|) = {band0} at "
                 "t = 0 is not finite")
         if self.scenario == "regulate":
             if self.setpoint_kelvin is None:
-                raise InvalidParameterError(
-                    "regulate scenario requires setpoint_kelvin")
+                raise ConfigError("regulate scenario requires setpoint_kelvin")
             if not 0.0 < self.tf0_kelvin < math.inf:
-                raise InvalidParameterError(
-                    "tf0_kelvin must be positive and finite")
+                raise ConfigError("tf0_kelvin must be positive and finite")
 
     def disturbance(self) -> Disturbance:
         if self.scenario == "disturbed":
@@ -218,7 +214,7 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
              p: DimlessParams, d: Disturbance) -> DimlessState:
     """Classical 4-stage step with u held constant across stages (ZOH)."""
     if not h > 0.0:
-        raise InvalidParameterError("h must be positive")
+        raise ConfigError("h must be positive")
     f1, f2 = drift(x.x1, x.x2, p)
     t_next = t + h
     return DimlessState(*rk4(x.x1, x.x2, f1, f2, u, t_next, h, p,

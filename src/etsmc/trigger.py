@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .controller import SlidingParams
-from .plant import (DimlessParams, DimlessState, InvalidParameterError,
-                    PlantError, jacobian_stack, pointwise)
+from .plant import (ConfigError, DimlessParams, DimlessState, PlantError,
+                    jacobian_stack, pointwise)
 
 #: The state box ((x1 lo, hi), (x2 lo, hi)) the Lipschitz estimate covers.
 LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
@@ -52,21 +52,21 @@ class TriggerParams:
 
     def __post_init__(self) -> None:
         if not self.zeta > 0.0:
-            raise InvalidParameterError("zeta must be positive")
+            raise ConfigError("zeta must be positive")
         if not self.xi > 0.0:
-            raise InvalidParameterError("xi must be positive")
+            raise ConfigError("xi must be positive")
         if not 0.0 < self.psi < 1.0:
-            raise InvalidParameterError("psi must lie in (0,1)")
+            raise ConfigError("psi must lie in (0,1)")
         if self.m1 < 0.0:
-            raise InvalidParameterError("m1 must be nonnegative")
+            raise ConfigError("m1 must be nonnegative")
         if self.m2 < 0.0:
-            raise InvalidParameterError("m2 must be nonnegative")
+            raise ConfigError("m2 must be nonnegative")
         if not self.m1 + self.m2 > 0.0:
-            raise InvalidParameterError("m1 + m2 must be positive")
+            raise ConfigError("m1 + m2 must be positive")
         if not 0.0 < self.varsigma < 1.0:
-            raise InvalidParameterError("varsigma must lie in (0,1)")
+            raise ConfigError("varsigma must lie in (0,1)")
         if self.trigger_both not in (0.0, 1.0):
-            raise InvalidParameterError("trigger_both must be 0 or 1")
+            raise ConfigError("trigger_both must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class LipschitzEstimate:
 
     def __post_init__(self) -> None:
         if not self.l_bar > 0.0:
-            raise InvalidParameterError("l_bar must be positive")
+            raise PlantError("l_bar must be positive")
 
 
 def thresholds(ts: np.ndarray, tp: TriggerParams) -> np.ndarray:
@@ -142,7 +142,7 @@ def zeno_bounds(x1: Iterable[float], x2: Iterable[float], eps_max: float,
     the trajectory in place.  Raises PlantError when ||M|| overflows.
     """
     if not eps_max > 0.0:
-        raise InvalidParameterError("eps_max must be positive")
+        raise PlantError("eps_max must be positive")
     m_norm = math.hypot(sp.lambda1, sp.lambda2) / abs(sp.lambda2)
     if not math.isfinite(m_norm):
         raise PlantError(f"gain matrix M is not finite "

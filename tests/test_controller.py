@@ -7,8 +7,8 @@ from etsmc.config import build_config
 from etsmc.controller import (HeldControl, ReferenceSignal, SlidingParams,
                               continuous_control, drift_vector,
                               event_control_update, sign, switching_law)
-from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError, drift)
+from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
+                         Disturbance, drift)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 SP = SlidingParams(lambda1=1.0, lambda2=2.0, mu=25.0)
@@ -17,11 +17,11 @@ REF = ReferenceSignal(x1_const=0.4472, x2ss=2.6516, k1=1.0, k2=1.0)
 
 class TestSlidingParams:
     def test_zero_lambda2_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             SlidingParams(lambda1=1.0, lambda2=0.0, mu=1.0)
 
     def test_nonpositive_mu_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             SlidingParams(lambda1=1.0, lambda2=2.0, mu=0.0)
 
 
@@ -56,7 +56,7 @@ class TestReference:
     def test_rejects_invalid(self, bad):
         kw = dict(x1_const=0.4472, x2ss=2.6516, k1=1.0, k2=1.0)
         kw.update(bad)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             ReferenceSignal(**kw)
 
     @pytest.mark.parametrize("x2ss", [2.6516, 20.0 / 3.0])  # default, 400 K

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError, PlantError,
-                         composition_nullcline, drift, eval_f1, eval_f2,
-                         jacobian, jacobian_stack, kelvin_to_x2, pointwise)
+from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
+                         Disturbance, PlantError, composition_nullcline, drift,
+                         eval_f1, eval_f2, jacobian, jacobian_stack,
+                         kelvin_to_x2, pointwise)
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
@@ -153,7 +153,7 @@ class TestConversions:
             assert back == pytest.approx(temp, abs=1e-12)
 
     def test_invalid_dimless(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             DimlessParams(da=-0.1, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 
 

@@ -18,8 +18,8 @@ import etsmc
 from etsmc import sim
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams, event_control_update
-from etsmc.plant import (DimlessParams, DimlessState, Disturbance,
-                         InvalidParameterError, drift)
+from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
+                         Disturbance, drift)
 from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
@@ -38,22 +38,22 @@ def small_cfg(**overrides):
 
 class TestSimConfig:
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             small_cfg(h=0.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             small_cfg(t_end=0.005)  # below 10*h
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             small_cfg(scenario="warp")
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             small_cfg(scenario="regulate")  # setpoint missing
         # lambda2*beta, the divisor of the switching law, underflows to
         # -0.0: caught with the config, before a run divides by it
-        with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
+        with pytest.raises(ConfigError, match=r"lambda2\*beta"):
             small_cfg(sliding=SlidingParams(1.0, -5e-324, 25.0))
         # a zero lambda1, or one so small that the division overflows,
         # makes the band tols/min(|lambda1|, |lambda2|) infinite
         for lam1 in (0.0, 5e-324, -5e-324):
-            with pytest.raises(InvalidParameterError, match="trigger band"):
+            with pytest.raises(ConfigError, match="trigger band"):
                 small_cfg(sliding=SlidingParams(lam1, 2.0, 25.0))
 
     def test_step_count(self):
@@ -123,7 +123,7 @@ class TestRk4:
         assert x.x2 == pytest.approx(exact, abs=1e-10)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             rk4_step(DimlessState(0.0, 0.0), 0.0, 0.0, 0.0, NOMINAL,
                      Disturbance.zero())
 

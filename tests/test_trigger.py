@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams
-from etsmc.plant import (DimlessParams, DimlessState, InvalidParameterError,
+from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          PlantError, jacobian_stack)
 from etsmc.sim import run_event_triggered, write_trajectory_csv
 from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
@@ -38,11 +38,11 @@ class TestParams:
         kw = dict(zeta=0.8, xi=0.8, psi=0.5, m1=1e-4, m2=0.2025,
                   varsigma=0.97)
         kw.update(bad)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             TriggerParams(**kw)
 
     def test_psi_message(self):
-        with pytest.raises(InvalidParameterError, match=r"psi must lie in \(0,1\)"):
+        with pytest.raises(ConfigError, match=r"psi must lie in \(0,1\)"):
             TriggerParams(zeta=0.8, xi=0.8, psi=1.5, m1=1e-4, m2=0.2025,
                           varsigma=0.97)
 
@@ -183,9 +183,9 @@ class TestZenoBound:
         assert zeno_bounds(x1, x2, eps, self.LIP, NOMINAL, SP) == expected
 
     def test_rejects_degenerate_inputs(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(PlantError, match="eps_max must be positive"):
             zeno_bound(DimlessState(0.4, 2.6), 0.0, self.LIP, NOMINAL, SP)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(PlantError, match="l_bar must be positive"):
             LipschitzEstimate(l_bar=0.0, sample_count=100)
 
     @pytest.mark.parametrize("lambda2,beta", [(-5e-324, 0.3),
@@ -195,7 +195,7 @@ class TestZenoBound:
         # lambda2*beta rounds to -0.0 or inf, so M = Bbar lambda^T/(lambda2
         # beta) cannot be formed; the closed form ||lambda||/|lambda2| never
         # takes that product, and the design is refused with the config
-        with pytest.raises(InvalidParameterError, match=r"lambda2\*beta"):
+        with pytest.raises(ConfigError, match=r"lambda2\*beta"):
             replace(build_config({}), plant=replace(NOMINAL, beta=beta),
                     sliding=SlidingParams(1.0, lambda2, 25.0))
 
