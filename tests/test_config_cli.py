@@ -335,7 +335,9 @@ class TestCliRuns:
     test_trigger_both_other_than_0_or_1_exits_2 = exit_2_test(
         "trigger_both-2")
     test_setpoint_kelvin_in_config_on_regulate_exits_2 = exit_2_test(
-        "setpoint_kelvin-regulate-400")
+        "setpoint_kelvin-regulate-400",
+        "setpoint_kelvin-and-x1ref-regulate-300",
+        ids=["regulate-400", "and-x1ref-regulate-300"])
     test_zeno_denominator_rejected_before_the_loop = exit_2_test(
         "zeno-denominator-full-horizon")
     test_non_ascii_decimal_value_exits_2 = exit_2_test(

@@ -193,6 +193,12 @@ EXIT_2 = [
     ("setpoint_kelvin-regulate-400", "regulate-400", "setpoint_kelvin = 350",
      "--duration 0.02", "setpoint_kelvin = 350.0 conflicts with the "
      "scenario regulate-400", True),
+    # the setpoint is named ahead of an unread key, as when a regulate-400
+    # manifest's config is run as regulate-300
+    ("setpoint_kelvin-and-x1ref-regulate-300", "regulate-300",
+     "setpoint_kelvin = 400\nx1ref = 0.5", "--duration 0.02",
+     "setpoint_kelvin = 400.0 conflicts with the scenario regulate-300",
+     True),
     # extreme values, each reported where numpy would warn or overflow
     ("disturbance-phase-overflow", "disturbed", "d1_freq = 1e308",
      "--duration 2.5", "phase", False),
