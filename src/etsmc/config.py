@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import string
+from dataclasses import replace
 from typing import Mapping, Optional
 
 from .controller import ReferenceSignal, SlidingParams
@@ -116,8 +117,7 @@ def _parse_lines(text: str) -> dict[str, float]:
     return values
 
 
-def build_config(values: Mapping[str, float],
-                 scenario: str = "nominal") -> SimConfig:
+def build_config(values: Mapping[str, float]) -> SimConfig:
     """Assemble a validated SimConfig from resolved key-value pairs."""
     for key, val in values.items():
         if key not in KEYS:
@@ -130,7 +130,7 @@ def build_config(values: Mapping[str, float],
     for key, (record, field, _) in KEYS.items():
         fields.setdefault(record, {})[field] = v[key]
     records = {rec: cls(**fields[rec]) for rec, cls in RECORDS.items()}
-    return SimConfig(**fields["run"], **records, scenario=scenario)
+    return SimConfig(**fields["run"], **records, scenario="nominal")
 
 
 def parse_config(path, scenario: str = "nominal") -> SimConfig:
@@ -141,7 +141,7 @@ def parse_config(path, scenario: str = "nominal") -> SimConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} "
                               f"at byte {exc.start})") from exc
-    return build_config(_parse_lines(text), scenario=scenario)
+    return replace(build_config(_parse_lines(text)), scenario=scenario)
 
 
 def config_values(cfg: SimConfig) -> dict[str, float]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestEventForm:
         # sim._run_loop computes the control as switching_law(e1, e2,
         # f1 - d2, f2 + d1 - x2ref_dot, ...); the dataclass forms must give
         # the same bits with the disturbance on
-        cfg = build_config({}, scenario="disturbed")
+        cfg = replace(build_config({}), scenario="disturbed")
         p, sp, r = cfg.plant, cfg.sliding, cfg.reference
         d = cfg.disturbance()
         rng = np.random.default_rng(29)

@@ -195,8 +195,9 @@ class TestLoopEquivalence:
 
     @staticmethod
     def config(scenario, values):
-        return resolve_regulation(build_config(
-            {"mu": 0.5, "t_end": 0.5, **values}, scenario=scenario))
+        return resolve_regulation(replace(
+            build_config({"mu": 0.5, "t_end": 0.5, **values}),
+            scenario=scenario))
 
     def test_matches_public_operations_bitwise(self, run_flipped):
         for scenario, values, flip in self.CASES:
