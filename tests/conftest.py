@@ -2,11 +2,14 @@
 
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from etsmc import sim
+from etsmc.cli import main
 from etsmc.config import build_config
 from etsmc.controller import switching_law
 from etsmc.sim import (resolve_regulation, run_event_triggered,
@@ -97,3 +100,33 @@ def run_flipped():
 def flipped_run(default_cfg, run_flipped):
     """Falsification control: actuation sign deliberately inverted."""
     return run_flipped(default_cfg)
+
+
+@pytest.fixture
+def exit_2(tmp_path, monkeypatch, capsys):
+    """exit_2(scenario, config, argv, text, before_loop) runs cli.main in
+    tmp_path on the scenario, with argv and the config text (str or bytes;
+    None for no --config), and checks the exit-2 contract: exit code 2, no
+    stdout, no warning, one ``error:`` line holding text and no run
+    directory.  A before_loop run must fail ahead of the closed loop."""
+    def run(scenario, config, argv, text, before_loop):
+        monkeypatch.chdir(tmp_path)
+        if before_loop:
+            monkeypatch.setattr(sim, "_run_loop", lambda *args, **kwargs:
+                                pytest.fail("the closed loop ran"))
+        if config is not None:
+            data = config if isinstance(config, bytes) else config.encode()
+            Path("run.cfg").write_bytes(data + b"\n")
+            argv = f"--config run.cfg {argv}"
+        # a warning would have printed ahead of the error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--scenario", scenario, *argv.split(), "--out", "runs"])
+        out, err = capsys.readouterr()
+        assert (rc, out, caught) == (2, "", [])
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+        assert text in err
+        assert not Path("runs").exists()
+    return run

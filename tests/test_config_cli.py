@@ -261,6 +261,45 @@ class TestCliRuns:
             run_scenario("nominal", cfg, tmp_path / "runs")
         assert not (tmp_path / "runs").exists()
 
+    # a key that the scenario name sets or does not read exits 2 before
+    # the scenario runs, checked by the exit_2 fixture as the rows of
+    # test_exit_contract.EXIT_2 are
+    @pytest.mark.parametrize("scenario,key", [
+        *((scenario, key) for scenario in ("nominal", "baseline-comparison")
+          for key in ("d1_amp", "d1_freq", "d2_amp", "d2_freq")),
+        *((f"regulate-{kelvin}", key) for kelvin in (300, 400, 500)
+          for key in ("x1ref", "x2ss", "d1_amp", "d1_freq", "d2_amp",
+                      "d2_freq"))])
+    def test_key_the_scenario_does_not_read_exits_2(self, scenario, key,
+                                                    exit_2):
+        exit_2(scenario, f"{key} = 0.5", "--duration 0.02",
+               f"{key} applies only to", True)
+
+    @pytest.mark.parametrize("scenario", ["nominal", "disturbed",
+                                          "baseline-comparison"])
+    @pytest.mark.parametrize("key", ["tf0_kelvin", "setpoint_kelvin"])
+    def test_regulate_key_in_config_outside_regulate_exits_2(
+            self, key, scenario, exit_2):
+        exit_2(scenario, f"{key} = 350", "--duration 0.02",
+               f"{key} applies only to", True)
+
+    @pytest.mark.parametrize("scenario,config,kelvin", [
+        ("regulate-400", "setpoint_kelvin = 350", 350),
+        # the setpoint is named ahead of an unread key, as when a
+        # regulate-400 manifest's config is run as regulate-300
+        ("regulate-300", "setpoint_kelvin = 400\nx1ref = 0.5", 400),
+    ], ids=["regulate-400", "and-x1ref-regulate-300"])
+    def test_setpoint_kelvin_in_config_on_regulate_exits_2(
+            self, scenario, config, kelvin, exit_2):
+        exit_2(scenario, config, "--duration 0.02",
+               f"setpoint_kelvin = {kelvin}.0 conflicts with the scenario "
+               f"{scenario}", True)
+
+    @pytest.mark.parametrize("kelvin", ["0", "-300"])
+    def test_nonpositive_feed_temperature_exits_2(self, kelvin, exit_2):
+        exit_2("regulate-400", f"tf0_kelvin = {kelvin}", "--duration 0.02",
+               "error: tf0_kelvin must be positive and finite\n", True)
+
     def test_unknown_scenario_lists_the_scenarios(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run_scenario("regulate-450", build_config({}), tmp_path / "runs")

@@ -5,7 +5,9 @@ over extreme config values.
 config, plant or IO error reported on an ``error:`` line.  No exception may
 escape ``cli.main``.  ``EXIT_2`` lists the inputs that must exit 2, each
 with its ``error:`` text, and ``test_exit_2`` runs each row once in
-process, under the row's id.
+process, under the row's id, through the ``exit_2`` fixture of conftest.py.
+The exit-2 cases on the keys that a scenario name sets or does not read
+run through the same fixture in ``TestCliRuns`` of test_config_cli.py.
 """
 
 import inspect
@@ -13,7 +15,6 @@ import io
 import json
 import re
 import tempfile
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -177,26 +178,12 @@ EXIT_2 = [
     ("nonfinite-plant-value", "nominal", "x2c0 = nan", "", "x2c0", True),
     ("trigger_both-2", "nominal", "trigger_both = 2", "--duration 0.02",
      "trigger_both must be 0 or 1", True),
-    ("tf0_kelvin-0", "regulate-400", "tf0_kelvin = 0", "--duration 0.02",
-     "error: tf0_kelvin must be positive and finite\n", True),
-    ("tf0_kelvin--300", "regulate-400", "tf0_kelvin = -300", "--duration 0.02",
-     "error: tf0_kelvin must be positive and finite\n", True),
     # --duration takes the text a config value takes
     ("duration-digit-group-underscore", "nominal", None, "--duration 1_0e-1",
      "error: --duration '1_0e-1' is not a decimal number\n", True),
     ("duration-arabic-indic-digits", "nominal", None,
      "--duration \u0660.\u0660\u0662",
      "error: --duration '\u0660.\u0660\u0662' is not a decimal number\n",
-     True),
-    # a setpoint that the scenario name sets
-    ("setpoint_kelvin-regulate-400", "regulate-400", "setpoint_kelvin = 350",
-     "--duration 0.02", "setpoint_kelvin = 350.0 conflicts with the "
-     "scenario regulate-400", True),
-    # the setpoint is named ahead of an unread key, as when a regulate-400
-    # manifest's config is run as regulate-300
-    ("setpoint_kelvin-and-x1ref-regulate-300", "regulate-300",
-     "setpoint_kelvin = 400\nx1ref = 0.5", "--duration 0.02",
-     "setpoint_kelvin = 400.0 conflicts with the scenario regulate-300",
      True),
     # extreme values, each reported where numpy would warn or overflow
     ("disturbance-phase-overflow", "disturbed", "d1_freq = 1e308",
@@ -279,53 +266,8 @@ EXIT_2 = [
      "error: state became nonfinite at t=0.001: (nan, nan)\n", False),
 ]
 
-#: (scenario, config line): a key that the scenario does not read, set off
-#: its default, exits 2 before the scenario runs
-UNREAD = [
-    ("nominal", "tf0_kelvin = 350"), ("nominal", "setpoint_kelvin = 350"),
-    ("nominal", "d1_amp = 0.5"), ("nominal", "d1_freq = 0.5"),
-    ("nominal", "d2_amp = 0.5"), ("nominal", "d2_freq = 0.5"),
-    ("disturbed", "tf0_kelvin = 350"), ("disturbed", "setpoint_kelvin = 350"),
-    ("baseline-comparison", "tf0_kelvin = 350"),
-    ("baseline-comparison", "setpoint_kelvin = 350"),
-    ("baseline-comparison", "d1_amp = 0.5"),
-    ("baseline-comparison", "d1_freq = 0.5"),
-    ("baseline-comparison", "d2_amp = 0.5"),
-    ("baseline-comparison", "d2_freq = 0.5"),
-    ("regulate-300", "x1ref = 0.5"), ("regulate-300", "x2ss = 0.5"),
-    ("regulate-300", "d1_amp = 0.5"), ("regulate-300", "d1_freq = 0.5"),
-    ("regulate-300", "d2_amp = 0.5"), ("regulate-300", "d2_freq = 0.5"),
-    ("regulate-400", "x1ref = 0.5"), ("regulate-400", "x2ss = 0.5"),
-    ("regulate-400", "d1_amp = 0.5"), ("regulate-400", "d1_freq = 0.5"),
-    ("regulate-400", "d2_amp = 0.5"), ("regulate-400", "d2_freq = 0.5"),
-    ("regulate-500", "x1ref = 0.5"), ("regulate-500", "x2ss = 0.5"),
-    ("regulate-500", "d1_amp = 0.5"), ("regulate-500", "d1_freq = 0.5"),
-    ("regulate-500", "d2_amp = 0.5"), ("regulate-500", "d2_freq = 0.5"),
-]
-EXIT_2 += [(f"{scenario}-{line.split()[0]}", scenario, line, "--duration 0.02",
-            f"{line.split()[0]} applies only to", True)
-           for scenario, line in UNREAD]
-
 
 @pytest.mark.parametrize("row_id,scenario,config,argv,text,before_loop",
                          EXIT_2, ids=[row[0] for row in EXIT_2])
-def test_exit_2(row_id, scenario, config, argv, text, before_loop, tmp_path,
-                monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    if before_loop:
-        monkeypatch.setattr(sim, "_run_loop", _no_loop)
-    if config is not None:
-        data = config if isinstance(config, bytes) else config.encode()
-        Path("run.cfg").write_bytes(data + b"\n")
-        argv = f"--config run.cfg {argv}"
-    # a warning would have printed ahead of the error line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["--scenario", scenario, *argv.split(), "--out", "runs"])
-    out, err = capsys.readouterr()
-    assert (rc, out, caught) == (2, "", [])
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.endswith("\n"), err
-    assert err.count("\n") == 1, err
-    assert text in err
-    assert not Path("runs").exists()
+def test_exit_2(row_id, scenario, config, argv, text, before_loop, exit_2):
+    exit_2(scenario, config, argv, text, before_loop)
