@@ -51,6 +51,16 @@ GOLDEN = {
         "temperature.svg": "d1cb225b69af0131d70ac50f00585a081d7ce5340f7882b280b3b1058db948f3",
         "trajectory.csv": "3e3a0f47bb13d60ae12c0c541963ebacb77131881b752e02b422c9930bffba3b",
     },
+    "regulate-300": {
+        "composition.svg": "5aa400d0b8164f0366ba10200c3c94bc8583dfe1dafb8c9de682a51daba5196f",
+        "events.csv": "96d461a27a5e1a085866a982f141af2b38ac6dd6ea3fba57cf380dedf7e9ad6c",
+        "events.svg": "db3fd0bd08856199440859990ac0cc69928bb1deb510dff9504fd5cba007288c",
+        "manifest.json": "62289b2f75192915d9dfc16b83d60dae8b4df79cf94cf464c1c914163e3f588a",
+        "metrics.json": "6898c4f422f803dc70d5e631f16090dd98a341d02afcceb29b529e571470e890",
+        "metrics.txt": "f78d79d24c4e66f4e182dd8c34d55168d99dc536b8388393b0861338bb4376d7",
+        "temperature.svg": "977b078fd4e3c4dcd7e8381da85aecd784d32c6d57d7d3fbbc3bf32b43cef7db",
+        "trajectory.csv": "9e2c5d34f9924f248599fdb17c31f10d406c8656719d1d0e4e733e191e6e3295",
+    },
     "regulate-400": {
         "composition.svg": "7bef9c6dea61c5bc7e952fd51c646270ada0f508ac018be4b2dd6367c469d4bb",
         "events.csv": "8575c7fa556e230806ffbb2dc54956a48c01165b5c651af39184d951befbed9f",
@@ -60,6 +70,16 @@ GOLDEN = {
         "metrics.txt": "5bd5b5d69af5c92bb00c1de7a741b93046ae2010b338872ed1bb3ee4d1e8bb3d",
         "temperature.svg": "18d14ef016b82456a35afcea918052e45540d7838d680c275c559e1ccbbeb1a9",
         "trajectory.csv": "f1665ce8edeb9dd4e0445f6c5e63e2cdbfd2ca9cec7203e17c20cf6dd687635f",
+    },
+    "regulate-500": {
+        "composition.svg": "b061c603f06584734f0f119d2019d075e1cfd7b58743e1b59c4f0ab64a8448d8",
+        "events.csv": "d8a861c70a0592d70c60e40084d8d7cdd846a022e733f577270ce4043b8c2843",
+        "events.svg": "80c9069149484a280a1c1b4e7d3b2b1e7e36d1eb7cf17744a7fc5140c7334acd",
+        "manifest.json": "939f4b2000aaa66b4192e31b79149662f5b4423722eee1a939ff717dded67a17",
+        "metrics.json": "1aa336a6cbc5d5997f8b81cb4df9e9ed8e0ccd3d127f4b98d9e72a4a845a4809",
+        "metrics.txt": "3882300570a7b1ba509359210170d23dafd917a5c9d2c4c4ae74dc6938538c58",
+        "temperature.svg": "069968419ab975f452f01a79500f1274a39d6162c383ab2e067eb7a729059905",
+        "trajectory.csv": "3c157ce96ce2ab4867842f4d2d6b17c436adfde6069eae67b29742801729f14c",
     },
 }
 
