@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from etsmc.config import build_config
-from etsmc.controller import (HeldControl, ReferenceSignal, SlidingParams,
+from etsmc.controller import (ReferenceSignal, SlidingParams,
                               continuous_control, drift_vector,
                               event_control_update, sign, switching_law)
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
@@ -137,25 +137,6 @@ class TestControlLaw:
 
 
 class TestEventForm:
-    def test_snapshot_and_value(self):
-        d = Disturbance.zero()
-        x = DimlessState(0.3, 1.0)
-        hc = event_control_update(x, 2.0, NOMINAL, d, REF, SP)
-        # the event form is the continuous law at the snapshot (x, t_k),
-        # and the held value is all it keeps
-        assert hc == HeldControl(
-            u=continuous_control(x, 2.0, NOMINAL, d, REF, SP))
-
-    def test_laws_coincide_on_random_states(self):
-        import numpy as np
-        rng = np.random.default_rng(11)
-        d = Disturbance.zero()
-        for _ in range(50):
-            x = DimlessState(rng.uniform(0, 1), rng.uniform(0, 5))
-            t = rng.uniform(0, 50)
-            hc = event_control_update(x, t, NOMINAL, d, REF, SP)
-            assert hc.u == continuous_control(x, t, NOMINAL, d, REF, SP)
-
     def test_laws_match_the_loop_formula_under_disturbance(self):
         # sim._run_loop computes the control as switching_law(e1, e2,
         # f1 - d2, f2 + d1 - x2ref_dot, ...); the dataclass forms must give

@@ -83,48 +83,48 @@ GOLDEN = {
     },
 }
 
-#: --duration 10 runs: 10,001 trajectory rows and 10,001 events each.  The
+SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
+MIXED_CONFIG = "mu = 0.5\nm1 = 2\n"
+
+#: --duration 10 runs, id -> (scenario, config text or None, digests): 10,001
+#: trajectory rows each, and 10,001 events each on the dense runs.  The
 #: trajectory figures keep every sixth point and the last, and a dense
 #: events.svg every fifth of its 10,000 gaps and the last.
 GOLDEN_LONG = {
-    "nominal": {
+    "nominal": ("nominal", None, {
         "composition.svg": "55e8ff370a3afb4ab44b7cc535aee2eb0f36747be50d7c6da665a2fba38554f1",
         "events.csv": "729a730d88e8c8c53f31fd26cbf609f4820f08905d2eb006d67d26025973ffb8",
         "events.svg": "864780a05ef843f38ef0060b01e561d17601ffda052962fbe4eb63eb8cc2a8fd",
         "temperature.svg": "bed8fb9826c20aa06066f8588f366e93a32cffe69cda93ec1474e00715f8ee9f",
         "trajectory.csv": "f8a13171d76e4d614500b5ac945c94ca91f7c6b880f633525c3f191c0924b514",
-    },
-    "disturbed": {
+    }),
+    "disturbed": ("disturbed", None, {
         "composition.svg": "d89f12cfc70082249180009b10a497e9ced75ecb0a25317e6d672653356f930d",
         "events.csv": "5909f5208013c4b0ecb8cb682c1e9603cb6440e417583bd391c77e869dc73616",
         "events.svg": "91f06513699a11c4fba1c8e07509e5ad693be210d626cb44fc4e46950229597d",
         "temperature.svg": "cde44948c115314a81a5d13f2e829f2de9391d911f562118f524c4b4cf921589",
         "trajectory.csv": "79f8c1896b869026daa8b2e4bd405df520ca34206acf7b5cb160b288d3b6139e",
-    },
-    # regulate-400 with SPARSE_CONFIG: 265 events, in writer blocks 0, 1,
-    # 2 and 5 (13, 194, 57 and 1 of them)
-    "regulate-400": {
+    }),
+    # 265 events, in writer blocks 0, 1, 2 and 5 (13, 194, 57 and 1 of them)
+    "sparse-regulate": ("regulate-400", SPARSE_CONFIG, {
         "composition.svg": "6be2260d17c53b13226b2cc5b67f1cb173acc1d8ab4bbeba6b563f7885f9f437",
         "events.csv": "c080772bd879eefda6c4c28f999a515b62f2f1da88d3ad98a0f14749d48c161b",
         "events.svg": "02c00a162d0b9d0ea9b9b0810d84349dee690e118fd65920989c2c3eecccaa19",
         "temperature.svg": "c354dac76a6b749dfaa3a3ed8e1f019452604fbd7ba6a87384518ca140e6d00a",
         "trajectory.csv": "406ea7b6cecc9a6d5693d877a7f9b0a1dcf3660fabd612b7ff1e27dcbec84c57",
-    },
-    # nominal with MIXED_CONFIG: 883 events, whose writer blocks hold one
-    # event, a full block of them or none, [1, 1, 1] + [0]*6 + [331, 512,
-    # 35] + [0]*5 + [1, 1, 0], so the event text the CLI shares between
-    # the writers has every kind of block in one file
-    "nominal-mixed": {
+    }),
+    # 883 events, whose writer blocks hold one event, a full block of them
+    # or none, [1, 1, 1] + [0]*6 + [331, 512, 35] + [0]*5 + [1, 1, 0], so
+    # the event text the CLI shares between the writers has every kind of
+    # block in one file
+    "mixed-nominal": ("nominal", MIXED_CONFIG, {
         "composition.svg": "7d589d436abac939f6d64a505a91ebb5d5e2a9dc77ff20eb04ab28df2c7709e9",
         "events.csv": "980420bfa815c4dd2fd91f60f6ab6270a5cce00d5680e64c2ed3bbe7cf150b6e",
         "events.svg": "bc1d1fb0205fbfcb7287fdbae0066e288a2cb5c2f00c50ee6231c4d8c2edfaff",
         "temperature.svg": "6b7180bd6dcdf08e7dd92ee0ab3d2505c262b43fac8c9d7b81434f689fe85787",
         "trajectory.csv": "cf638c7f495a50af55702b9682a2d49c89f774c0948ed46f2f7b685196652cc9",
-    },
+    }),
 }
-
-SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
-MIXED_CONFIG = "mu = 0.5\nm1 = 2\n"
 
 #: metrics.json of baseline-comparison with SPARSE_CONFIG at --duration 2:
 #: 4 events in 2,000 steps, so the baseline cannot match the run.
@@ -144,37 +144,19 @@ def test_cli_artifact_digests(scenario, tmp_path):
     assert digests == GOLDEN[scenario]
 
 
-def _long_digests(scenario, tmp_path, *extra):
+@pytest.mark.parametrize("scenario,config,digests", GOLDEN_LONG.values(),
+                         ids=list(GOLDEN_LONG))
+def test_long_run_digests(scenario, config, digests, tmp_path):
+    argv = ["--scenario", scenario, "--duration", "10",
+            "--out", str(tmp_path / "runs")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
     # exit 1: lyapunov-decrease-outside-band is known red past short horizons
-    assert main(["--scenario", scenario, "--duration", "10",
-                 "--out", str(tmp_path / "runs"), *extra]) in (0, 1)
+    assert main(argv) in (0, 1)
     run_dir = tmp_path / "runs" / scenario
-    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in GOLDEN_LONG["nominal"]}
-
-
-def test_long_nominal_csv_digests(tmp_path):
-    digests = _long_digests("nominal", tmp_path)
-    assert digests == GOLDEN_LONG["nominal"]
-
-
-def test_long_disturbed_csv_digests(tmp_path):
-    digests = _long_digests("disturbed", tmp_path)
-    assert digests == GOLDEN_LONG["disturbed"]
-
-
-def test_long_sparse_regulate_csv_digests(tmp_path):
-    (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
-    digests = _long_digests("regulate-400", tmp_path,
-                            "--config", str(tmp_path / "sparse.cfg"))
-    assert digests == GOLDEN_LONG["regulate-400"]
-
-
-def test_long_mixed_nominal_csv_digests(tmp_path):
-    (tmp_path / "mixed.cfg").write_text(MIXED_CONFIG)
-    digests = _long_digests("nominal", tmp_path,
-                            "--config", str(tmp_path / "mixed.cfg"))
-    assert digests == GOLDEN_LONG["nominal-mixed"]
+    assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_sparse_baseline_comparison_metrics_digest(tmp_path):

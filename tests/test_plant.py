@@ -87,21 +87,6 @@ class TestJacobian:
         j = jacobian(DimlessState(1.0, 0.0), NOMINAL)
         assert j[0, 1] == 0.0
 
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(42)
-        step = 1e-6
-        for _ in range(100):
-            x1 = rng.uniform(0, 1)
-            x2 = rng.uniform(0, 5)
-            j = jacobian(DimlessState(x1, x2), NOMINAL)
-            fd = np.empty((2, 2))
-            for col, (dx1, dx2) in enumerate(((step, 0.0), (0.0, step))):
-                hi = DimlessState(x1 + dx1, x2 + dx2)
-                lo = DimlessState(x1 - dx1, x2 - dx2)
-                fd[0, col] = (eval_f1(hi, NOMINAL) - eval_f1(lo, NOMINAL)) / (2 * step)
-                fd[1, col] = (eval_f2(hi, NOMINAL) - eval_f2(lo, NOMINAL)) / (2 * step)
-            assert np.linalg.norm(j - fd) <= 1e-5 * max(1.0, np.linalg.norm(j))
-
 
 def _scalar_jacobian(x1, x2, p):
     """The Jacobian formula evaluated in Python floats, one point."""
