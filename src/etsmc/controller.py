@@ -91,25 +91,12 @@ def sign(s: float) -> float:
     return 0.0
 
 
-def drift_vector(x: DimlessState, t: float, p: DimlessParams,
-                 d: Disturbance, r: ReferenceSignal) -> np.ndarray:
-    """Control-free error drift (f1 - d2, f2 + d1 - x2ref_dot).
-
-    The composition reference is constant, so its rate drops out.
-    Disturbances are measurable, so the controller reads them at the
-    evaluation instant.
-    """
-    d1v, d2v = d.eval(t)
-    f1, f2 = drift(x.x1, x.x2, p)
-    return np.array([f1 - d2v, f2 + d1v - r.x2ref_dot(t)])
-
-
 def switching_law(e1: float, e2: float, g1: float, g2: float,
                   sp: SlidingParams, beta: float) -> float:
     """Sliding-mode law -(lambda2*beta)^-1 (lambda.g + mu*sign(sigma)).
 
     (e1, e2) are the tracking errors and (g1, g2) the control-free error
-    drift, as returned by drift_vector.
+    drift (f1 - d2, f2 + d1 - x2ref_dot).
     """
     s = sp.lambda1 * e1 + sp.lambda2 * e2
     return -(sp.lambda1 * g1 + sp.lambda2 * g2 + sp.mu * sign(s)) / (
@@ -119,10 +106,15 @@ def switching_law(e1: float, e2: float, g1: float, g2: float,
 def continuous_control(x: DimlessState, t: float, p: DimlessParams,
                        d: Disturbance, r: ReferenceSignal,
                        sp: SlidingParams) -> float:
-    """Continuous sliding-mode law evaluated at state x and time t."""
-    g = drift_vector(x, t, p, d, r)
-    return switching_law(x.x1 - r.x1_const, x.x2 - r.x2ref(t), g[0], g[1],
-                         sp, p.beta)
+    """Continuous sliding-mode law evaluated at state x and time t.
+
+    The composition reference is constant, so its rate drops out of the
+    error drift.  Disturbances are measurable, so the law reads them at t.
+    """
+    d1v, d2v = d.eval(t)
+    f1, f2 = drift(x.x1, x.x2, p)
+    return switching_law(x.x1 - r.x1_const, x.x2 - r.x2ref(t), f1 - d2v,
+                         f2 + d1v - r.x2ref_dot(t), sp, p.beta)
 
 
 def event_control_update(x: DimlessState, t_k: float, p: DimlessParams,

@@ -30,6 +30,13 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _text(x: int, y: int, anchor: str, size: int, body: str,
+          extra: str = "") -> str:
+    """One sans-serif <text> element; extra holds further attributes."""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family='
+            f'"sans-serif" font-size="{size}"{extra}>{body}</text>')
+
+
 def _scale(arrays: list) -> tuple[float, float]:
     """Bounds of the values of arrays, taken in order by builtin min and
     max: a nan gives the bound only where it comes first (np.min would
@@ -102,32 +109,19 @@ def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
         f'y2="{HEIGHT - MARGIN}" stroke="black" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{MARGIN // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>')
+        parts.append(_text(WIDTH // 2, MARGIN // 2, "middle", 16, title))
     if xlabel:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+        parts.append(_text(WIDTH // 2, HEIGHT - 15, "middle", 13, xlabel))
     if ylabel:
-        parts.append(
-            f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {HEIGHT // 2})">{ylabel}</text>')
+        parts.append(_text(18, HEIGHT // 2, "middle", 13, ylabel,
+                           f' transform="rotate(-90 18 {HEIGHT // 2})"'))
     # axis extremes
-    parts.append(
-        f'<text x="{MARGIN}" y="{HEIGHT - MARGIN + 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{_fmt(xlo)}</text>')
-    parts.append(
-        f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - MARGIN + 18}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-        f'{_fmt(xhi)}</text>')
-    parts.append(
-        f'<text x="{MARGIN - 8}" y="{HEIGHT - MARGIN + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{_fmt(ylo)}</text>')
-    parts.append(
-        f'<text x="{MARGIN - 8}" y="{MARGIN + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{_fmt(yhi)}</text>')
+    parts += [
+        _text(MARGIN, HEIGHT - MARGIN + 18, "middle", 11, _fmt(xlo)),
+        _text(WIDTH - MARGIN, HEIGHT - MARGIN + 18, "middle", 11, _fmt(xhi)),
+        _text(MARGIN - 8, HEIGHT - MARGIN + 4, "end", 11, _fmt(ylo)),
+        _text(MARGIN - 8, MARGIN + 4, "end", 11, _fmt(yhi)),
+    ]
 
     for idx, (name, xs, ys) in enumerate(thinned):
         color = PALETTE[idx % len(PALETTE)]
@@ -145,10 +139,8 @@ def emit_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
                          f'stroke="{color}" stroke-width="1"/>'
                          for x, y in zip(map(_fmt, pxs), pys))
         if name:
-            parts.append(
-                f'<text x="{WIDTH - MARGIN}" y="{MARGIN + 16 * (idx + 1)}" '
-                f'text-anchor="end" font-family="sans-serif" font-size="12" '
-                f'fill="{color}">{name}</text>')
+            parts.append(_text(WIDTH - MARGIN, MARGIN + 16 * (idx + 1), "end",
+                               12, name, f' fill="{color}"'))
     parts.append("</svg>\n")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts))

@@ -208,16 +208,6 @@ class TestCliRuns:
         assert "lyapunov-decrease-outside-band" in manifest[
             "invariant_violations"]
 
-    def test_tf0_kelvin_in_config_applies_to_regulate(self, tmp_path):
-        cfg = tmp_path / "regulate.cfg"
-        cfg.write_text("tf0_kelvin = 350\n")
-        rc = main(["--scenario", "regulate-400", "--config", str(cfg),
-                   "--duration", "0.02", "--out", str(tmp_path)])
-        assert rc == 0
-        manifest = json.loads(
-            (tmp_path / "regulate-400" / "manifest.json").read_text())
-        assert manifest["config"]["tf0_kelvin"] == 350.0
-
     def test_run_scenario_rejects_a_key_the_scenario_does_not_read(
             self, tmp_path):
         # a library caller gets the rule a config file gets

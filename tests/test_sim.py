@@ -19,7 +19,7 @@ from etsmc import sim
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams, event_control_update
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
-                         Disturbance, drift)
+                         Disturbance, PlantError, drift)
 from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
@@ -47,9 +47,12 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             small_cfg(scenario="regulate")  # setpoint missing
         # lambda2*beta, the divisor of the switching law, underflows to
-        # -0.0: caught with the config, before a run divides by it
-        with pytest.raises(ConfigError, match=r"lambda2\*beta"):
-            small_cfg(sliding=SlidingParams(1.0, -5e-324, 25.0))
+        # -0.0 or overflows to inf: caught with the config, before a run
+        # divides by it
+        for lam2, beta in ((-5e-324, 0.3), (1e308, 10.0)):
+            with pytest.raises(ConfigError, match=r"lambda2\*beta"):
+                small_cfg(plant=replace(NOMINAL, beta=beta),
+                          sliding=SlidingParams(1.0, lam2, 25.0))
         # a zero lambda1, or one so small that the division overflows,
         # makes the band tols/min(|lambda1|, |lambda2|) infinite
         for lam1 in (0.0, 5e-324, -5e-324):
@@ -114,6 +117,12 @@ class TestRk4:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigError):
             rk4_step(DimlessState(0.0, 0.0), 0.0, 0.0, 0.0, NOMINAL,
+                     Disturbance.zero())
+        # so is a step that leaves the floats: from x1 = 1.5e308 the second
+        # stage's drift overflows to -inf, and the later stages give nan
+        with pytest.raises(PlantError, match=re.escape(
+                "state became nonfinite at t=0.001: (nan, nan)")):
+            rk4_step(DimlessState(1.5e308, 0.0), 0.0, 0.0, 1e-3, NOMINAL,
                      Disturbance.zero())
 
 
@@ -211,13 +220,6 @@ class TestLoopEquivalence:
                                          every_step=True)
         assert metrics.event_count == len(traj.t)
 
-    def test_time_triggered_fires_everywhere(self):
-        cfg = small_cfg(t_end=0.2)
-        traj, metrics = run_time_triggered(cfg)
-        assert traj.event.all()
-        assert metrics.event_count == cfg.step_count() + 1
-        assert metrics.min_gap == pytest.approx(cfg.h)
-
 
 def test_loop_calls_drift_only_at_x0(monkeypatch):
     # the kernel evaluates every later drift in line: a Python call per
@@ -288,13 +290,6 @@ class TestRunOutputs:
         _, log, _ = run_event_triggered(cfg)
         for name in ("instants", "gaps", "delta_at_event", "bound_at_event"):
             assert all(type(x) is float for x in getattr(log, name)), name
-
-    def test_determinism(self):
-        cfg = small_cfg(t_end=1.0)
-        a = run_event_triggered(cfg)[0]
-        b = run_event_triggered(cfg)[0]
-        for name in ("x1", "x2", "u", "sigma", "delta"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_eps_is_distance_to_the_previous_snapshot(self):
         # eps is taken before the update at an event step, so it is the
