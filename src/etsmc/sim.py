@@ -39,8 +39,8 @@ from .plant import (SINGULAR_TOL, ConfigError, DimlessParams, DimlessState,
                     Disturbance, PlantError, composition_nullcline, drift,
                     kelvin_to_x2)
 from .trigger import (CSV_BLOCK, EventLog, EventText, TriggerParams,
-                      estimate_lipschitz, format_blocks, thresholds,
-                      zeno_bound, zeno_bounds)
+                      estimate_lipschitz, thresholds, zeno_bound,
+                      zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -51,6 +51,9 @@ X1_PHYSICAL_TOL = 0.1
 #: 145 bytes (tracemalloc) when every step fires, 122 of them kept in the
 #: returned records; a sparse run keeps up to 144 and peaks at about 161.
 MAX_STEPS = 1_000_000
+
+#: The tails of a trajectory row's eight value cells, by its event flag.
+_ROW_TAILS = np.array([[b","] * 7 + [b",0\n"], [b","] * 7 + [b",1\n"]])
 
 
 @dataclass(frozen=True)
@@ -540,10 +543,10 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
 def write_trajectory_csv(traj: Trajectory, path) -> EventText:
     """Trajectory CSV with the documented column set.
 
-    Rows are formatted CSV_BLOCK at a time.  Returns the text of t and
-    delta at the event rows, per block, for trigger.write_event_csv.
-    Raises ValueError, before path is opened, unless every column holds
-    len(t) rows.
+    Rows are formatted CSV_BLOCK at a time, by one floattext kernel call
+    a block.  Returns the text of t and delta at the event rows, per
+    block, for trigger.write_event_csv.  Raises ValueError, before path
+    is opened, unless every column holds len(t) rows.
     """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
@@ -552,16 +555,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> EventText:
         raise ValueError("the trajectory columns (t, x1, x2, x1ref, x2ref, "
                          f"u, sigma, delta, event) hold {lengths} rows, "
                          f"not {len(traj.t)} each")
+    from . import floattext  # compiled on the first write, not at import
     event_text = []
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
-        blocks = zip(*map(format_blocks, cols), strict=True)
-        for a, block in zip(range(0, len(traj.t), CSV_BLOCK), blocks,
-                            strict=True):
-            fired = traj.event[a:a + CSV_BLOCK].tolist()
-            flags = map(("0", "1").__getitem__, fired)
-            fh.write("\n".join(map(",".join, zip(*block, flags, strict=True))))
-            fh.write("\n")
-            event_text.append(("\n".join(compress(block[0], fired)),
-                               "\n".join(compress(block[-1], fired))))
+    with open(path, "wb") as fh:
+        fh.write(b"t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
+        for a in range(0, len(traj.t), CSV_BLOCK):
+            words = floattext.cells([c[a:a + CSV_BLOCK] for c in cols])
+            fired = traj.event[a:a + CSV_BLOCK].astype(np.intp)
+            at = np.flatnonzero(fired)
+            event_text.append(tuple(
+                floattext.join(words[at, j], b"\n")[:-1].decode("ascii")
+                for j in (0, -1)))
+            fh.write(floattext.join(words, _ROW_TAILS[fired]))
     return event_text

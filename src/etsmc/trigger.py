@@ -6,7 +6,7 @@ import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product
 from typing import Optional
 
 import numpy as np
@@ -21,16 +21,19 @@ LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 LIPSCHITZ_SAFETY = 1.1
 
 #: Rows formatted per write by the CSV writers: bounds the text held at
-#: once.  On a dense run the trajectory writer holds about 0.7 MB of text
-#: at 512 rows, against 1.4 MB at 1,024 and 5.7 MB at 4,096.  On a 50k-step
-#: dense run both writers took as long at 512 rows as at 1,024 (best of 21
-#: on a 2-vCPU VM: 0.31 against 0.33 s), and longer at 256 (0.37 s).
+#: once.  On a dense run the trajectory writer holds about 0.57 MB at 512
+#: rows, against 0.86 MB at 1,024 and 3.4 MB at 4,096.  On a 50k-step
+#: dense run both writers took as long at 512 rows as at 1,024 (best of 7
+#: on a 2-vCPU VM: 0.169 against 0.171 s), and longer at 256 (0.187 s).
 CSV_BLOCK = 512
 
 #: Text of the t_k and delta_fired columns of events.csv, as the trajectory
-#: writer formatted it: one pair of newline-joined strings per trajectory
-#: block of CSV_BLOCK rows, holding the values at that block's event rows,
-#: and empty for a block with no events.
+#: writer's floattext kernel call formatted it: one pair of newline-joined
+#: strings per trajectory block of CSV_BLOCK rows, holding the values at
+#: that block's event rows, and empty for a block with no events.  The
+#: event writer reuses it rather than format those columns again; a writer
+#: that formatted every events.csv column through the kernel held more
+#: memory at once (0.67 MB at 10,001 events).
 EventText = list[tuple[str, str]]
 
 
@@ -78,9 +81,9 @@ class EventLog:
     records: 8 B per value, read by np.asarray without a copy, and Python
     floats when indexed or iterated.  When every grid point fired, they
     view the trajectory's t and delta and, for gaps, its one value h with
-    stride 0: all three cost nothing.  bound_at_event is the list
-    zeno_bounds returns, which the benchmark's Zeno probe compares with a
-    list.
+    stride 0: all three cost nothing, and write_event_csv formats that
+    one gap once.  bound_at_event is the list zeno_bounds returns, which
+    the benchmark's Zeno probe compares with a list.
     """
 
     instants: Sequence[float]
@@ -207,29 +210,11 @@ def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
         sample_count=len(x1))
 
 
-def format_blocks(col) -> Iterator[list[str]]:
-    """repr of each element of the float sequence col, CSV_BLOCK at a time.
-
-    col is any sliceable sequence of floats: an ndarray, a memoryview, a
-    list.  It is read one block at a time, so no column-sized copy is
-    made, and no state passes from one block to the next.  A run of
-    bitwise-equal elements within a block is formatted once.  Runs are
-    found on the int64 view, so -0.0 and 0.0 stay apart and nan still
-    prints nan.
-    """
+def _repr_blocks(col) -> Iterator[list[str]]:
+    """floattext.reprs of the float sequence col, CSV_BLOCK at a time."""
+    from . import floattext  # compiled on the first write, not at import
     for a in range(0, len(col), CSV_BLOCK):
-        block = np.asarray(col[a:a + CSV_BLOCK], dtype=np.float64)
-        bits = block.view(np.int64)
-        head = np.empty(len(block), dtype=bool)  # where a run starts
-        head[0] = True
-        np.not_equal(bits[1:], bits[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        if len(starts) == len(block):
-            yield list(map(repr, block.tolist()))
-        else:
-            heads = map(repr, block[starts].tolist())
-            counts = np.diff(starts, append=len(block)).tolist()
-            yield list(chain.from_iterable(map(repeat, heads, counts)))
+        yield floattext.reprs(col[a:a + CSV_BLOCK])
 
 
 def write_event_csv(log: EventLog, path,
@@ -240,10 +225,11 @@ def write_event_csv(log: EventLog, path,
     One loop writes the rows a block of t_k and delta_fired text at a
     time: CSV_BLOCK events formatted here or, given event_text as returned
     by sim.write_trajectory_csv for the run that made log, each non-empty
-    block of that text.  T_k and zeno_bound are drawn from format_blocks
-    as the rows need them.  Raises ValueError, before path is opened,
-    unless the log holds n - 1 gaps and n of its other values, and
-    event_text n rows, for n instants.
+    block of that text.  T_k and zeno_bound are formatted by the
+    floattext kernel a block at a time, and drawn as the rows need them.
+    Raises ValueError, before path is opened, unless the log holds n - 1
+    gaps and n of its other values, and event_text n rows, for n
+    instants.
     """
     n = len(log.instants)
     lengths = (len(log.gaps), len(log.delta_at_event),
@@ -253,16 +239,16 @@ def write_event_csv(log: EventLog, path,
                          "(gaps, delta_at_event, bound_at_event) = "
                          f"{lengths}, not {(n - 1, n, n)}")
     if event_text is None:
-        texts = zip(format_blocks(log.instants),
-                    format_blocks(log.delta_at_event))
+        texts = zip(_repr_blocks(log.instants),
+                    _repr_blocks(log.delta_at_event))
     else:
         rows = sum(t.count("\n") + 1 for t, _ in event_text if t)
         if rows != n:
             raise ValueError(f"event_text holds {rows} event rows, "
                              f"the log {n}")
         texts = ((t.split("\n"), d.split("\n")) for t, d in event_text if t)
-    gaps = chain(chain.from_iterable(format_blocks(log.gaps)), ["nan"])
-    bounds = chain.from_iterable(format_blocks(log.bound_at_event))
+    gaps = chain(chain.from_iterable(_repr_blocks(log.gaps)), ["nan"])
+    bounds = chain.from_iterable(_repr_blocks(log.bound_at_event))
     k = 0
     with open(path, "w", newline="\n") as fh:
         fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")

@@ -394,7 +394,7 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
 def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):
     """A dense run's process peak sits in the writers, past the loop: the
     records, the event-row text and one CSV_BLOCK of formatted text are
-    held at once.  About 234 B per step at 10,001 steps; 240 leaves a 2.5%
+    held at once.  About 207 B per step at 10,001 steps; 240 leaves a 14%
     margin, below the 242 the writers took with column-sized copies."""
     cfg = build_config({"t_end": 10.0})
     _, _, peak = traced_peak(

@@ -620,9 +620,9 @@ class TestTrajectoryCsv:
     def test_writer_text_is_bounded_by_the_block(self, tmp_path,
                                                  traced_peak):
         # an event at every row: the writer holds one CSV_BLOCK of eight
-        # formatted columns at a time, about 0.71 MB at 512 rows, on top of
-        # the event-row text it returns; 750,000 B leaves a 5% margin, below
-        # the 0.79 MB it took while format_blocks read whole columns
+        # formatted columns at a time, about 0.57 MB at 512 rows, on top of
+        # the event-row text it returns; 750,000 B leaves a 24% margin, below
+        # the 0.79 MB it took while the writer read whole columns
         traj, _, _ = run_event_triggered(small_cfg(t_end=10.0))
         assert len(traj.t) == 10_001 and traj.event.all()
         text, kept, peak = traced_peak(write_trajectory_csv, traj,
