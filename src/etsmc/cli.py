@@ -109,10 +109,8 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
 
     # made only now, so that a run failing with exit 2 leaves no directory
     out.mkdir(parents=True, exist_ok=True)
-    # the event-row text of the trajectory writer is freed here, before the
-    # figures are drawn
-    write_event_csv(log, out / "events.csv", event_text=write_trajectory_csv(
-        traj, out / "trajectory.csv"))
+    write_trajectory_csv(traj, out / "trajectory.csv")
+    write_event_csv(log, out / "events.csv")
     (out / "metrics.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in metrics_dict.items()))
     _write_json(out / "metrics.json", _json_values(metrics_dict))

@@ -19,7 +19,14 @@ text sits in a 32-byte row of NUL-padded slots: the sign, the digits,
 the exponent and the tail that join appends.  join packs the rows into
 one bytes object by deleting the NULs, which no text holds.  The bytes
 are packed into uint64 words little-endian, the byte order of every
-platform CI runs on.
+platform CI runs on.  ints spells nonnegative integers, the k of
+events.csv, into the same rows from the same digit table.
+
+A pass of the kernel makes about a hundred numpy calls, a fixed cost of
+about 0.2 ms, so the time per value falls with the pass size: on 200,000
+random doubles about 540 ns at 512 values, 300 at 1,024, 220 at 2,048
+and 180 at 4,096 (one CPU of a 2-core VM, best of 12).  The writers
+therefore format each CSV block in one pass.
 """
 
 from __future__ import annotations
@@ -35,9 +42,13 @@ _M63 = U64(0x7FFF_FFFF_FFFF_FFFF)
 
 #: k in [K_MIN, K_MAX] indexes the 10^-k table
 K_MIN, K_MAX = -324, 292
-#: Values per pass of the kernel: its scratch arrays take about 150 B a
-#: value, and larger passes run no faster.
-CHUNK = 2048
+#: Values per pass of the kernel, enough for one trajectory block (7 x 512
+#: values and x1ref's one).  Its scratch arrays peak at about 146 B a
+#: value, 0.52 MB for such a block.
+CHUNK = 4096
+#: The largest integer ints spells: eight digits, two entries of the quad
+#: table.  The k of events.csv is at most sim.MAX_STEPS (1,000,000).
+INT_MAX = 10 ** 8 - 1
 #: The decimal exponents [-E_LIM, E_LIM] of the layout tables, with room
 #: for the garbage exponents of nan and inf.
 E_LIM = 330
@@ -234,8 +245,9 @@ _NAN = U64(_bytes_word(b"\0nan"))
 _SIGN = np.array([ord("0"), ord("0") - ord("-")], dtype=U64)
 
 
-def _texts(x: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64 rows whose bytes, NULs deleted, spell repr(x[i]).
+def _texts(x: np.ndarray, words: np.ndarray) -> None:
+    """Fill the (n, 4) uint64 rows words so that their bytes, NULs
+    deleted, spell repr(x[i]).
 
     Byte 0 holds '-' or NUL, bytes 1 to 23 the digits and the dot, NUL
     padded, bytes 19 to 23 the exponent (e+16) of the scientific layout,
@@ -286,8 +298,8 @@ def _texts(x: np.ndarray) -> np.ndarray:
     text <<= U64(32)
     text |= quad.take(hi.view(np.int64))
     del groups, hi
-    words = np.zeros((len(x), 4), dtype=U64)
     words[:, :3] = text.T
+    words[:, 3] = 0
     # the byte of the last nonzero digit: in each word, the top set bit
     # of the digits less '0', read off its float's exponent
     text ^= U64(0x3030_3030_3030_3030)
@@ -309,7 +321,6 @@ def _texts(x: np.ndarray) -> np.ndarray:
         inf = np.where(x > 0, _INF, _MINUS_INF)
         words[~finite] = 0
         words[~finite, 0] = np.where(np.isnan(x), _NAN, inf)[~finite]
-    return words
 
 
 def cells(columns: Sequence) -> np.ndarray:
@@ -327,10 +338,31 @@ def cells(columns: Sequence) -> np.ndarray:
     values = np.concatenate([c[:1] if o else c for c, o in zip(cols, once)])
     words = np.empty((len(values), 4), dtype=U64)
     for a in range(0, len(values), CHUNK):
-        words[a:a + CHUNK] = _texts(values[a:a + CHUNK])
+        _texts(values[a:a + CHUNK], words[a:a + CHUNK])
     # column j's texts start at starts[j]; a zero-stride one has one text
     starts = np.cumsum([0] + [1 if o else m for o in once])[:-1]
     return words[starts + np.arange(m)[:, None] * ~np.array(once)]
+
+
+def ints(k: np.ndarray, words: np.ndarray) -> None:
+    """Fill the (n, 4) uint64 rows words, as cells lays out a text, with
+    str(k[i]) for the integers k in [0, INT_MAX].
+
+    Raises ValueError, before words is written, for a k outside them.
+    """
+    if len(k) and not (0 <= k.min() and k.max() <= INT_MAX):
+        raise ValueError(f"ints spells 0 to {INT_MAX}, not {k.min()} to "
+                         f"{k.max()}")
+    quad, pow10 = _layout_table()[:2]
+    hi = k // 10_000
+    text = quad.take(k - hi * 10_000).astype(U64)
+    text <<= U64(32)
+    text |= quad.take(hi)
+    # the eight digits from byte 0 on, less their leading zeros
+    zeros = 7 - np.searchsorted(pow10[1:8], k, side="right")
+    text >>= (zeros * 8).astype(U64)
+    words[:, 0] = text
+    words[:, 1:] = 0
 
 
 def join(words: np.ndarray, tails) -> bytes:
@@ -344,11 +376,3 @@ def join(words: np.ndarray, tails) -> bytes:
         np.uint32)
     return words.tobytes().translate(None, b"\0")
 
-
-def reprs(values) -> list[str]:
-    """[repr(v) for v in values], for a float sequence as cells reads it;
-    a zero-stride one is formatted once, by repr."""
-    col = np.asarray(values, dtype=np.float64)
-    if col.strides == (0,):
-        return [repr(float(col[0]))] * len(col) if len(col) else []
-    return join(cells([col]), b"\n").decode("ascii").split("\n")[:-1]

@@ -38,9 +38,8 @@ from .controller import ReferenceSignal, SlidingParams, switching_law
 from .plant import (SINGULAR_TOL, ConfigError, DimlessParams, DimlessState,
                     Disturbance, PlantError, composition_nullcline, drift,
                     kelvin_to_x2)
-from .trigger import (CSV_BLOCK, EventLog, EventText, TriggerParams,
-                      estimate_lipschitz, thresholds, zeno_bound,
-                      zeno_bounds)
+from .trigger import (CSV_BLOCK, EventLog, TriggerParams, estimate_lipschitz,
+                      thresholds, zeno_bound, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -540,13 +539,12 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
     return bad
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> EventText:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV with the documented column set.
 
-    Rows are formatted CSV_BLOCK at a time, by one floattext kernel call
-    a block.  Returns the text of t and delta at the event rows, per
-    block, for trigger.write_event_csv.  Raises ValueError, before path
-    is opened, unless every column holds len(t) rows.
+    Rows are formatted CSV_BLOCK at a time, by one floattext pass a
+    block.  Raises ValueError, before path is opened, unless every column
+    holds len(t) rows.
     """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
@@ -556,15 +554,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> EventText:
                          f"u, sigma, delta, event) hold {lengths} rows, "
                          f"not {len(traj.t)} each")
     from . import floattext  # compiled on the first write, not at import
-    event_text = []
     with open(path, "wb") as fh:
         fh.write(b"t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
         for a in range(0, len(traj.t), CSV_BLOCK):
-            words = floattext.cells([c[a:a + CSV_BLOCK] for c in cols])
+            # no name holds a block's words while the next is formatted
             fired = traj.event[a:a + CSV_BLOCK].astype(np.intp)
-            at = np.flatnonzero(fired)
-            event_text.append(tuple(
-                floattext.join(words[at, j], b"\n")[:-1].decode("ascii")
-                for j in (0, -1)))
-            fh.write(floattext.join(words, _ROW_TAILS[fired]))
-    return event_text
+            fh.write(floattext.join(floattext.cells(
+                [c[a:a + CSV_BLOCK] for c in cols]), _ROW_TAILS[fired]))

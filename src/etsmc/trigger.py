@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, product
-from typing import Optional
+from itertools import product
 
 import numpy as np
 
@@ -20,21 +19,16 @@ LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 #: Factor on the certified bound: it covers rounding, and keeps l_bar's bits.
 LIPSCHITZ_SAFETY = 1.1
 
-#: Rows formatted per write by the CSV writers: bounds the text held at
-#: once.  On a dense run the trajectory writer holds about 0.57 MB at 512
-#: rows, against 0.86 MB at 1,024 and 3.4 MB at 4,096.  On a 50k-step
-#: dense run both writers took as long at 512 rows as at 1,024 (best of 7
-#: on a 2-vCPU VM: 0.169 against 0.171 s), and longer at 256 (0.187 s).
+#: Rows formatted per write by the CSV writers, in one floattext pass each:
+#: bounds the text held at once.  On a 10,001-step dense run the
+#: trajectory and event writers hold about 0.68 and 0.30 MB at 512 rows,
+#: against 0.90 and 0.61 MB at 1,024.  On a 50k-step dense run both
+#: writers took 0.159 s at 512 rows, 0.168 s at 1,024 (two passes a
+#: trajectory block) and 0.211 s at 256 (best of 7, one CPU of a 2-vCPU VM).
 CSV_BLOCK = 512
 
-#: Text of the t_k and delta_fired columns of events.csv, as the trajectory
-#: writer's floattext kernel call formatted it: one pair of newline-joined
-#: strings per trajectory block of CSV_BLOCK rows, holding the values at
-#: that block's event rows, and empty for a block with no events.  The
-#: event writer reuses it rather than format those columns again; a writer
-#: that formatted every events.csv column through the kernel held more
-#: memory at once (0.67 MB at 10,001 events).
-EventText = list[tuple[str, str]]
+#: The tails of an events.csv row's five cells.
+_EVENT_TAILS = np.array([b","] * 4 + [b"\n"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +76,8 @@ class EventLog:
     floats when indexed or iterated.  When every grid point fired, they
     view the trajectory's t and delta and, for gaps, its one value h with
     stride 0: all three cost nothing, and write_event_csv formats that
-    one gap once.  bound_at_event is the list zeno_bounds returns, which
-    the benchmark's Zeno probe compares with a list.
+    one gap once a block.  bound_at_event is the list zeno_bounds
+    returns, which the benchmark's Zeno probe compares with a list.
     """
 
     instants: Sequence[float]
@@ -210,26 +204,16 @@ def estimate_lipschitz(p: DimlessParams) -> LipschitzEstimate:
         sample_count=len(x1))
 
 
-def _repr_blocks(col) -> Iterator[list[str]]:
-    """floattext.reprs of the float sequence col, CSV_BLOCK at a time."""
-    from . import floattext  # compiled on the first write, not at import
-    for a in range(0, len(col), CSV_BLOCK):
-        yield floattext.reprs(col[a:a + CSV_BLOCK])
-
-
-def write_event_csv(log: EventLog, path,
-                    event_text: Optional[EventText] = None) -> None:
+def write_event_csv(log: EventLog, path) -> None:
     """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound.
 
     The last event has no successor; its interval T_k is written as nan.
-    One loop writes the rows a block of t_k and delta_fired text at a
-    time: CSV_BLOCK events formatted here or, given event_text as returned
-    by sim.write_trajectory_csv for the run that made log, each non-empty
-    block of that text.  T_k and zeno_bound are formatted by the
-    floattext kernel a block at a time, and drawn as the rows need them.
-    Raises ValueError, before path is opened, unless the log holds n - 1
-    gaps and n of its other values, and event_text n rows, for n
-    instants.
+    Each block of CSV_BLOCK events is formatted by one floattext pass
+    over its t_k, T_k, delta_fired and zeno_bound values (a dense run's
+    zero-stride T_k once, but in the last block, which ends in the nan),
+    k is spelled into the same words, and the block is joined and written
+    at once.  Raises ValueError, before path is opened, unless the log
+    holds n - 1 gaps and n of its other values, for n instants.
     """
     n = len(log.instants)
     lengths = (len(log.gaps), len(log.delta_at_event),
@@ -238,24 +222,17 @@ def write_event_csv(log: EventLog, path,
         raise ValueError(f"the event log holds {n} instants and "
                          "(gaps, delta_at_event, bound_at_event) = "
                          f"{lengths}, not {(n - 1, n, n)}")
-    if event_text is None:
-        texts = zip(_repr_blocks(log.instants),
-                    _repr_blocks(log.delta_at_event))
-    else:
-        rows = sum(t.count("\n") + 1 for t, _ in event_text if t)
-        if rows != n:
-            raise ValueError(f"event_text holds {rows} event rows, "
-                             f"the log {n}")
-        texts = ((t.split("\n"), d.split("\n")) for t, d in event_text if t)
-    gaps = chain(chain.from_iterable(_repr_blocks(log.gaps)), ["nan"])
-    bounds = chain.from_iterable(_repr_blocks(log.bound_at_event))
-    k = 0
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,t_k,T_k,delta_fired,zeno_bound\n")
-        for times, deltas in texts:
-            m = len(times)
-            cols = (map(str, range(k, k + m)), times, islice(gaps, m),
-                    deltas, islice(bounds, m))
-            fh.write("\n".join(map(",".join, zip(*cols, strict=True))))
-            fh.write("\n")
-            k += m
+    from . import floattext  # compiled on the first write, not at import
+    with open(path, "wb") as fh:
+        fh.write(b"k,t_k,T_k,delta_fired,zeno_bound\n")
+        for a in range(0, n, CSV_BLOCK):
+            b = min(a + CSV_BLOCK, n)
+            gap = (log.gaps[a:b] if b < n
+                   else np.append(log.gaps[a:], math.nan))
+            # k's column is a zero-stride placeholder until ints spells it
+            words = floattext.cells([
+                np.broadcast_to(0.0, b - a), log.instants[a:b], gap,
+                log.delta_at_event[a:b], log.bound_at_event[a:b]])
+            floattext.ints(np.arange(a, b), words[:, 0])
+            fh.write(floattext.join(words, _EVENT_TAILS))
+            del words  # freed before the next block is formatted

@@ -392,10 +392,12 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
 
 
 def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):
-    """A dense run's process peak sits in the writers, past the loop: the
-    records, the event-row text and one CSV_BLOCK of formatted text are
-    held at once.  About 207 B per step at 10,001 steps; 240 leaves a 14%
-    margin, below the 242 the writers took with column-sized copies."""
+    """A dense run's process peak sits past the loop, where the records
+    are held with what each later stage holds at once.  About 207 B per
+    step at 10,001 steps, reached by the events figure; the writers, one
+    CSV_BLOCK of formatted text at a time, reach about 190.  240 leaves a
+    14% margin, below the 242 the writers took with column-sized
+    copies."""
     cfg = build_config({"t_end": 10.0})
     _, _, peak = traced_peak(
         run_scenario, "nominal", cfg, tmp_path / "run",
@@ -403,31 +405,3 @@ def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):
     traj, _, _ = sim.run_event_triggered(cfg)
     assert len(traj.t) == 10_001 and traj.event.all()
     assert peak / cfg.step_count() <= 240
-
-
-@pytest.mark.parametrize("scenario,config,block_events", [
-    ("nominal", "", [512] * 19 + [273]),
-    ("regulate-400", "mu = 1\nm1 = 1\n", [13, 194, 57, 0, 0, 1] + [0] * 14),
-    ("nominal", "mu = 0.5\nm1 = 2\n",
-     [1, 1, 1] + [0] * 6 + [331, 512, 35] + [0] * 5 + [1, 1, 0]),
-], ids=["dense", "sparse", "mixed"])
-def test_shared_event_text_matches_standalone_writers(
-        tmp_path, scenario, config, block_events):
-    """The CLI hands the trajectory's event-row text to the event writer;
-    the bytes must equal those of each writer formatting on its own."""
-    path = tmp_path / "run.cfg"
-    path.write_text(config)
-    assert main(["--scenario", scenario, "--config", str(path),
-                 "--duration", "10", "--out", str(tmp_path / "cli")]) in (0, 1)
-    cfg = cli._scenario_config(scenario,
-                               replace(parse_config(path), t_end=10.0))
-    traj, log, _ = sim.run_event_triggered(cfg)
-    assert [int(traj.event[a:a + trigger.CSV_BLOCK].sum())
-            for a in range(0, len(traj.t), trigger.CSV_BLOCK)] == block_events
-    alone = tmp_path / "alone"
-    alone.mkdir()
-    sim.write_trajectory_csv(traj, alone / "trajectory.csv")
-    trigger.write_event_csv(log, alone / "events.csv")
-    for name in ("trajectory.csv", "events.csv"):
-        assert ((tmp_path / "cli" / scenario / name).read_bytes()
-                == (alone / name).read_bytes())

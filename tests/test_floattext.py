@@ -1,8 +1,10 @@
-"""The float-text kernel against repr, byte for byte.
+"""The float-text kernel against repr, and its integers against str,
+byte for byte.
 
 Every float of trajectory.csv and events.csv goes through etsmc.floattext,
-so each of its texts must be the one repr gives.  These tests need no run
-of the simulator and read the same on every supported Python.
+so each of its texts must be the one repr gives, and every k of events.csv
+the one str gives.  These tests need no run of the simulator and read the
+same on every supported Python.
 """
 
 import math
@@ -15,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import floattext
-from etsmc.floattext import CHUNK, cells, join, reprs
+from etsmc.floattext import CHUNK, INT_MAX, cells, ints, join
+from etsmc.sim import MAX_STEPS
 
 #: nans with payloads: quiet, negative, signalling, and high bits set
 PAYLOAD_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000,
@@ -61,12 +64,12 @@ class TestFloatText:
         col = COLUMN_FORMS[form](values)
         want = [repr(v) for v in values]
         assert texts(col) == want
-        assert reprs(col) == want
 
     def test_list_input_and_empty_column(self):
-        assert reprs([0.1, 0.1, 0.2]) == ["0.1", "0.1", "0.2"]
-        assert reprs([]) == []
-        assert reprs(np.broadcast_to(0.5, 0)) == []
+        assert texts([0.1, 0.1, 0.2]) == ["0.1", "0.1", "0.2"]
+        assert texts([]) == []
+        assert texts(np.broadcast_to(0.5, 0)) == []
+        assert cells([[], []]).shape == (0, 2, 4)
 
     def test_random_bit_patterns(self):
         # every exponent field, sign and mantissa, nans and infs included
@@ -137,5 +140,35 @@ class TestFloatText:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n0\n"
-        assert reprs([1.0]) == ["1.0"]
+        assert texts([1.0]) == ["1.0"]
         assert floattext._g_table.cache_info().currsize == 1
+
+
+def spelled(k) -> list[str]:
+    """ints' text of each integer of k, over words that held other bytes."""
+    words = np.full((len(k), 4), 0x4141_4141_4141_4141, dtype=np.uint64)
+    ints(np.asarray(k, dtype=np.int64), words)
+    return join(words, b"\n").decode("ascii").split("\n")[:-1]
+
+
+class TestInts:
+    def test_digit_count_edges(self):
+        # each side of every change in the count of digits, up to the
+        # largest k a run can log and the largest ints spells
+        edges = [0, *(10 ** e + d for e in range(1, 8) for d in (-1, 0)),
+                 MAX_STEPS - 1, MAX_STEPS, INT_MAX]
+        assert spelled(edges) == [str(k) for k in edges]
+
+    def test_seeded_random(self):
+        k = np.random.default_rng(39).integers(0, INT_MAX, 100_000,
+                                               endpoint=True)
+        assert spelled(k) == [str(v) for v in k.tolist()]
+
+    @pytest.mark.parametrize("k", [[0, INT_MAX + 1], [-1, 5]],
+                             ids=["above", "negative"])
+    def test_rejects_k_outside_its_range(self, k):
+        # refused before words is written
+        words = np.zeros((2, 4), dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"not {min(k)} to {max(k)}"):
+            ints(np.array(k), words)
+        assert not words.any()

@@ -105,7 +105,8 @@ GOLDEN_LONG = {
         "temperature.svg": "cde44948c115314a81a5d13f2e829f2de9391d911f562118f524c4b4cf921589",
         "trajectory.csv": "79f8c1896b869026daa8b2e4bd405df520ca34206acf7b5cb160b288d3b6139e",
     }),
-    # 265 events, in writer blocks 0, 1, 2 and 5 (13, 194, 57 and 1 of them)
+    # 265 events, in trajectory blocks 0, 1, 2 and 5 (13, 194, 57 and 1
+    # of them), and in one part-full event block
     "sparse-regulate": ("regulate-400", SPARSE_CONFIG, {
         "composition.svg": "6be2260d17c53b13226b2cc5b67f1cb173acc1d8ab4bbeba6b563f7885f9f437",
         "events.csv": "c080772bd879eefda6c4c28f999a515b62f2f1da88d3ad98a0f14749d48c161b",
@@ -113,10 +114,9 @@ GOLDEN_LONG = {
         "temperature.svg": "c354dac76a6b749dfaa3a3ed8e1f019452604fbd7ba6a87384518ca140e6d00a",
         "trajectory.csv": "406ea7b6cecc9a6d5693d877a7f9b0a1dcf3660fabd612b7ff1e27dcbec84c57",
     }),
-    # 883 events, whose writer blocks hold one event, a full block of them
-    # or none, [1, 1, 1] + [0]*6 + [331, 512, 35] + [0]*5 + [1, 1, 0], so
-    # the event text the CLI shares between the writers has every kind of
-    # block in one file
+    # 883 events, whose trajectory blocks hold one event, a full block of
+    # them or none, [1, 1, 1] + [0]*6 + [331, 512, 35] + [0]*5 + [1, 1, 0];
+    # events.csv is a full event block and a part-full one
     "mixed-nominal": ("nominal", MIXED_CONFIG, {
         "composition.svg": "7d589d436abac939f6d64a505a91ebb5d5e2a9dc77ff20eb04ab28df2c7709e9",
         "events.csv": "980420bfa815c4dd2fd91f60f6ab6270a5cce00d5680e64c2ed3bbe7cf150b6e",
