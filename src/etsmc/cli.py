@@ -87,7 +87,7 @@ def _json_values(values: dict) -> dict:
 
 def _write_json(path: Path, values: dict) -> None:
     path.write_text(json.dumps(values, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+                               allow_nan=False) + "\n", newline="\n")
 
 
 def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[str]]:
@@ -112,7 +112,8 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_event_csv(log, out / "events.csv")
     (out / "metrics.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in metrics_dict.items()))
+        "".join(f"{k} = {v}\n" for k, v in metrics_dict.items()),
+        newline="\n")
     _write_json(out / "metrics.json", _json_values(metrics_dict))
 
     emit_plot([("x1", traj.t, traj.x1), ("x1 reference", traj.t, traj.x1ref)],

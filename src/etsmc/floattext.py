@@ -25,13 +25,13 @@ events.csv, into the same rows from the same digit table.
 A pass of the kernel makes about a hundred numpy calls, a fixed cost of
 about 0.2 ms, so the time per value falls with the pass size: on 200,000
 random doubles about 540 ns at 512 values, 300 at 1,024, 220 at 2,048
-and 180 at 4,096 (one CPU of a 2-core VM, best of 12).  The writers
-therefore format each CSV block in one pass.
+and 180 at 4,096 (one CPU of a 2-core VM, best of 12).  cells formats
+what it is given in one pass, and the writers give it one block of
+CSV_BLOCK rows.  The tables are built when the writers import the module.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,10 +42,14 @@ _M63 = U64(0x7FFF_FFFF_FFFF_FFFF)
 
 #: k in [K_MIN, K_MAX] indexes the 10^-k table
 K_MIN, K_MAX = -324, 292
-#: Values per pass of the kernel, enough for one trajectory block (7 x 512
-#: values and x1ref's one).  Its scratch arrays peak at about 146 B a
-#: value, 0.52 MB for such a block.
-CHUNK = 4096
+#: Rows of a CSV block, which the writers format in one pass each: it
+#: bounds the text held at once.  A trajectory block is 7 x 512 + 1 values,
+#: an event block at most 4 x 512 + 1, and a pass's scratch peaks at about
+#: 146 B a value.  A 10,001-step dense run's trajectory and event writers
+#: hold about 0.56 and 0.25 MB at 512 rows, 1.11 and 0.51 MB at 1,024; on
+#: 50k dense steps both took 0.151 s at 512 rows, 0.142 s at 1,024 and
+#: 0.199 s at 256 (best of 7, one CPU of a 2-vCPU VM).
+CSV_BLOCK = 512
 #: The largest integer ints spells: eight digits, two entries of the quad
 #: table.  The k of events.csv is at most sim.MAX_STEPS (1,000,000).
 INT_MAX = 10 ** 8 - 1
@@ -59,7 +63,6 @@ def _flog2pow10(e: int) -> int:
     return (e * 913124641741) >> 38
 
 
-@functools.cache
 def _g_table() -> np.ndarray:
     """The rows g1 and g0, by k - K_MIN, where g = g1 2^63 + g0 =
     floor(10^-k 2^(125 - flog2pow10(-k))) + 1 lies in [2^125, 2^126)."""
@@ -74,11 +77,7 @@ def _g_table() -> np.ndarray:
         g = beta + 1
         g1.append(g >> 63)
         g0.append(g & ((1 << 63) - 1))
-    return _frozen(np.array([g1, g0], dtype=U64))
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """table, read-only: every call shares it."""
+    table = np.array([g1, g0], dtype=U64)
     table.flags.writeable = False
     return table
 
@@ -88,9 +87,9 @@ def _bytes_word(text: bytes, at: int = 0) -> int:
     return int.from_bytes(text, "little") << 8 * at
 
 
-@functools.cache
-def _layout_table() -> tuple[np.ndarray, ...]:
-    """The tables _texts reads; see there."""
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """The read-only tables _texts and ints read, in the order of the
+    names bound to them below."""
     n = np.arange(10_000)
     digits = np.zeros((10_000, 4), dtype=np.uint8)
     for j, p in enumerate((1000, 100, 10, 1)):
@@ -121,9 +120,18 @@ def _layout_table() -> tuple[np.ndarray, ...]:
     suffix = np.array([0 if pos else _bytes_word(f"e{e:+03d}".encode(), 3)
                        for e, pos in zip(es.tolist(), positional.tolist())],
                       dtype=U64)
-    return tuple(map(_frozen, (quad, pow10, *layout,
-                               np.array(least, dtype=np.intp), dots, keep,
-                               code, suffix)))
+    tables = (quad, pow10, *layout, np.array(least, dtype=np.intp), dots,
+              keep, code, suffix)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+#: The kernel's tables, built once at import (about 1.5 ms) and shared
+#: by every pass.
+_G = _g_table()
+(_QUAD, _POW10, _CUT_AT, _HEAD_SCALE, _TAIL_DIV, _TAIL_SCALE, _LEAST, _DOTS,
+ _KEEP, _CODE_OF, _SUFFIX) = _layout_tables()
 
 
 def _mulhi(a, c_hi, c_lo):
@@ -198,7 +206,7 @@ def decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shift += 4  # h + 2, with h in [2, 5]
     del q
     shift = shift.astype(U64)
-    g1, g0 = _g_table().take(k - K_MIN, axis=1)
+    g1, g0 = _G.take(k - K_MIN, axis=1)
     cp = c << shift
     odd = c & U64(1)  # an odd c excludes the ends of its rounding interval
     del c
@@ -245,17 +253,14 @@ _NAN = U64(_bytes_word(b"\0nan"))
 _SIGN = np.array([ord("0"), ord("0") - ord("-")], dtype=U64)
 
 
-def _texts(x: np.ndarray, words: np.ndarray) -> None:
-    """Fill the (n, 4) uint64 rows words so that their bytes, NULs
-    deleted, spell repr(x[i]).
+def _texts(x: np.ndarray) -> np.ndarray:
+    """The (n, 4) uint64 rows whose bytes, NULs deleted, spell repr(x[i])
+    for the contiguous float64 array x.
 
     Byte 0 holds '-' or NUL, bytes 1 to 23 the digits and the dot, NUL
     padded, bytes 19 to 23 the exponent (e+16) of the scientific layout,
     and bytes 24 to 31 are NUL, for the tail.
     """
-    (quad, pow10, cut_at, head_scale, tail_div, tail_scale,
-     least, dots, keep, code_of, suffix) = _layout_table()
-    x = np.ascontiguousarray(x, dtype=np.float64)
     d, k = decimals(x)
     finite = np.isfinite(x)
     special = x == 0.0
@@ -263,26 +268,26 @@ def _texts(x: np.ndarray, words: np.ndarray) -> None:
     # the zeros print 0.0, with exponent 0; inf and nan are written below
     d[special] = 0
     k[special] = 1
-    nd = np.searchsorted(pow10[:18], d, side="right")  # digits of d
-    sig = pow10.take(17 - nd)  # the digits of d, as 17 with trailing zeros
+    nd = np.searchsorted(_POW10[:18], d, side="right")  # digits of d
+    sig = _POW10.take(17 - nd)  # the digits of d, as 17 with trailing zeros
     sig *= d
     del d
     k += nd
     e = k
     e += E_LIM - 1  # the decimal exponent of the leading digit, less -E_LIM
     del nd, k
-    code = code_of.take(e)
+    code = _CODE_OF.take(e)
     # the 16 digits of head and the 8 of tail are the text, its dot a 0,
     # held from byte 0 on: that byte takes the sign
-    cut = cut_at.take(code)
+    cut = _CUT_AT.take(code)
     head = sig // cut
     sig -= head * cut
-    head *= head_scale.take(code)
+    head *= _HEAD_SCALE.take(code)
     del cut
-    div = tail_div.take(code)
+    div = _TAIL_DIV.take(code)
     head += sig // div
     sig %= div
-    sig *= tail_scale.take(code)
+    sig *= _TAIL_SCALE.take(code)
     tail = sig
     del div, sig
     # the text in three groups of eight digits, from byte 0 on (as the
@@ -294,12 +299,12 @@ def _texts(x: np.ndarray, words: np.ndarray) -> None:
     del head, tail
     hi = groups // U64(10 ** 4)
     groups -= hi * U64(10 ** 4)
-    text = quad.take(groups.view(np.int64)).astype(U64)
+    text = _QUAD.take(groups.view(np.int64)).astype(U64)
     text <<= U64(32)
-    text |= quad.take(hi.view(np.int64))
+    text |= _QUAD.take(hi.view(np.int64))
     del groups, hi
+    words = np.zeros((len(x), 4), dtype=U64)
     words[:, :3] = text.T
-    words[:, 3] = 0
     # the byte of the last nonzero digit: in each word, the top set bit
     # of the digits less '0', read off its float's exponent
     text ^= U64(0x3030_3030_3030_3030)
@@ -312,15 +317,16 @@ def _texts(x: np.ndarray, words: np.ndarray) -> None:
     end = np.maximum(np.maximum(top[0], top[1]), top[2])
     del top
     end += 1
-    np.maximum(end, least.take(code), out=end)
-    words -= dots.take(code, axis=0)  # the dot's '0' to '.'
-    words &= keep.take(end, axis=0)
-    words[:, 2] |= suffix.take(e)
+    np.maximum(end, _LEAST.take(code), out=end)
+    words -= _DOTS.take(code, axis=0)  # the dot's '0' to '.'
+    words &= _KEEP.take(end, axis=0)
+    words[:, 2] |= _SUFFIX.take(e)
     words[:, 0] -= _SIGN.take(x.view(U64) >> U64(63))
     if not finite.all():
         inf = np.where(x > 0, _INF, _MINUS_INF)
         words[~finite] = 0
         words[~finite, 0] = np.where(np.isnan(x), _NAN, inf)[~finite]
+    return words
 
 
 def cells(columns: Sequence) -> np.ndarray:
@@ -336,9 +342,7 @@ def cells(columns: Sequence) -> np.ndarray:
         raise ValueError(f"columns of {[len(c) for c in cols]} rows")
     once = [c.strides == (0,) for c in cols]
     values = np.concatenate([c[:1] if o else c for c, o in zip(cols, once)])
-    words = np.empty((len(values), 4), dtype=U64)
-    for a in range(0, len(values), CHUNK):
-        _texts(values[a:a + CHUNK], words[a:a + CHUNK])
+    words = _texts(values)
     # column j's texts start at starts[j]; a zero-stride one has one text
     starts = np.cumsum([0] + [1 if o else m for o in once])[:-1]
     return words[starts + np.arange(m)[:, None] * ~np.array(once)]
@@ -353,13 +357,12 @@ def ints(k: np.ndarray, words: np.ndarray) -> None:
     if len(k) and not (0 <= k.min() and k.max() <= INT_MAX):
         raise ValueError(f"ints spells 0 to {INT_MAX}, not {k.min()} to "
                          f"{k.max()}")
-    quad, pow10 = _layout_table()[:2]
     hi = k // 10_000
-    text = quad.take(k - hi * 10_000).astype(U64)
+    text = _QUAD.take(k - hi * 10_000).astype(U64)
     text <<= U64(32)
-    text |= quad.take(hi)
+    text |= _QUAD.take(hi)
     # the eight digits from byte 0 on, less their leading zeros
-    zeros = 7 - np.searchsorted(pow10[1:8], k, side="right")
+    zeros = 7 - np.searchsorted(_POW10[1:8], k, side="right")
     text >>= (zeros * 8).astype(U64)
     words[:, 0] = text
     words[:, 1:] = 0

@@ -38,8 +38,8 @@ from .controller import ReferenceSignal, SlidingParams, switching_law
 from .plant import (SINGULAR_TOL, ConfigError, DimlessParams, DimlessState,
                     Disturbance, PlantError, composition_nullcline, drift,
                     kelvin_to_x2)
-from .trigger import (CSV_BLOCK, EventLog, TriggerParams, estimate_lipschitz,
-                      thresholds, zeno_bound, zeno_bounds)
+from .trigger import (EventLog, TriggerParams, estimate_lipschitz, thresholds,
+                      zeno_bound, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
 
@@ -542,9 +542,9 @@ def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV with the documented column set.
 
-    Rows are formatted CSV_BLOCK at a time, by one floattext pass a
-    block.  Raises ValueError, before path is opened, unless every column
-    holds len(t) rows.
+    Rows are formatted floattext.CSV_BLOCK at a time, by one pass of the
+    kernel a block.  Raises ValueError, before path is opened, unless
+    every column holds len(t) rows.
     """
     cols = (traj.t, traj.x1, traj.x2, traj.x1ref, traj.x2ref,
             traj.u, traj.sigma, traj.delta)
@@ -553,11 +553,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         raise ValueError("the trajectory columns (t, x1, x2, x1ref, x2ref, "
                          f"u, sigma, delta, event) hold {lengths} rows, "
                          f"not {len(traj.t)} each")
-    from . import floattext  # compiled on the first write, not at import
+    from . import floattext  # built on the first write, not at import
     with open(path, "wb") as fh:
         fh.write(b"t,x1,x2,x1ref,x2ref,u,sigma,delta,event\n")
-        for a in range(0, len(traj.t), CSV_BLOCK):
+        for a in range(0, len(traj.t), floattext.CSV_BLOCK):
+            b = a + floattext.CSV_BLOCK
             # no name holds a block's words while the next is formatted
-            fired = traj.event[a:a + CSV_BLOCK].astype(np.intp)
+            fired = traj.event[a:b].astype(np.intp)
             fh.write(floattext.join(floattext.cells(
-                [c[a:a + CSV_BLOCK] for c in cols]), _ROW_TAILS[fired]))
+                [c[a:b] for c in cols]), _ROW_TAILS[fired]))

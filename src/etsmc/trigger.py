@@ -19,14 +19,6 @@ LIPSCHITZ_BOX = ((0.0, 1.0), (0.0, 5.0))
 #: Factor on the certified bound: it covers rounding, and keeps l_bar's bits.
 LIPSCHITZ_SAFETY = 1.1
 
-#: Rows formatted per write by the CSV writers, in one floattext pass each:
-#: bounds the text held at once.  On a 10,001-step dense run the
-#: trajectory and event writers hold about 0.68 and 0.30 MB at 512 rows,
-#: against 0.90 and 0.61 MB at 1,024.  On a 50k-step dense run both
-#: writers took 0.159 s at 512 rows, 0.168 s at 1,024 (two passes a
-#: trajectory block) and 0.211 s at 256 (best of 7, one CPU of a 2-vCPU VM).
-CSV_BLOCK = 512
-
 #: The tails of an events.csv row's five cells.
 _EVENT_TAILS = np.array([b","] * 4 + [b"\n"])
 
@@ -45,7 +37,7 @@ class TriggerParams:
     m1: float
     m2: float
     varsigma: float
-    trigger_both: float = 0.0
+    trigger_both: float
 
     def __post_init__(self) -> None:
         if not self.zeta > 0.0:
@@ -208,7 +200,7 @@ def write_event_csv(log: EventLog, path) -> None:
     """Event log CSV with columns k, t_k, T_k, delta_fired, zeno_bound.
 
     The last event has no successor; its interval T_k is written as nan.
-    Each block of CSV_BLOCK events is formatted by one floattext pass
+    Each block of floattext.CSV_BLOCK events is formatted by one pass
     over its t_k, T_k, delta_fired and zeno_bound values (a dense run's
     zero-stride T_k once, but in the last block, which ends in the nan),
     k is spelled into the same words, and the block is joined and written
@@ -222,11 +214,11 @@ def write_event_csv(log: EventLog, path) -> None:
         raise ValueError(f"the event log holds {n} instants and "
                          "(gaps, delta_at_event, bound_at_event) = "
                          f"{lengths}, not {(n - 1, n, n)}")
-    from . import floattext  # compiled on the first write, not at import
+    from . import floattext  # built on the first write, not at import
     with open(path, "wb") as fh:
         fh.write(b"k,t_k,T_k,delta_fired,zeno_bound\n")
-        for a in range(0, n, CSV_BLOCK):
-            b = min(a + CSV_BLOCK, n)
+        for a in range(0, n, floattext.CSV_BLOCK):
+            b = min(a + floattext.CSV_BLOCK, n)
             gap = (log.gaps[a:b] if b < n
                    else np.append(log.gaps[a:], math.nan))
             # k's column is a zero-stride placeholder until ints spells it

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from etsmc import cli, plant, sim, trigger
 from etsmc.cli import SCENARIOS, build_parser, main, run_scenario
 from etsmc.config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
                           config_values, parse_config)
+from test_golden import GOLDEN
 
 
 class TestParsing:
@@ -376,6 +378,22 @@ def test_artifacts_need_no_lapack(tmp_path, monkeypatch):
             assert (tmp_path / out / "nominal" / name).is_file(), (out, name)
 
 
+def test_text_artifacts_have_lf_line_ends_on_every_platform(tmp_path,
+                                                             monkeypatch):
+    """Text mode writes each line end as CR LF on Windows unless newline
+    is given: under a Path.write_text that does so, no artifact byte
+    moves."""
+    write_text = Path.write_text
+
+    def windows(self, data, encoding=None, errors=None, newline=None):
+        return write_text(self, data, encoding, errors,
+                          "\r\n" if newline is None else newline)
+    monkeypatch.setattr(Path, "write_text", windows)
+    run_scenario("nominal", build_config({"t_end": 2.0}), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "nominal").iterdir()} == GOLDEN["nominal"]
+
+
 def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
     """The benchmark's config.parse span wraps this call."""
     calls = []
@@ -394,10 +412,11 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
 def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):
     """A dense run's process peak sits past the loop, where the records
     are held with what each later stage holds at once.  About 207 B per
-    step at 10,001 steps, reached by the events figure; the writers, one
-    CSV_BLOCK of formatted text at a time, reach about 190.  240 leaves a
-    14% margin, below the 242 the writers took with column-sized
-    copies."""
+    step at 10,001 steps, reached by the events figure, which
+    tests/test_plots.py bounds alone; the trajectory writer, one
+    floattext.CSV_BLOCK of formatted text at a time, reaches about 178,
+    the line figures 159 and the event writer 148.  240 leaves a 16%
+    margin."""
     cfg = build_config({"t_end": 10.0})
     _, _, peak = traced_peak(
         run_scenario, "nominal", cfg, tmp_path / "run",

@@ -3,8 +3,8 @@ byte for byte.
 
 Every float of trajectory.csv and events.csv goes through etsmc.floattext,
 so each of its texts must be the one repr gives, and every k of events.csv
-the one str gives.  These tests need no run of the simulator and read the
-same on every supported Python.
+the one str gives.  These tests read the same on every supported Python,
+and all but the pass count of the writers need no run of the simulator.
 """
 
 import math
@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import floattext
-from etsmc.floattext import CHUNK, INT_MAX, cells, ints, join
-from etsmc.sim import MAX_STEPS
+from etsmc.config import build_config
+from etsmc.floattext import CSV_BLOCK, INT_MAX, cells, ints, join
+from etsmc.sim import MAX_STEPS, run_event_triggered, write_trajectory_csv
+from etsmc.trigger import write_event_csv
 
 #: nans with payloads: quiet, negative, signalling, and high bits set
 PAYLOAD_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000,
@@ -32,6 +34,9 @@ COLUMN_FORMS = {
     "list": list,
     "zero-stride": lambda values: np.broadcast_to(values[0], len(values)),
 }
+
+#: the values of a trajectory block: seven columns and x1ref's one
+BLOCK_VALUES = 7 * CSV_BLOCK + 1
 
 
 def texts(col) -> list[str]:
@@ -48,16 +53,17 @@ class TestFloatText:
               deadline=None)
     @given(values=st.lists(st.one_of(st.sampled_from(PAYLOAD_NANS),
                                      st.floats()), min_size=1, max_size=40),
-           length=st.integers(1, CHUNK + 8),
+           length=st.integers(1, BLOCK_VALUES + 8),
            form=st.sampled_from(sorted(COLUMN_FORMS)))
-    @example(values=[-0.0, 0.0, 5e-324], length=CHUNK + 1, form="memoryview")
-    @example(values=PAYLOAD_NANS + [math.nan, -math.inf], length=CHUNK,
-             form="list")
-    @example(values=[-0.0], length=2 * CHUNK + 1, form="zero-stride")
+    @example(values=[-0.0, 0.0, 5e-324], length=BLOCK_VALUES + 1,
+             form="memoryview")
+    @example(values=PAYLOAD_NANS + [math.nan, -math.inf],
+             length=BLOCK_VALUES, form="list")
+    @example(values=[-0.0], length=2 * BLOCK_VALUES + 1, form="zero-stride")
     def test_matches_repr_of_each_element(self, values, length, form):
-        # values repeated to length: past CHUNK a column takes two passes
-        # of the kernel, and a zero-stride column is its first value
-        # broadcast over that length
+        # values repeated to length, as many as a trajectory block's pass
+        # and more, and a zero-stride column is its first value broadcast
+        # over that length
         values = (values * (length // len(values) + 1))[:length]
         if form == "zero-stride":
             values = values[:1] * length
@@ -129,19 +135,57 @@ class TestFloatText:
         with pytest.raises(ValueError, match=r"columns of \[2, 1\] rows"):
             cells([[1.0, 2.0], [3.0]])
 
-    def test_tables_are_built_on_first_call(self):
-        # importing the CLI compiles no kernel, and importing the kernel
-        # builds neither table: they cost a few ms, which the short runs
-        # and the bench's set-up would pay for nothing
+    def test_cli_import_loads_no_kernel(self):
+        # the kernel's tables cost a few ms at its import, which the
+        # bench's set-up and an in-memory sweep would pay for nothing
         code = ("import sys, etsmc.cli; print('etsmc.floattext' in "
-                "sys.modules); import etsmc.floattext as f; print(sum("
-                "t.cache_info().currsize for t in (f._g_table, "
-                "f._layout_table)))")
+                "sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out == "False\n0\n"
-        assert texts([1.0]) == ["1.0"]
-        assert floattext._g_table.cache_info().currsize == 1
+        assert out == "False\n"
+
+
+class TestWriterPasses:
+    """Each CSV block takes one pass of the kernel: a pass has a fixed
+    cost of about 0.2 ms, whatever its size."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The sizes of the kernel's passes, in order."""
+        sizes = []
+        texts_of = floattext._texts
+
+        def counted(x):
+            sizes.append(len(x))
+            return texts_of(x)
+        monkeypatch.setattr(floattext, "_texts", counted)
+        return sizes
+
+    def write(self, cfg, tmp_path, passes):
+        """The passes of each writer on the run of cfg, and the run's
+        rows and events."""
+        traj, log, _ = run_event_triggered(cfg)
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        rows = len(passes)
+        write_event_csv(log, tmp_path / "events.csv")
+        return (rows, len(passes) - rows), (len(traj.t), len(log.instants))
+
+    def test_dense_run(self, tmp_path, passes):
+        # an event at every row, the last block one row long
+        cfg = build_config({"t_end": 2 * CSV_BLOCK * 1e-3})
+        counts, lengths = self.write(cfg, tmp_path, passes)
+        assert lengths == (2 * CSV_BLOCK + 1,) * 2
+        assert counts == (3, 3)
+        # a full block: x1ref's zero-stride column and, but in the last
+        # block, T_k's are formatted once
+        assert passes[0] == BLOCK_VALUES
+        assert passes[3] == 3 * CSV_BLOCK + 2
+
+    def test_sparse_run(self, tmp_path, passes):
+        cfg = build_config({"t_end": 10.0, "mu": 0.5, "m1": 2.0})
+        counts, (rows, events) = self.write(cfg, tmp_path, passes)
+        assert CSV_BLOCK < events < rows
+        assert counts == (-(-rows // CSV_BLOCK), -(-events // CSV_BLOCK))
 
 
 def spelled(k) -> list[str]:

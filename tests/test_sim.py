@@ -18,14 +18,14 @@ import etsmc
 from etsmc import sim
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams, event_control_update
+from etsmc.floattext import CSV_BLOCK
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          Disturbance, PlantError, drift)
 from etsmc.sim import (ReachabilityResult, Trajectory, check_invariants,
                        resolve_regulation, rk4, rk4_step, run_event_triggered,
                        run_time_triggered, verify_reachability,
                        write_trajectory_csv)
-from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, EventLog, margin,
-                           thresholds)
+from etsmc.trigger import LIPSCHITZ_BOX, EventLog, margin, thresholds
 
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 LINEAR = DimlessParams(da=1e-300, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
@@ -620,9 +620,9 @@ class TestTrajectoryCsv:
     def test_writer_text_is_bounded_by_the_block(self, tmp_path,
                                                  traced_peak):
         # an event at every row: the writer holds one CSV_BLOCK of eight
-        # formatted columns at a time, about 0.68 MB at 512 rows, most of
+        # formatted columns at a time, about 0.56 MB at 512 rows, most of
         # it the scratch of the block's one kernel pass; 750,000 B leaves
-        # a 10% margin, below the 0.79 MB it took while the writer read
+        # a 33% margin, below the 0.79 MB it took while the writer read
         # whole columns
         traj, _, _ = run_event_triggered(small_cfg(t_end=10.0))
         assert len(traj.t) == 10_001 and traj.event.all()

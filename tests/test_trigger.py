@@ -9,10 +9,11 @@ import pytest
 
 from etsmc.config import build_config
 from etsmc.controller import SlidingParams
+from etsmc.floattext import CSV_BLOCK
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          PlantError, jacobian_stack)
 from etsmc.sim import run_event_triggered
-from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
+from etsmc.trigger import (LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
                            EventLog, LipschitzEstimate,
                            TriggerParams, _spectral_norm_2x2,
                            estimate_lipschitz, margin, thresholds,
@@ -21,7 +22,7 @@ from etsmc.trigger import (CSV_BLOCK, LIPSCHITZ_BOX, LIPSCHITZ_SAFETY,
 NOMINAL = DimlessParams(da=0.078, gamma=20.0, b_rise=8.0, beta=0.3, x2c0=0.0)
 SP = SlidingParams(lambda1=1.0, lambda2=2.0, mu=25.0)
 TP = TriggerParams(zeta=0.8, xi=0.8, psi=0.5, m1=1e-4, m2=0.2025,
-                   varsigma=0.97)
+                   varsigma=0.97, trigger_both=0.0)
 
 
 class TestParams:
@@ -33,7 +34,7 @@ class TestParams:
     ])
     def test_rejects_invalid(self, bad):
         kw = dict(zeta=0.8, xi=0.8, psi=0.5, m1=1e-4, m2=0.2025,
-                  varsigma=0.97)
+                  varsigma=0.97, trigger_both=0.0)
         kw.update(bad)
         with pytest.raises(ConfigError):
             TriggerParams(**kw)
@@ -41,10 +42,7 @@ class TestParams:
     def test_psi_message(self):
         with pytest.raises(ConfigError, match=r"psi must lie in \(0,1\)"):
             TriggerParams(zeta=0.8, xi=0.8, psi=1.5, m1=1e-4, m2=0.2025,
-                          varsigma=0.97)
-
-    def test_default_index_is_temperature(self):
-        assert TP.trigger_both == 0.0
+                          varsigma=0.97, trigger_both=0.0)
 
 
 def tol_at(t, tp=TP):
@@ -99,7 +97,7 @@ class TestDelta:
     def test_fires_exactly_at_zero_margin(self):
         # tolerances picked so the margin is exactly 0.0 in floating point
         tp = TriggerParams(zeta=1.0, xi=1.0, psi=0.5, m1=0.1, m2=0.1,
-                           varsigma=0.5)
+                           varsigma=0.5, trigger_both=0.0)
         tol = tol_at(0.0, tp)
         assert margin(0.0, 0.1, 0.0, 0.0, tol, tp) == 0.0
         assert margin(0.0, 0.0999, 0.0, 0.0, tol, tp) < 0.0
@@ -291,8 +289,8 @@ class TestEventCsv:
                                                  traced_peak):
         # an event at every row of 10,001: the writer holds one CSV_BLOCK
         # of formatted rows at a time and no column-sized copy of the log,
-        # about 0.30 MB with its one kernel pass a block; 400,000 B leaves
-        # a 32% margin, below the 0.52 to 0.54 MB it took with a padded
+        # about 0.25 MB with its one kernel pass a block; 400,000 B leaves
+        # a 58% margin, below the 0.52 to 0.54 MB it took with a padded
         # copy of the gaps.  The last row's k, 10000, is the first with
         # five digits.
         traj, log, _ = run_event_triggered(build_config({"t_end": 10.0}))
