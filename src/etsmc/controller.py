@@ -82,25 +82,18 @@ class HeldControl:
     u: float
 
 
-def sign(s: float) -> float:
-    """Strict sign with sign(0) = 0, so no actuation is injected on the manifold."""
-    if s > 0.0:
-        return 1.0
-    if s < 0.0:
-        return -1.0
-    return 0.0
-
-
 def switching_law(e1: float, e2: float, g1: float, g2: float,
                   sp: SlidingParams, beta: float) -> float:
     """Sliding-mode law -(lambda2*beta)^-1 (lambda.g + mu*sign(sigma)).
 
     (e1, e2) are the tracking errors and (g1, g2) the control-free error
-    drift (f1 - d2, f2 + d1 - x2ref_dot).
+    drift (f1 - d2, f2 + d1 - x2ref_dot).  sign(0) = 0, so no actuation is
+    injected on the manifold; mu*sign(sigma) is taken as mu, -mu or 0.0,
+    the products it equals for the positive finite mu of a config.
     """
     s = sp.lambda1 * e1 + sp.lambda2 * e2
-    return -(sp.lambda1 * g1 + sp.lambda2 * g2 + sp.mu * sign(s)) / (
-        sp.lambda2 * beta)
+    mu = sp.mu if s > 0.0 else -sp.mu if s < 0.0 else 0.0
+    return -(sp.lambda1 * g1 + sp.lambda2 * g2 + mu) / (sp.lambda2 * beta)
 
 
 def continuous_control(x: DimlessState, t: float, p: DimlessParams,

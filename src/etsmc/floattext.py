@@ -285,18 +285,26 @@ def _texts(x: np.ndarray) -> np.ndarray:
     head *= _HEAD_SCALE.take(code)
     del cut
     div = _TAIL_DIV.take(code)
-    head += sig // div
-    sig %= div
+    # each remainder is a floor division and a multiply-subtract, since
+    # numpy takes uint64 % (and // by an array) the slow way; // by a
+    # scalar divisor goes through a multiply
+    quot = sig // div
+    head += quot
+    quot *= div
+    sig -= quot
     sig *= _TAIL_SCALE.take(code)
     tail = sig
-    del div, sig
+    del div, sig, quot
     # the text in three groups of eight digits, from byte 0 on (as the
     # ASCII of '0000' to '9999' in two uint32 halves each)
     groups = np.empty((3, len(x)), dtype=U64)
-    groups[0] = head // U64(10 ** 9)
-    groups[1] = head // U64(10) % U64(10 ** 8)
-    groups[2] = head % U64(10) * U64(10 ** 7) + tail // U64(10)
-    del head, tail
+    h10 = head // U64(10)
+    groups[0] = h10 // U64(10 ** 8)
+    groups[1] = h10 - groups[0] * U64(10 ** 8)
+    h10 *= U64(10)
+    head -= h10
+    groups[2] = head * U64(10 ** 7) + tail // U64(10)
+    del head, tail, h10
     hi = groups // U64(10 ** 4)
     groups -= hi * U64(10 ** 4)
     text = _QUAD.take(groups.view(np.int64)).astype(U64)

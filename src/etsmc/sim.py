@@ -27,9 +27,7 @@ import warnings
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import compress
-from operator import add
 from typing import Optional
 
 import numpy as np
@@ -226,13 +224,14 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
 
 def _disturbance_grid(d: Disturbance, ts: np.ndarray, h: float
                       ) -> list[memoryview]:
-    """(d1, d2) at the grid ts, then at the start and the middle of step j,
-    from t - h to t = ts[j + 1]; t - h need not equal the previous grid
-    time."""
+    """(d1, d2) at the grid ts, then at the start and the middle of the
+    step from t - h to t = ts[i], at index i; t - h need not equal the
+    previous grid time.  Index 0 of the stage series, before any step, is
+    a placeholder."""
     if d.amp1 == 0.0 and d.amp2 == 0.0:
         # no sin to take, and one shared buffer serves every stage
         return [memoryview(np.zeros(len(ts)))] * 6
-    t0s = ts[1:] - h
+    t0s = ts - h
     return list(map(memoryview, (*d.series(ts), *d.series(t0s),
                                  *d.series(t0s + 0.5 * h))))
 
@@ -253,11 +252,11 @@ def _run_loop(cfg: SimConfig, every_step: bool
     bda = p.b_rise * p.da
     half, h6 = 0.5 * h, h / 6.0
     zeta, xi, both = tp.zeta, tp.xi, tp.trigger_both
-    exp, hypot, isfinite, inf = math.exp, math.hypot, math.isfinite, math.inf
+    exp, hypot, inf = math.exp, math.hypot, math.inf
 
     # the time-only series come from their array homes; i*h here equals
-    # the scalar i * h bit for bit.  The loop reads every series, and
-    # writes every record, in place through memoryviews.
+    # the scalar i * h bit for bit.  The loop reads every series by
+    # iteration, and writes every record in place, through memoryviews.
     ts = np.arange(n + 1) * h
     x2rs, x2rds = r.x2ref_series(ts)
     tols = thresholds(ts, tp)
@@ -279,15 +278,15 @@ def _run_loop(cfg: SimConfig, every_step: bool
     # Each drift below is plant.drift in line.  Where 1 + x2/gamma lies
     # within SINGULAR_TOL of zero, the loop calls plant.drift at that point
     # instead, so the error is its own; an overflowing exp is replayed.
-    for i in range(n + 1):
-        d1v, d2v = d1_at[i], d2_at[i]
+    # strict: a short series fails here rather than dropping the last steps
+    for i, d1v, d2v, d1s, d2s, d1m, d2m, x2ref, x2ref_dot, tol in zip(
+            range(n + 1), d1_at, d2_at, d1_0, d2_0, d1_mid, d2_mid,
+            x2ref_at, x2ref_dot_at, tol_at, strict=True):
         if i > 0:
             # rk4 from (x1, x2), whose drift (f1, f2) is stage 1
-            j = i - 1
             try:
-                d1m, d2m = d1_mid[j], d2_mid[j]
-                a1 = f1 - d2_0[j]
-                a2 = f2 + bu + d1_0[j]
+                a1 = f1 - d2s
+                a2 = f2 + bu + d1s
                 y1 = x1 + half * a1
                 y2 = x2 + half * a2
                 den = 1.0 + y2 / gamma
@@ -317,7 +316,8 @@ def _run_loop(cfg: SimConfig, every_step: bool
                 w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
                 x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
                 x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
-                if not (isfinite(x1) and isfinite(x2)):
+                # x - x is 0.0 for every finite x, nan for inf and nan
+                if x1 - x1 != 0.0 or x2 - x2 != 0.0:
                     raise PlantError(
                         f"state became nonfinite at t={t_at[i]}: ({x1}, {x2})")
                 # also stage 1 of the next step: same state, same drift
@@ -331,14 +331,12 @@ def _run_loop(cfg: SimConfig, every_step: bool
             except OverflowError:
                 # an exp overflowed: replay the step from its recorded
                 # start through rk4 and plant.drift, which raise there
-                drift(*rk4(x1_to[j], x2_to[j], f1, f2, u, t_at[i], h, p,
-                           d1_0[j], d2_0[j], d1_mid[j], d2_mid[j], d1v, d2v),
-                      p)
+                drift(*rk4(x1_to[i - 1], x2_to[i - 1], f1, f2, u, t_at[i],
+                           h, p, d1s, d2s, d1m, d2m, d1v, d2v), p)
                 raise
 
-        x2ref_dot = x2ref_dot_at[i]
         e1 = x1 - x1ref
-        e2 = x2 - x2ref_at[i]
+        e2 = x2 - x2ref
         e1dot = f1 - d2v
         e2dot = f2 + bu + d1v - x2ref_dot
         # trigger.margin
@@ -346,7 +344,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
         v2 = abs(zeta * e2 + xi * e2dot * e2dot)
         if v2 > val:
             val = v2
-        dlt_to[i] = delta = val - tol_at[i]
+        dlt_to[i] = delta = val - tol
         # discretization error relative to the snapshot held until now,
         # taken before any update at this instant: 0 at t = 0, and at any
         # later event step the distance to the previous snapshot
@@ -487,15 +485,17 @@ def compute_metrics(traj: Trajectory, gaps: Sequence[float]) -> Metrics:
     # an overflowing square reads inf, over every bound a gate compares with
     with np.errstate(over="ignore"):
         rmse = float(np.sqrt(np.mean((traj.x2 - traj.x2ref) ** 2)))
+    g = np.asarray(gaps, dtype=np.float64)
     return Metrics(
         event_count=events,
         step_count=steps,
         event_ratio=events / steps if steps else float("nan"),
-        min_gap=min(gaps) if gaps else None,
-        # left to right, as sum() did up to Python 3.11: from 3.12 on it
-        # compensates, which moves the last digits of the pinned artifacts
-        mean_gap=reduce(add, gaps) / len(gaps) if gaps else None,
-        max_gap=max(gaps) if gaps else None,
+        min_gap=float(np.min(g)) if g.size else None,
+        # cumsum adds left to right, as sum() did up to Python 3.11: from
+        # 3.12 on sum() compensates, and np.sum adds pairwise; either moves
+        # the last digits of the pinned artifacts
+        mean_gap=float(np.cumsum(g)[-1]) / g.size if g.size else None,
+        max_gap=float(np.max(g)) if g.size else None,
         eta_hat=reach.eta_hat,
         eta_violations=len(reach.violations),
         steady_band_x1_min=float(traj.x1[tail].min()),

@@ -6,7 +6,7 @@ import pytest
 
 from etsmc.config import build_config
 from etsmc.controller import (ReferenceSignal, SlidingParams,
-                              continuous_control, event_control_update, sign,
+                              continuous_control, event_control_update,
                               switching_law)
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          Disturbance, drift)
@@ -76,9 +76,22 @@ class TestSigmaSign:
         assert switching_law(1.0, 1.0, 0.0, 0.0, SP, 0.3) == -25.0 / 0.6
 
     def test_sign_convention(self):
-        assert sign(2.5) == 1.0
-        assert sign(-1e-30) == -1.0
-        assert sign(0.0) == 0.0
+        # sigma = lambda1*e1 = e1, however small, adds -sign(e1)*mu to the
+        # drift term before the division by lambda2*beta; sigma = 0 adds 0
+        g1, g2 = 0.3, -1.7
+        for e1, sgn in ((2.5, 1.0), (1e-30, 1.0), (-1e-30, -1.0),
+                        (0.0, 0.0)):
+            assert switching_law(e1, 0.0, 0.0, 0.0, SP, 0.3) == (
+                -sgn * SP.mu / (SP.lambda2 * 0.3)), e1
+            assert switching_law(e1, 0.0, g1, g2, SP, 0.3) == -(
+                SP.lambda1 * g1 + SP.lambda2 * g2 + sgn * SP.mu) / (
+                    SP.lambda2 * 0.3), e1
+
+    def test_zero_sigma_adds_no_switching_term(self):
+        # sigma = 0.5 - 0.5 is exactly 0: only the drift term is left
+        g1, g2 = 0.3, -1.7
+        assert switching_law(0.5, -0.25, g1, g2, SP, 0.3) == -(
+            SP.lambda1 * g1 + SP.lambda2 * g2) / (SP.lambda2 * 0.3)
 
 
 class TestControlLaw:
@@ -102,8 +115,8 @@ class TestControlLaw:
         x = DimlessState(0.1, 0.1)
         lo = continuous_control(x, 0.0, NOMINAL, Disturbance.zero(), REF, SP)
         hi = continuous_control(x, 0.0, NOMINAL, Disturbance.zero(), REF, sp_hi)
-        s = sign(SP.lambda1 * (x.x1 - 0.4472)
-                 + SP.lambda2 * (x.x2 - REF.x2ref(0.0)))
+        s = np.sign(SP.lambda1 * (x.x1 - 0.4472)
+                    + SP.lambda2 * (x.x2 - REF.x2ref(0.0)))
         assert hi - lo == pytest.approx(-25.0 * s / 0.6, rel=1e-12)
 
 

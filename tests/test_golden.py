@@ -6,18 +6,26 @@ SVG files, where plots.emit_plot thins each series to MAX_POINTS.  A sparse
 baseline-comparison run pins the metrics of a baseline that differs from
 its event-triggered run.
 
+The full-horizon runs of the session fixtures (50,000 steps each), which
+the acceptance gate reads, are pinned by the digest of their float64
+records, so a change to their late-horizon bits shows without flipping a
+criterion.
+
 Refactors must leave these bytes unchanged.  A change that alters a digest
 on purpose updates it here and says why in CHANGES.md.
 """
 
 import hashlib
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from etsmc.cli import main
 from etsmc.config import build_config
-from etsmc.trigger import estimate_lipschitz
+from etsmc.sim import Trajectory
+from etsmc.trigger import EventLog, estimate_lipschitz
 
 GOLDEN = {
     # every step fires, so the time-triggered baseline matches the run
@@ -133,6 +141,26 @@ SPARSE_BASELINE_METRICS = (
 
 L_BAR = 44.22060080686917
 
+#: run -> SHA-256 of the float64 bytes of every Trajectory field, then of
+#: every EventLog field of an event-triggered run, at the default 50 time
+#: units
+FULL_HORIZON = {
+    "nominal":
+        "768e999e938269c7b42ef5b087d6abf56e25a995ab8f3b0a67e307c1368d4e72",
+    "disturbed":
+        "e1aeac5e79f6f14f74939d98e072aa9fd707485e6ade70fb27358e58b933ee9e",
+    "nominal-time-triggered":
+        "cd640ea0dc28fdf298e227395c8a7d472ca2689597961d0a168cebdc7894fd19",
+    "disturbed-time-triggered":
+        "dde7e2af96b762cdc4dd3e946c236beca7b3f70c14cf80866215aab4b1baadd9",
+    "regulate-300":
+        "a935ceec8949b3f19befff11903728e56c4a39fdc101cd0e270248584a73a4f9",
+    "regulate-400":
+        "aced62eaccf402a2d3d4859a9ccd0fa50ad4e7d4441c0936087668b7e1b14ae0",
+    "regulate-500":
+        "5c59062765a03bd8b88bf38915619a1c676a40e9ecc3b69ae6a41debe9a296d2",
+}
+
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_cli_artifact_digests(scenario, tmp_path):
@@ -173,3 +201,26 @@ def test_sparse_baseline_comparison_metrics_digest(tmp_path):
 
 def test_default_plant_lipschitz_estimate():
     assert estimate_lipschitz(build_config({}).plant).l_bar == L_BAR
+
+
+def record_digest(traj, log=None):
+    digest = hashlib.sha256()
+    for f in fields(Trajectory):
+        digest.update(np.ascontiguousarray(getattr(traj, f.name),
+                                           dtype=np.float64).tobytes())
+    for f in fields(EventLog) if log is not None else ():
+        digest.update(np.asarray(getattr(log, f.name),
+                                 dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_full_horizon_run_digests(nominal_run, disturbed_run, regulate_runs,
+                                  nominal_tt, disturbed_tt):
+    # the session's runs: this test hashes them and runs no loop itself
+    runs = {"nominal": nominal_run[:2], "disturbed": disturbed_run[:2],
+            "nominal-time-triggered": nominal_tt[:1],
+            "disturbed-time-triggered": disturbed_tt[:1]}
+    for setpoint, (_, traj, log, _) in regulate_runs.items():
+        runs[f"regulate-{setpoint:.0f}"] = traj, log
+    assert {name: record_digest(*run)
+            for name, run in runs.items()} == FULL_HORIZON

@@ -239,6 +239,23 @@ def test_loop_calls_drift_only_at_x0(monkeypatch):
         assert calls == [(cfg.x0.x1, cfg.x0.x2)], run
 
 
+@pytest.mark.parametrize("stage", range(2, 6))
+def test_loop_rejects_a_short_stage_series(monkeypatch, stage):
+    # the loop iterates its series together; one a step short must fail
+    # the run, not end it a step early
+    grid = sim._disturbance_grid
+
+    def short(d, ts, h):
+        series = grid(d, ts, h)
+        series[stage] = series[stage][:-1]
+        return series
+
+    monkeypatch.setattr(sim, "_disturbance_grid", short)
+    cfg = small_cfg(scenario="disturbed", t_end=0.02)
+    with pytest.raises(ValueError, match="shorter"):
+        sim._run_loop(cfg, every_step=False)
+
+
 #: SHA-256 of the sign-flipped falsification run at t_end = 2 (1,994 of
 #: 2,001 steps fire): a change to how the flip is made keeps this string.
 FLIPPED_DIGEST = (
