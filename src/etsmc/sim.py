@@ -252,7 +252,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
     bda = p.b_rise * p.da
     half, h6 = 0.5 * h, h / 6.0
     zeta, xi, both = tp.zeta, tp.xi, tp.trigger_both
-    exp, hypot, inf = math.exp, math.hypot, math.inf
+    exp, hypot, isfinite, inf = math.exp, math.hypot, math.isfinite, math.inf
 
     # the time-only series come from their array homes; i*h here equals
     # the scalar i * h bit for bit.  The loop reads every series by
@@ -316,8 +316,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
                 w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
                 x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
                 x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
-                # x - x is 0.0 for every finite x, nan for inf and nan
-                if x1 - x1 != 0.0 or x2 - x2 != 0.0:
+                if not (isfinite(x1) and isfinite(x2)):
                     raise PlantError(
                         f"state became nonfinite at t={t_at[i]}: ({x1}, {x2})")
                 # also stage 1 of the next step: same state, same drift
