@@ -87,12 +87,6 @@ class TestSigmaSign:
                 SP.lambda1 * g1 + SP.lambda2 * g2 + sgn * SP.mu) / (
                     SP.lambda2 * 0.3), e1
 
-    def test_zero_sigma_adds_no_switching_term(self):
-        # sigma = 0.5 - 0.5 is exactly 0: only the drift term is left
-        g1, g2 = 0.3, -1.7
-        assert switching_law(0.5, -0.25, g1, g2, SP, 0.3) == -(
-            SP.lambda1 * g1 + SP.lambda2 * g2) / (SP.lambda2 * 0.3)
-
 
 class TestControlLaw:
     def test_zero_reference_hand_value(self):
