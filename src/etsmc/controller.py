@@ -27,8 +27,8 @@ class SlidingParams:
     def __post_init__(self) -> None:
         if self.lambda2 == 0.0:
             raise ConfigError("lambda2 must be nonzero")
-        if not self.mu > 0.0:
-            raise ConfigError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigError("mu must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +89,7 @@ def switching_law(e1: float, e2: float, g1: float, g2: float,
     (e1, e2) are the tracking errors and (g1, g2) the control-free error
     drift (f1 - d2, f2 + d1 - x2ref_dot).  sign(0) = 0, so no actuation is
     injected on the manifold; mu*sign(sigma) is taken as mu, -mu or 0.0,
-    the products it equals for the positive finite mu of a config.
+    the products it equals for the positive finite mu of SlidingParams.
     """
     s = sp.lambda1 * e1 + sp.lambda2 * e2
     mu = sp.mu if s > 0.0 else -sp.mu if s < 0.0 else 0.0

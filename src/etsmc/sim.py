@@ -424,7 +424,9 @@ def run_event_triggered(cfg: SimConfig
     global _dense_run
     lip = estimate_lipschitz(cfg.plant)
     # the t = 0 event is at x0, so a zero Zeno denominator there would fail
-    # the post-pass for certain; the denominator does not depend on eps_max
+    # the post-pass for certain; the denominator does not depend on eps_max.
+    # Only a zero denominator raises: a bound of 0.0 or nan is returned,
+    # and check_invariants reports it
     zeno_bound(cfg.x0, 1.0, lip, cfg.plant, cfg.sliding)
     traj, instants, gaps, deltas = _run_loop(cfg, every_step=False)
     eps_max = max(float(traj.eps.max()), 1e-300)
@@ -506,35 +508,23 @@ def compute_metrics(traj: Trajectory, gaps: Sequence[float]) -> Metrics:
 
 def check_invariants(traj: Trajectory, log: EventLog, cfg: SimConfig
                      ) -> list[str]:
-    """Runtime invariant checks; returns the names of violated invariants."""
+    """Names of the run invariants that traj and log violate.
+
+    Each is a claim of the closed loop that a run can fail:
+    lyapunov-decrease-outside-band, V does not rise over a step that
+    starts with |sigma| above the band; zeno-bound-positive, every
+    logged inter-event bound is positive, not 0.0 or nan (see
+    trigger.zeno_bounds).  What _run_loop builds into the records holds
+    by construction and is asserted on real runs by
+    tests/test_sim.py::assert_records_consistent.  cfg is not read; it
+    stays for the callers, the benchmark's worker among them.
+    """
     bad: list[str] = []
-    ev = traj.event
-    du = np.diff(traj.u)
-    if np.any((du != 0.0) & ~ev[1:]):
-        bad.append("control-piecewise-constant")
-    if np.any(traj.v != 0.5 * traj.sigma * traj.sigma):
-        bad.append("lyapunov-consistency")
     outside = np.abs(traj.sigma[:-1]) > traj.band[:-1]
     if np.any(outside & (np.diff(traj.v) > 0.0)):
         bad.append("lyapunov-decrease-outside-band")
-    # the logged steps as a set: sorted, repeats dropped (np.unique would
-    # import numpy.ma on its first call, 15 ms of a short run)
-    logged = np.sort(np.rint(np.asarray(log.instants) / cfg.h))
-    logged = logged[np.diff(logged, prepend=np.nan) != 0.0]
-    if not np.array_equal(logged, np.flatnonzero(ev)):
-        bad.append("event-cross-consistency")
-    if np.any(traj.delta[~ev] >= 0.0):
-        bad.append("delta-log-consistency")
-    elif np.any(traj.delta[ev][1:] < 0.0) and not np.all(ev):
-        # t=0 fires unconditionally; an all-events run has no conditional fire
-        bad.append("delta-log-consistency")
-    if log.gaps and min(log.gaps) < cfg.h:  # each is k*h rounded, k >= 1
-        bad.append("gaps-ge-step")
-    if np.any(np.asarray(log.bound_at_event) <= 0.0):
+    if not np.all(np.asarray(log.bound_at_event) > 0.0):
         bad.append("zeno-bound-positive")
-    instants = np.asarray(log.instants)
-    if np.any(instants[1:] <= instants[:-1]):
-        bad.append("instants-increasing")
     return bad
 
 

@@ -126,9 +126,13 @@ def zeno_bounds(x1: Iterable[float], x2: Iterable[float], eps_max: float,
     with Bbar = (0, beta)^T and M = Bbar lambda2^-1 beta^-1 lambda^T;
     matrix norm spectral, vector norm Euclidean.  As beta > 0, ||Bbar|| =
     beta, and M has rank one, so ||M|| = ||Bbar|| ||lambda||/|lambda2*beta|
-    = ||lambda||/|lambda2|.  Strictly positive.  x1 and x2 yield the state
-    components at the events; itertools.compress over memoryviews reads
-    the trajectory in place.  Raises PlantError when ||M|| overflows.
+    = ||lambda||/|lambda2|.  x1 and x2 yield the state components at the
+    events; itertools.compress over memoryviews reads the trajectory in
+    place.  Raises PlantError when ||M|| overflows or a denominator is
+    zero.  A bound is not always positive: it reads 0.0 where the
+    denominator overflows (||Bbar||*mu, say) or num/den underflows, and
+    nan where L(1 + ||M||) overflows at x_k = 0, which is why
+    zeno-bound-positive is a run invariant (sim.check_invariants).
     """
     if not eps_max > 0.0:
         raise PlantError("eps_max must be positive")
@@ -140,8 +144,9 @@ def zeno_bounds(x1: Iterable[float], x2: Iterable[float], eps_max: float,
     gain = l_bar * (1.0 + m_norm)
     ctrl = p.beta * sp.mu
     num = l_bar * eps_max
-    # every denominator is at least ||Bbar||*mu >= 0; it is zero only when
-    # that product underflows to 0 and x_k is the origin
+    # every denominator is at least ||Bbar||*mu >= 0, or nan where an
+    # infinite gain meets x_k = 0; it is zero only when that product
+    # underflows to 0 and x_k is the origin
     try:
         return [math.log1p(num / (gain * math.hypot(a, b) + ctrl)) / l_bar
                 for a, b in zip(x1, x2)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from etsmc import cli, plant, sim, trigger
 from etsmc.cli import SCENARIOS, build_parser, main, run_scenario
 from etsmc.config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
                           config_values, parse_config)
+from etsmc.controller import SlidingParams
 from test_golden import GOLDEN
 
 
@@ -109,9 +111,14 @@ class TestBuildConfig:
         # one class for a file and a library caller, raised where the
         # value is checked and not re-raised from another type
         assert ConfigError is plant.ConfigError
-        with pytest.raises(ConfigError, match="^mu must be positive$") as exc:
+        with pytest.raises(ConfigError,
+                           match="^mu must be positive and finite$") as exc:
             build_config({"mu": 0.0})
         assert exc.value.__cause__ is None and exc.value.__context__ is None
+        # the dataclass API takes no nonfinite value that a file cannot hold
+        with pytest.raises(ConfigError,
+                           match="^mu must be positive and finite$"):
+            SlidingParams(1.0, 2.0, math.inf)
 
     def test_every_default_key_roundtrips(self):
         vals = config_values(build_config({}))

@@ -1,11 +1,15 @@
-"""The CLI exit-code contract: a table of exit-2 cases, and properties
-over extreme config values.
+"""The CLI exit-code contract: tables of exit-1 and exit-2 cases, and
+properties over extreme config values.
 
 0 is success, 1 is a named run invariant violated and nothing else, 2 is a
 config, plant or IO error reported on an ``error:`` line.  No exception may
-escape ``cli.main``.  ``EXIT_2`` lists the inputs that must exit 2, each
-with its ``error:`` text, and ``test_exit_2`` runs each row once in
-process, under the row's id, through the ``exit_2`` fixture of conftest.py.
+escape ``cli.main``.  ``EXIT_1`` holds an input that violates each run
+invariant, and ``test_exit_1`` runs each row once in process: an
+invariant that no run can fail has no row, and fails
+``test_invariant_names_are_found``.  ``EXIT_2`` lists the inputs that must
+exit 2, each with its ``error:`` text, and ``test_exit_2`` runs each row
+once in process, under the row's id, through the ``exit_2`` fixture of
+conftest.py.
 The exit-2 cases on the keys that a scenario name sets or does not read
 run through the same fixture in ``TestCliRuns`` of test_config_cli.py.
 """
@@ -47,8 +51,41 @@ def config_texts(draw):
     return "".join(f"{key} = {draw(EXTREMES)!r}\n" for key in keys)
 
 
+#: (id, invariant, config text, --duration) of nominal runs that exit 1
+#: naming that invariant alone, on stderr and in manifest.json.
+EXIT_1 = [
+    # the chattering that keeps criterion 5b red, within 2 time units at
+    # a smaller switching gain and a wider band
+    ("lyapunov-rise", "lyapunov-decrease-outside-band", "mu = 1\nm1 = 1",
+     "2"),
+    # ||Bbar||*mu = beta*mu overflows, so the t = 0 bound is log1p(num/inf)
+    # = 0.0; x0 = (0, 0) and x2ref(0) = 0 make sigma = 0 there, the law
+    # adds no mu term, and no later event fires in 20 steps
+    ("zeno-bound-zero", "zeno-bound-positive",
+     "beta = 2\nmu = 1e308\nx1ref = 0", "0.02"),
+    # L(1 + ||M||) overflows, ||M|| being 1/6e-309, and meets ||x0|| = 0:
+    # the t = 0 bound is log1p(num/nan) = nan
+    ("zeno-bound-nan", "zeno-bound-positive",
+     "da = 5e-324\nlambda2 = 6e-309\nx1ref = 0", "0.02"),
+]
+
+
 def test_invariant_names_are_found():
-    assert "lyapunov-decrease-outside-band" in INVARIANTS
+    assert INVARIANTS == {row[1] for row in EXIT_1}
+
+
+@pytest.mark.parametrize("row_id,invariant,config,duration", EXIT_1,
+                         ids=[row[0] for row in EXIT_1])
+def test_exit_1(row_id, invariant, config, duration, tmp_path, monkeypatch,
+                capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(config + "\n")
+    rc = main(["--config", "run.cfg", "--duration", duration,
+               "--out", "runs"])
+    err = capsys.readouterr().err
+    assert (rc, err) == (1, f"invariant check failed: {invariant}\n")
+    manifest = json.loads(Path("runs/nominal/manifest.json").read_text())
+    assert manifest["invariant_violations"] == [invariant]
 
 
 def _strict(name):
