@@ -23,8 +23,8 @@ class ConfigError(ValueError):
 
 class PlantError(ValueError):
     """A run the model cannot carry: a singular or overflowing exponent; a
-    nonfinite state, disturbance, reference, gain or Jacobian; a computed
-    bound that is not positive."""
+    nonfinite state, control, disturbance, reference, gain or Jacobian; a
+    computed bound that is not positive."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,6 +81,11 @@ class SimConfig:
             raise ConfigError(
                 f"t_end/h = {self.t_end / self.h:.6g} steps exceeds the "
                 f"ceiling of {MAX_STEPS}")
+        # ts[n] of _run_loop, the grid's last time
+        n = self.step_count()
+        if not math.isfinite(n * self.h):
+            raise ConfigError(f"the last grid time {n}*h = {n * self.h} is "
+                              "not finite")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         # the divisor of controller.switching_law; it can underflow
@@ -378,6 +383,10 @@ def _run_loop(cfg: SimConfig, every_step: bool
     if bad.size:
         raise PlantError(
             f"sigma or V = sigma^2/2 is not finite at t={ts[bad[0]]}")
+    # a nonfinite u makes the next state nan, so only the last step holds one
+    bad = np.flatnonzero(~np.isfinite(us))
+    if bad.size:
+        raise PlantError(f"control u is not finite at t={ts[bad[0]]}")
     # from the finished records: a run that fails above warns of nothing
     over = np.flatnonzero(x1s[1:] >= 1.0 + X1_PHYSICAL_TOL)
     if over.size:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from etsmc import cli, plant, sim, trigger
-from etsmc.cli import SCENARIOS, build_parser, main, run_scenario
+from etsmc.cli import SCENARIOS, build_parser, run_scenario
 from etsmc.config import (KEYS, UNREAD_KEYS, ConfigError, build_config,
                           config_values, parse_config)
 from etsmc.controller import SlidingParams
@@ -151,34 +151,24 @@ ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "metrics.json",
 
 
 class TestCliRuns:
-    def test_short_nominal_run_exits_clean(self, tmp_path, capsys):
-        rc = main(["--scenario", "nominal", "--duration", "1.0",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "all run invariants passed" in out
-        run_dir = tmp_path / "nominal"
-        for name in ARTIFACTS:
-            assert (run_dir / name).exists(), name
-
-    def test_manifest_hashes_only_the_run_artifacts(self, tmp_path, capsys):
-        run_dir = tmp_path / "nominal"
+    def test_manifest_hashes_only_the_run_artifacts(self, tmp_path, run_cli):
+        run_dir = tmp_path / "runs" / "nominal"
         (run_dir / "sub").mkdir(parents=True)
         (run_dir / "notes.txt").write_text("not an artifact\n")
-        assert main(["--duration", "1.0", "--out", str(tmp_path)]) == 0
-        assert "wrote 7 artifacts" in capsys.readouterr().out
+        # the runner checks the "wrote 7 artifacts" line
+        assert run_cli(tmp_path, "nominal", None, "--duration 1.0")[0] == 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert set(manifest["files"]) == set(ARTIFACTS) - {"manifest.json"}
 
-    def test_run_directory_does_not_depend_on_out(self, tmp_path,
-                                                  monkeypatch):
+    def test_run_directory_does_not_depend_on_out(self, tmp_path, run_cli):
         # one config into a relative and an absolute --out: every file,
         # manifest.json included, is the same bytes
-        monkeypatch.chdir(tmp_path)
         dirs = []
         for out in ("runs", str(tmp_path / "elsewhere" / "runs")):
-            assert main(["--duration", "0.5", "--out", out]) == 0
-            dirs.append(tmp_path / out / "nominal")
+            rc, _, _, run_dir = run_cli(tmp_path, "nominal", None,
+                                        "--duration 0.5", out=out)
+            assert rc == 0
+            dirs.append(run_dir)
         files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
         assert sorted(files[0]) == sorted(ARTIFACTS)
         assert files[0] == files[1]
@@ -188,34 +178,28 @@ class TestCliRuns:
         ("regulate-400", "tf0_kelvin = 350"), ("regulate-500", ""),
         ("baseline-comparison", ""),
     ])
-    def test_manifest_config_reruns_its_run(self, tmp_path, scenario, line):
+    def test_manifest_config_reruns_its_run(self, tmp_path, scenario, line,
+                                            run_cli):
         # a manifest's config, written back as a config file, gives the
         # same run: every file, manifest.json included, is the same bytes
         def run(name, text):
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(text)
-            assert main(["--scenario", scenario, "--config", str(cfg),
-                         "--duration", "0.5",
-                         "--out", str(tmp_path / name)]) == 0
-            return {p.name: p.read_bytes()
-                    for p in (tmp_path / name / scenario).iterdir()}
-        first = run("first", line + "\n")
+            rc, _, _, run_dir = run_cli(tmp_path / name, scenario, text,
+                                        "--duration 0.5")
+            assert rc == 0
+            return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        first = run("first", line)
         config = json.loads(first["manifest.json"])["config"]
         again = run("again", "".join(f"{key} = {value!r}\n"
                                      for key, value in config.items()))
         assert sorted(first) == sorted(ARTIFACTS)
         assert first == again
 
-    def test_full_horizon_reports_invariant_failure(self, tmp_path, capsys):
-        rc = main(["--out", str(tmp_path)])
+    def test_full_horizon_reports_invariant_failure(self, tmp_path, run_cli):
+        # the runner checks that manifest.json names the same invariants
+        rc, _, err, _ = run_cli(tmp_path, "nominal", None, "")
         assert rc == 1
-        err = capsys.readouterr().err
         assert "invariant check failed" in err
         assert "lyapunov-decrease-outside-band" in err
-        manifest = json.loads(
-            (tmp_path / "nominal" / "manifest.json").read_text())
-        assert "lyapunov-decrease-outside-band" in manifest[
-            "invariant_violations"]
 
     def test_run_scenario_rejects_a_key_the_scenario_does_not_read(
             self, tmp_path):
@@ -227,8 +211,8 @@ class TestCliRuns:
         assert not (tmp_path / "runs").exists()
 
     # a key that the scenario name sets or does not read exits 2 before
-    # the scenario runs, checked by the exit_2 fixture as the rows of
-    # test_exit_contract.EXIT_2 are
+    # the scenario runs, checked as the rows of test_exit_contract.EXIT_2
+    # are
     @pytest.mark.parametrize("scenario,key", [
         *((scenario, key) for scenario in ("nominal", "baseline-comparison")
           for key in ("d1_amp", "d1_freq", "d2_amp", "d2_freq")),
@@ -236,17 +220,19 @@ class TestCliRuns:
           for key in ("x1ref", "x2ss", "d1_amp", "d1_freq", "d2_amp",
                       "d2_freq"))])
     def test_key_the_scenario_does_not_read_exits_2(self, scenario, key,
-                                                    exit_2):
-        exit_2(scenario, f"{key} = 0.5", "--duration 0.02",
-               f"{key} applies only to", True)
+                                                    tmp_path, run_cli):
+        rc, _, err, _ = run_cli(tmp_path, scenario, f"{key} = 0.5",
+                                "--duration 0.02", loop=False)
+        assert rc == 2 and f"{key} applies only to" in err, err
 
     @pytest.mark.parametrize("scenario", ["nominal", "disturbed",
                                           "baseline-comparison"])
     @pytest.mark.parametrize("key", ["tf0_kelvin", "setpoint_kelvin"])
     def test_regulate_key_in_config_outside_regulate_exits_2(
-            self, key, scenario, exit_2):
-        exit_2(scenario, f"{key} = 350", "--duration 0.02",
-               f"{key} applies only to", True)
+            self, key, scenario, tmp_path, run_cli):
+        rc, _, err, _ = run_cli(tmp_path, scenario, f"{key} = 350",
+                                "--duration 0.02", loop=False)
+        assert rc == 2 and f"{key} applies only to" in err, err
 
     @pytest.mark.parametrize("scenario,config,kelvin", [
         ("regulate-400", "setpoint_kelvin = 350", 350),
@@ -255,15 +241,21 @@ class TestCliRuns:
         ("regulate-300", "setpoint_kelvin = 400\nx1ref = 0.5", 400),
     ], ids=["regulate-400", "and-x1ref-regulate-300"])
     def test_setpoint_kelvin_in_config_on_regulate_exits_2(
-            self, scenario, config, kelvin, exit_2):
-        exit_2(scenario, config, "--duration 0.02",
-               f"setpoint_kelvin = {kelvin}.0 conflicts with the scenario "
-               f"{scenario}", True)
+            self, scenario, config, kelvin, tmp_path, run_cli):
+        rc, _, err, _ = run_cli(tmp_path, scenario, config, "--duration 0.02",
+                                loop=False)
+        assert rc == 2
+        assert (f"setpoint_kelvin = {kelvin}.0 conflicts with the scenario "
+                f"{scenario}") in err, err
 
     @pytest.mark.parametrize("kelvin", ["0", "-300"])
-    def test_nonpositive_feed_temperature_exits_2(self, kelvin, exit_2):
-        exit_2("regulate-400", f"tf0_kelvin = {kelvin}", "--duration 0.02",
-               "error: tf0_kelvin must be positive and finite\n", True)
+    def test_nonpositive_feed_temperature_exits_2(self, kelvin, tmp_path,
+                                                  run_cli):
+        rc, _, err, _ = run_cli(tmp_path, "regulate-400",
+                                f"tf0_kelvin = {kelvin}", "--duration 0.02",
+                                loop=False)
+        assert (rc, err) == (
+            2, "error: tf0_kelvin must be positive and finite\n")
 
     def test_unknown_scenario_lists_the_scenarios(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -274,13 +266,11 @@ class TestCliRuns:
             "baseline-comparison")
         assert not (tmp_path / "runs").exists()
 
-    def test_one_event_run_plots_the_instant_alone(self, tmp_path):
+    def test_one_event_run_plots_the_instant_alone(self, tmp_path, run_cli):
         # a tolerance this wide fires only at t = 0: no inter-event gap
-        cfg = tmp_path / "one.cfg"
-        cfg.write_text("m1 = 1000000\n")
-        assert main(["--config", str(cfg), "--duration", "0.1",
-                     "--out", str(tmp_path)]) == 0
-        run_dir = tmp_path / "nominal"
+        rc, _, _, run_dir = run_cli(tmp_path, "nominal", "m1 = 1000000",
+                                    "--duration 0.1")
+        assert rc == 0
         rows = (run_dir / "events.csv").read_text().splitlines()[1:]
         assert len(rows) == 1 and rows[0].split(",")[2] == "nan"
         svg = (run_dir / "events.svg").read_text()
@@ -299,16 +289,16 @@ class TestCliRuns:
         ("disturbed", "d2_amp = 0.5"), ("disturbed", "d2_freq = 0.5"),
     ])
     def test_key_the_scenario_reads_changes_an_artifact(
-            self, tmp_path, scenario, line):
-        cfg = tmp_path / "read.cfg"
-        cfg.write_text(line + "\n")
-        for out, extra in (("default", []), ("set", ["--config", str(cfg)])):
-            assert main(["--scenario", scenario, *extra, "--duration",
-                         "0.02", "--out", str(tmp_path / out)]) in (0, 1)
-        changed = [p.name for p in sorted((tmp_path / "set" / scenario)
-                                          .iterdir())
-                   if p.name != "manifest.json" and p.read_bytes() !=
-                   (tmp_path / "default" / scenario / p.name).read_bytes()]
+            self, tmp_path, scenario, line, run_cli):
+        dirs = []
+        for out, config in (("default", None), ("set", line)):
+            rc, _, _, run_dir = run_cli(tmp_path, scenario, config,
+                                        "--duration 0.02", out=out)
+            assert rc in (0, 1)
+            dirs.append(run_dir)
+        changed = [p.name for p in sorted(dirs[1].iterdir())
+                   if p.name != "manifest.json"
+                   and p.read_bytes() != (dirs[0] / p.name).read_bytes()]
         assert changed
 
     def test_import_loads_no_third_party_module_but_numpy(self):
@@ -325,20 +315,15 @@ class TestCliRuns:
             capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["etsmc", "numpy"]
 
-    def test_nonfinite_metric_is_written_as_json_text(self, tmp_path):
-        # sigma cancels to 0 while x2 - x2ref overflows when squared
-        cfg = tmp_path / "overflow.cfg"
-        cfg.write_text("x1ref = -1e300\nlambda1 = 2\nx2ss = 1e300\nk1 = 0\n")
-        assert main(["--config", str(cfg), "--duration", "0.02",
-                     "--out", str(tmp_path)]) == 0
-
-        def strict(name):
-            raise ValueError(f"not JSON: {name}")
-        run_dir = tmp_path / "nominal"
-        metrics = json.loads((run_dir / "metrics.json").read_text(),
-                             parse_constant=strict)
-        json.loads((run_dir / "manifest.json").read_text(),
-                   parse_constant=strict)
+    def test_nonfinite_metric_is_written_as_json_text(self, tmp_path,
+                                                      run_cli):
+        # sigma cancels to 0 while x2 - x2ref overflows when squared; the
+        # runner parses both JSON files with no NaN or Infinity constant
+        rc, _, _, run_dir = run_cli(
+            tmp_path, "nominal", "x1ref = -1e300\nlambda1 = 2\nx2ss = 1e300\n"
+            "k1 = 0", "--duration 0.02")
+        assert rc == 0
+        metrics = json.loads((run_dir / "metrics.json").read_text())
         assert metrics["tracking_rmse"] == "inf"
         assert "tracking_rmse = inf" in (run_dir / "metrics.txt").read_text()
 
@@ -401,7 +386,8 @@ def test_text_artifacts_have_lf_line_ends_on_every_platform(tmp_path,
             for p in (tmp_path / "nominal").iterdir()} == GOLDEN["nominal"]
 
 
-def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
+def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch,
+                                                     run_cli):
     """The benchmark's config.parse span wraps this call."""
     calls = []
 
@@ -409,11 +395,8 @@ def test_main_parses_the_config_through_parse_config(tmp_path, monkeypatch):
         calls.append(args)
         return parse_config(*args, **kwargs)
     _patch_everywhere(monkeypatch, parse_config, recorder)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mu = 25\n")
-    assert main(["--config", str(cfg), "--duration", "0.02",
-                 "--out", str(tmp_path)]) == 0
-    assert calls == [(cfg,)]
+    assert run_cli(tmp_path, "nominal", "mu = 25", "--duration 0.02")[0] == 0
+    assert calls == [(Path("run.cfg"),)]
 
 
 def test_whole_run_peak_memory_per_step(tmp_path, traced_peak):

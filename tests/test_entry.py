@@ -1,7 +1,8 @@
 """The process entry: ``python -m etsmc`` and the ``etsmc`` console script.
 
 etsmc.__main__.entry freezes what the imports left to the collector and
-exits with cli.main's code; cli.main, called in process, freezes nothing.
+exits with cli.main's code; cli.main, called in process through the
+run_cli runner of conftest.py, freezes nothing.
 """
 
 import gc
@@ -13,18 +14,17 @@ from pathlib import Path
 import pytest
 
 import etsmc.__main__ as entry_module
-from etsmc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 SPARSE_CONFIG = "mu = 1\nm1 = 1\n"
 
-#: argv (run from a directory that holds sparse.cfg) -> exit code
+#: (config text or None, argv of a nominal run) -> exit code
 CASES = {
-    "passes": (["--scenario", "nominal", "--duration", "0.02"], 0),
+    "passes": (None, "--duration 0.02", 0),
     # lyapunov-decrease-outside-band, known red for this config
-    "invariant-fails": (["--config", "sparse.cfg", "--duration", "2"], 1),
-    "config-error": (["--duration", "-1"], 2),
+    "invariant-fails": (SPARSE_CONFIG, "--duration 2", 1),
+    "config-error": (None, "--duration -1", 2),
 }
 
 
@@ -34,30 +34,30 @@ def _files(run_root: Path) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_module_run_matches_in_process_main(tmp_path, monkeypatch, capsys,
-                                            case):
-    argv, code = CASES[case]
-    argv = [*argv, "--out", "runs"]
-    for where in ("child", "here"):
-        (tmp_path / where).mkdir()
-        (tmp_path / where / "sparse.cfg").write_text(SPARSE_CONFIG)
+def test_module_run_matches_in_process_main(tmp_path, run_cli, case):
+    config, argv, code = CASES[case]
+    rc, out, err, _ = run_cli(tmp_path / "here", "nominal", config, argv)
+    assert rc == code
+    # the child gets the run.cfg and the argv that run_cli gives main
+    (tmp_path / "child").mkdir()
+    if config is not None:
+        (tmp_path / "child" / "run.cfg").write_text(config + "\n")
+        argv = f"--config run.cfg {argv}"
     child = subprocess.run(
-        [sys.executable, "-m", "etsmc", *argv], cwd=tmp_path / "child",
+        [sys.executable, "-m", "etsmc", "--scenario", "nominal",
+         *argv.split(), "--out", "runs"], cwd=tmp_path / "child",
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True)
-    monkeypatch.chdir(tmp_path / "here")
-    assert main(argv) == code
-    here = capsys.readouterr()
     assert child.returncode == code, child.stderr
-    assert (child.stdout, child.stderr) == (here.out, here.err)
+    assert (child.stdout, child.stderr) == (out, err)
     assert "Traceback" not in child.stderr
     assert (_files(tmp_path / "child" / "runs")
             == _files(tmp_path / "here" / "runs"))
 
 
-def test_in_process_main_freezes_nothing(tmp_path):
+def test_in_process_main_freezes_nothing(tmp_path, run_cli):
     before = gc.get_freeze_count()
-    assert main(["--duration", "0.02", "--out", str(tmp_path)]) == 0
+    assert run_cli(tmp_path, "nominal", None, "--duration 0.02")[0] == 0
     assert gc.get_freeze_count() == before
 
 

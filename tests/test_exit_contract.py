@@ -3,36 +3,25 @@ properties over extreme config values.
 
 0 is success, 1 is a named run invariant violated and nothing else, 2 is a
 config, plant or IO error reported on an ``error:`` line.  No exception may
-escape ``cli.main``.  ``EXIT_1`` holds an input that violates each run
-invariant, and ``test_exit_1`` runs each row once in process: an
-invariant that no run can fail has no row, and fails
+escape ``cli.main``.  Every run goes through the ``run_cli`` runner of
+conftest.py, which checks that contract for the code that comes back; the
+tests here check which code and which text.  ``EXIT_1`` holds an input
+that violates each run invariant, and ``test_exit_1`` runs each row once:
+an invariant that no run can fail has no row, and fails
 ``test_invariant_names_are_found``.  ``EXIT_2`` lists the inputs that must
 exit 2, each with its ``error:`` text, and ``test_exit_2`` runs each row
-once in process, under the row's id, through the ``exit_2`` fixture of
-conftest.py.
-The exit-2 cases on the keys that a scenario name sets or does not read
-run through the same fixture in ``TestCliRuns`` of test_config_cli.py.
+once, under the row's id.
 """
 
-import inspect
-import io
-import json
-import re
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etsmc import sim
-from etsmc.cli import SCENARIOS, main
+from etsmc.cli import SCENARIOS
 from etsmc.config import KEYS
-
-#: Every invariant name check_invariants can report.
-INVARIANTS = frozenset(re.findall(r'bad\.append\("([a-z0-9-]+)"\)',
-                                  inspect.getsource(sim.check_invariants)))
 
 #: h and t_end are left out, so --duration 0.02 holds every run to 20 steps.
 CONTRACT_KEYS = sorted(set(KEYS) - {"h", "t_end"})
@@ -70,31 +59,22 @@ EXIT_1 = [
 ]
 
 
-def test_invariant_names_are_found():
-    assert INVARIANTS == {row[1] for row in EXIT_1}
+def test_invariant_names_are_found(invariants):
+    assert invariants == {row[1] for row in EXIT_1}
 
 
 @pytest.mark.parametrize("row_id,invariant,config,duration", EXIT_1,
                          ids=[row[0] for row in EXIT_1])
-def test_exit_1(row_id, invariant, config, duration, tmp_path, monkeypatch,
-                capsys):
-    monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(config + "\n")
-    rc = main(["--config", "run.cfg", "--duration", duration,
-               "--out", "runs"])
-    err = capsys.readouterr().err
+def test_exit_1(row_id, invariant, config, duration, tmp_path, run_cli):
+    # the runner checks that manifest.json names the same invariants
+    rc, _, err, _ = run_cli(tmp_path, "nominal", config,
+                            f"--duration {duration}")
     assert (rc, err) == (1, f"invariant check failed: {invariant}\n")
-    manifest = json.loads(Path("runs/nominal/manifest.json").read_text())
-    assert manifest["invariant_violations"] == [invariant]
 
 
-def _strict(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-# each example reaches a numpy floating-point warning site, which the
-# test suite turns into an error: sigma and V, the x2 reference, the gain
-# norms and the squared tracking error
+# each example reaches a numpy floating-point warning site, a warning at
+# which fails the runner: sigma and V, the x2 reference, the gain norms and
+# the squared tracking error
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(scenario=st.sampled_from(list(SCENARIOS)), text=config_texts())
 @example(scenario="nominal", text="x1ref = -1e308\nx0_2 = 3\n")
@@ -102,32 +82,10 @@ def _strict(name):
 @example(scenario="nominal", text="beta = 1e300\n")
 @example(scenario="baseline-comparison",
          text="x1ref = -1e300\nlambda1 = 2\nx2ss = 1e300\nk1 = 0\n")
-def test_exit_code_contract(scenario, text):
-    out, err = io.StringIO(), io.StringIO()
+def test_exit_code_contract(run_cli, scenario, text):
+    # an exception escaping main fails the example with its traceback
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/extreme.cfg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        # an exception escaping main fails the example with its traceback
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(["--scenario", scenario, "--config", path,
-                       "--duration", "0.02", "--out", f"{tmp}/runs"])
-        if rc in (0, 1):
-            for name in ("metrics.json", "manifest.json"):
-                data = (Path(tmp) / "runs" / scenario / name).read_text()
-                json.loads(data, parse_constant=_strict)
-    # stderr may also hold warnings when pytest does not capture them
-    lines = err.getvalue().splitlines()
-    errors = [ln for ln in lines if ln.startswith("error: ")]
-    prefix = "invariant check failed: "
-    failed = [ln[len(prefix):].split(", ") for ln in lines
-              if ln.startswith(prefix)]
-    assert "Traceback" not in err.getvalue()
-    assert rc in (0, 1, 2)
-    assert len(errors) == (rc == 2), lines
-    assert len(failed) == (rc == 1), lines
-    if failed:
-        assert set(failed[0]) <= INVARIANTS, failed
+        run_cli(tmp, scenario, text, "--duration 0.02")
 
 
 #: --duration and h extremes (None: not set).  No pair of them makes a run
@@ -143,35 +101,19 @@ HORIZON_ERRORS = ("value for 'h' must be finite",
                   f"exceeds the ceiling of {sim.MAX_STEPS}")
 
 
-def _no_loop(*args, **kwargs):
-    raise AssertionError("the closed loop ran")
-
-
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(duration=st.sampled_from(DURATIONS), h=st.sampled_from(STEPS))
-def test_duration_and_step_extremes_exit_2(duration, h):
+def test_duration_and_step_extremes_exit_2(run_cli, duration, h):
     assume(duration is not None or h is not None)
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            pytest.MonkeyPatch.context() as mp:
-        # a draw that got past the config would run here, and fail
-        mp.setattr(sim, "_run_loop", _no_loop)
-        path = f"{tmp}/horizon.cfg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("" if h is None else f"h = {h!r}\n")
-        argv = ["--config", path, "--out", f"{tmp}/runs"]
-        if duration is not None:
-            # the = form, since argparse reads a bare "-inf" as an option
-            argv.append(f"--duration={duration!r}")
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv)
-        assert not Path(tmp, "runs").exists()
-    lines = err.getvalue().splitlines()
-    assert "Traceback" not in err.getvalue()
-    assert rc == 2, lines
-    errors = [ln for ln in lines if ln.startswith("error: ")]
-    assert len(errors) == 1, lines
-    assert any(text in errors[0] for text in HORIZON_ERRORS), errors
+    # the = form, since argparse reads a bare "-inf" as an option
+    argv = "" if duration is None else f"--duration={duration!r}"
+    with tempfile.TemporaryDirectory() as tmp:
+        # a draw that got past the config would run the loop, and fail
+        rc, _, err, _ = run_cli(tmp, "nominal",
+                                None if h is None else f"h = {h!r}", argv,
+                                loop=False)
+    assert rc == 2, err
+    assert any(text in err for text in HORIZON_ERRORS), err
 
 
 #: (id, scenario, config text or None, extra argv, stderr text,
@@ -212,6 +154,9 @@ EXIT_2 = [
     ("negative-step", "nominal", "h = -1", "", "h must be positive", True),
     ("infinite-horizon", "nominal", "t_end = inf", "", "finite", True),
     ("step-ceiling", "nominal", "t_end = 1e9", "", "ceiling", True),
+    # 11 steps of h end past the largest float
+    ("grid-time-overflow", "nominal", "h = 1.789e307\nt_end = 1.79e308", "",
+     "error: the last grid time 11*h = inf is not finite\n", True),
     ("nonfinite-plant-value", "nominal", "x2c0 = nan", "", "x2c0", True),
     ("trigger_both-2", "nominal", "trigger_both = 2", "--duration 0.02",
      "trigger_both must be 0 or 1", True),
@@ -295,10 +240,18 @@ EXIT_2 = [
      "gamma=20.0)\n", False),
     ("nonfinite-state", "nominal", "x0_1 = 1.5e308", "--duration 0.02",
      "error: state became nonfinite at t=0.001: (nan, nan)\n", False),
+    # the zeno-bound-nan config: u overflows to inf at the last step,
+    # where no next state turns it into nan
+    ("nonfinite-control", "nominal",
+     "da = 5e-324\nlambda2 = 6e-309\nx1ref = 0", "--duration 0.737",
+     "error: control u is not finite at t=0.737\n", False),
 ]
 
 
 @pytest.mark.parametrize("row_id,scenario,config,argv,text,before_loop",
                          EXIT_2, ids=[row[0] for row in EXIT_2])
-def test_exit_2(row_id, scenario, config, argv, text, before_loop, exit_2):
-    exit_2(scenario, config, argv, text, before_loop)
+def test_exit_2(row_id, scenario, config, argv, text, before_loop, tmp_path,
+                run_cli):
+    rc, _, err, _ = run_cli(tmp_path, scenario, config, argv,
+                            loop=not before_loop)
+    assert rc == 2 and text in err, err

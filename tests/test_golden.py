@@ -22,7 +22,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from etsmc.cli import main
 from etsmc.config import build_config
 from etsmc.sim import Trajectory
 from etsmc.trigger import EventLog, estimate_lipschitz
@@ -163,10 +162,9 @@ FULL_HORIZON = {
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_cli_artifact_digests(scenario, tmp_path):
-    assert main(["--scenario", scenario, "--duration", "2",
-                 "--out", str(tmp_path / "runs")]) == 0
-    run_dir = tmp_path / "runs" / scenario
+def test_cli_artifact_digests(scenario, tmp_path, run_cli):
+    rc, _, _, run_dir = run_cli(tmp_path, scenario, None, "--duration 2")
+    assert rc == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in run_dir.iterdir()}
     assert digests == GOLDEN[scenario]
@@ -174,27 +172,20 @@ def test_cli_artifact_digests(scenario, tmp_path):
 
 @pytest.mark.parametrize("scenario,config,digests", GOLDEN_LONG.values(),
                          ids=list(GOLDEN_LONG))
-def test_long_run_digests(scenario, config, digests, tmp_path):
-    argv = ["--scenario", scenario, "--duration", "10",
-            "--out", str(tmp_path / "runs")]
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        argv += ["--config", str(tmp_path / "run.cfg")]
+def test_long_run_digests(scenario, config, digests, tmp_path, run_cli):
+    rc, _, _, run_dir = run_cli(tmp_path, scenario, config, "--duration 10")
     # exit 1: lyapunov-decrease-outside-band is known red past short horizons
-    assert main(argv) in (0, 1)
-    run_dir = tmp_path / "runs" / scenario
+    assert rc in (0, 1)
     assert {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
 
-def test_sparse_baseline_comparison_metrics_digest(tmp_path):
-    (tmp_path / "sparse.cfg").write_text(SPARSE_CONFIG)
+def test_sparse_baseline_comparison_metrics_digest(tmp_path, run_cli):
+    rc, _, _, run_dir = run_cli(tmp_path, "baseline-comparison",
+                                SPARSE_CONFIG, "--duration 2")
     # exit 1: lyapunov-decrease-outside-band is known red for this config
-    assert main(["--scenario", "baseline-comparison", "--duration", "2",
-                 "--out", str(tmp_path / "runs"),
-                 "--config", str(tmp_path / "sparse.cfg")]) in (0, 1)
-    data = (tmp_path / "runs" / "baseline-comparison"
-            / "metrics.json").read_bytes()
+    assert rc in (0, 1)
+    data = (run_dir / "metrics.json").read_bytes()
     assert json.loads(data)["event_ratio"] < 1.0
     assert hashlib.sha256(data).hexdigest() == SPARSE_BASELINE_METRICS
 

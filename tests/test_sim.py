@@ -42,6 +42,8 @@ class TestSimConfig:
             small_cfg(h=0.0)
         with pytest.raises(ConfigError):
             small_cfg(t_end=0.005)  # below 10*h
+        with pytest.raises(ConfigError, match="last grid time"):
+            small_cfg(h=1.789e307, t_end=1.79e308)  # 11*h overflows
         with pytest.raises(ConfigError):
             small_cfg(scenario="warp")
         with pytest.raises(ConfigError):
