@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ class RunManifest:
     """manifest.json: a record that depends only on the run's config."""
 
     scenario: str
-    config: dict
+    config: dict[str, float]  # each key the run read -> its value
     files: dict[str, str]  # filename -> sha256
     invariant_violations: list[str]
 
@@ -48,34 +49,20 @@ def _sha256(path: Path) -> str:
 
 
 def _scenario_config(name: str, cfg: SimConfig) -> SimConfig:
-    """The run config of the scenario name on cfg.  Raises ConfigError, in
-    this order, for an unknown name; on a regulate-NNN name, for a
-    setpoint_kelvin other than the name's; and for a key that the scenario
-    does not read (config.UNREAD_KEYS, setpoint_kelvin on the other names)
-    set off both its default and what the name resolves it to: at either
-    value it changes nothing, so a manifest's config re-runs its scenario."""
+    """The run config of the scenario name on cfg.  Raises ConfigError for
+    an unknown name, and for a key that the name does not read
+    (config.UNREAD_KEYS) set off its config.KEYS default, where it would
+    change nothing."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; "
                           f"expected one of {', '.join(SCENARIOS)}")
     kind, setpoint = SCENARIOS[name]
-    if setpoint is not None and cfg.setpoint_kelvin not in (None, setpoint):
-        raise ConfigError(f"setpoint_kelvin = {cfg.setpoint_kelvin} "
-                          f"conflicts with the scenario {name}, whose "
-                          "name sets the setpoint")
     values = config_values(cfg)
-    # built with the unread keys at their defaults: none vouches for itself
-    rcfg = resolve_regulation(replace(
-        build_config({k: v for k, v in values.items()
-                      if k not in UNREAD_KEYS[kind]}),
-        scenario=kind, setpoint_kelvin=setpoint))
-    resolved = config_values(rcfg)
     for key in UNREAD_KEYS[kind]:
-        if values.get(key) not in (KEYS[key][2], resolved.get(key)):
-            readers = [n for n, (k, _) in SCENARIOS.items()
-                       if key not in UNREAD_KEYS[k]]
-            raise ConfigError(f"{key} applies only to {', '.join(readers)}, "
-                              f"not to {name}")
-    return rcfg
+        if values.get(key) != KEYS[key][2]:
+            raise ConfigError(f"the scenario {name} does not read {key}")
+    return resolve_regulation(replace(cfg, scenario=kind,
+                                      setpoint_kelvin=setpoint))
 
 
 def _json_values(values: dict) -> dict:
@@ -96,16 +83,23 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
     out = Path(outdir) / name
     rcfg = _scenario_config(name, cfg)
 
-    traj, log, metrics = run_event_triggered(rcfg)
+    # a scenario whose runs fail warns of nothing: what they warn is
+    # issued, through the caller's filters, once every run has succeeded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj, log, metrics = run_event_triggered(rcfg)
+        baseline = (run_time_triggered(rcfg)[1]
+                    if name == "baseline-comparison" else None)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     violations = check_invariants(traj, log, rcfg)
     metrics_dict = asdict(metrics)
 
-    if name == "baseline-comparison":
-        tt_traj, tt_metrics = run_time_triggered(rcfg)
+    if baseline is not None:
         metrics_dict.update(
-            {f"baseline_{k}": v for k, v in asdict(tt_metrics).items()})
+            {f"baseline_{k}": v for k, v in asdict(baseline).items()})
         metrics_dict["update_saving_vs_baseline"] = (
-            1.0 - metrics.event_count / tt_metrics.event_count)
+            1.0 - metrics.event_count / baseline.event_count)
 
     # made only now, so that a run failing with exit 2 leaves no directory
     out.mkdir(parents=True, exist_ok=True)
@@ -137,9 +131,10 @@ def run_scenario(name: str, cfg: SimConfig, outdir) -> tuple[RunManifest, list[s
 
     # only what this run wrote: the directory may hold other files
     files = {name: _sha256(out / name) for name in ARTIFACTS}
-    manifest = RunManifest(scenario=name,
-                           config=_json_values(config_values(rcfg)),
-                           files=files, invariant_violations=violations)
+    read = {k: v for k, v in config_values(rcfg).items()
+            if k not in UNREAD_KEYS[rcfg.scenario]}
+    manifest = RunManifest(scenario=name, config=read, files=files,
+                           invariant_violations=violations)
     _write_json(out / "manifest.json", asdict(manifest))
     return manifest, violations
 

@@ -73,13 +73,15 @@ KEYS: dict[str, tuple[str, str, Optional[float]]] = {
 
 _DISTURBANCE_KEYS = ("d1_amp", "d1_freq", "d2_amp", "d2_freq")
 
-#: The keys each scenario kind does not read: only a regulate run converts
-#: a kelvin setpoint, which then sets both references, and only a
-#: disturbed run has a disturbance.
+#: The keys that a scenario name of each kind does not read from a config:
+#: only a disturbed run has a disturbance, and only a regulate run converts
+#: a kelvin setpoint, with tf0_kelvin, into both references.  No name reads
+#: setpoint_kelvin: a regulate-NNN name sets it (cli.SCENARIOS).  Such a
+#: key must stay at its KEYS default, and manifest.json leaves it out.
 UNREAD_KEYS: dict[str, tuple[str, ...]] = {
     "nominal": ("tf0_kelvin", "setpoint_kelvin") + _DISTURBANCE_KEYS,
     "disturbed": ("tf0_kelvin", "setpoint_kelvin"),
-    "regulate": ("x1ref", "x2ss") + _DISTURBANCE_KEYS,
+    "regulate": ("x1ref", "x2ss", "setpoint_kelvin") + _DISTURBANCE_KEYS,
 }
 
 

@@ -149,6 +149,19 @@ ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "metrics.json",
              "composition.svg", "temperature.svg", "events.svg",
              "manifest.json")
 
+#: (scenario name, key) for each key that the name does not read, and for
+#: each key that some name does not read, on each name that reads it
+UNREAD = [(name, key) for name, (kind, _) in SCENARIOS.items()
+          for key in UNREAD_KEYS[kind]]
+READ = [(name, key) for key in dict.fromkeys(k for _, k in UNREAD)
+        for name, (kind, _) in SCENARIOS.items()
+        if key not in UNREAD_KEYS[kind]]
+
+
+def off_default(key):
+    """A value off the key's default, in range wherever it is read."""
+    return 350 if key.endswith("_kelvin") else 0.5
+
 
 class TestCliRuns:
     def test_manifest_hashes_only_the_run_artifacts(self, tmp_path, run_cli):
@@ -177,11 +190,14 @@ class TestCliRuns:
         ("nominal", "x0_2 = -0.0"), ("disturbed", ""), ("regulate-300", ""),
         ("regulate-400", "tf0_kelvin = 350"), ("regulate-500", ""),
         ("baseline-comparison", ""),
+        # an unread key at its default is taken, and left out
+        ("nominal", "d1_amp = 0.026"),
     ])
     def test_manifest_config_reruns_its_run(self, tmp_path, scenario, line,
                                             run_cli):
-        # a manifest's config, written back as a config file, gives the
-        # same run: every file, manifest.json included, is the same bytes
+        # a manifest's config holds exactly the keys the run read and,
+        # written back as a config file, gives the same run: every file,
+        # manifest.json included, is the same bytes
         def run(name, text):
             rc, _, _, run_dir = run_cli(tmp_path / name, scenario, text,
                                         "--duration 0.5")
@@ -189,6 +205,8 @@ class TestCliRuns:
             return {p.name: p.read_bytes() for p in run_dir.iterdir()}
         first = run("first", line)
         config = json.loads(first["manifest.json"])["config"]
+        unread = UNREAD_KEYS[SCENARIOS[scenario][0]]
+        assert set(config) == set(KEYS) - set(unread)
         again = run("again", "".join(f"{key} = {value!r}\n"
                                      for key, value in config.items()))
         assert sorted(first) == sorted(ARTIFACTS)
@@ -205,48 +223,24 @@ class TestCliRuns:
             self, tmp_path):
         # a library caller gets the rule a config file gets
         cfg = build_config({"d1_amp": 0.1})
-        with pytest.raises(ConfigError, match="^d1_amp applies only to "
-                           "disturbed, not to nominal$"):
+        with pytest.raises(ConfigError, match="^the scenario nominal does "
+                           "not read d1_amp$"):
             run_scenario("nominal", cfg, tmp_path / "runs")
         assert not (tmp_path / "runs").exists()
 
-    # a key that the scenario name sets or does not read exits 2 before
-    # the scenario runs, checked as the rows of test_exit_contract.EXIT_2
-    # are
-    @pytest.mark.parametrize("scenario,key", [
-        *((scenario, key) for scenario in ("nominal", "baseline-comparison")
-          for key in ("d1_amp", "d1_freq", "d2_amp", "d2_freq")),
-        *((f"regulate-{kelvin}", key) for kelvin in (300, 400, 500)
-          for key in ("x1ref", "x2ss", "d1_amp", "d1_freq", "d2_amp",
-                      "d2_freq"))])
+    # a key that the scenario name does not read exits 2 before the
+    # scenario runs, checked as the rows of test_exit_contract.EXIT_2 are;
+    # a regulate-NNN name's own setpoint counts, since the name sets it
+    @pytest.mark.parametrize("scenario,key", UNREAD)
     def test_key_the_scenario_does_not_read_exits_2(self, scenario, key,
                                                     tmp_path, run_cli):
-        rc, _, err, _ = run_cli(tmp_path, scenario, f"{key} = 0.5",
+        setpoint = SCENARIOS[scenario][1]
+        value = (setpoint if key == "setpoint_kelvin" and setpoint
+                 else off_default(key))
+        rc, _, err, _ = run_cli(tmp_path, scenario, f"{key} = {value}",
                                 "--duration 0.02", loop=False)
-        assert rc == 2 and f"{key} applies only to" in err, err
-
-    @pytest.mark.parametrize("scenario", ["nominal", "disturbed",
-                                          "baseline-comparison"])
-    @pytest.mark.parametrize("key", ["tf0_kelvin", "setpoint_kelvin"])
-    def test_regulate_key_in_config_outside_regulate_exits_2(
-            self, key, scenario, tmp_path, run_cli):
-        rc, _, err, _ = run_cli(tmp_path, scenario, f"{key} = 350",
-                                "--duration 0.02", loop=False)
-        assert rc == 2 and f"{key} applies only to" in err, err
-
-    @pytest.mark.parametrize("scenario,config,kelvin", [
-        ("regulate-400", "setpoint_kelvin = 350", 350),
-        # the setpoint is named ahead of an unread key, as when a
-        # regulate-400 manifest's config is run as regulate-300
-        ("regulate-300", "setpoint_kelvin = 400\nx1ref = 0.5", 400),
-    ], ids=["regulate-400", "and-x1ref-regulate-300"])
-    def test_setpoint_kelvin_in_config_on_regulate_exits_2(
-            self, scenario, config, kelvin, tmp_path, run_cli):
-        rc, _, err, _ = run_cli(tmp_path, scenario, config, "--duration 0.02",
-                                loop=False)
-        assert rc == 2
-        assert (f"setpoint_kelvin = {kelvin}.0 conflicts with the scenario "
-                f"{scenario}") in err, err
+        assert (rc, err) == (
+            2, f"error: the scenario {scenario} does not read {key}\n")
 
     @pytest.mark.parametrize("kelvin", ["0", "-300"])
     def test_nonpositive_feed_temperature_exits_2(self, kelvin, tmp_path,
@@ -282,12 +276,7 @@ class TestCliRuns:
             None, None, None]
 
     @pytest.mark.parametrize("scenario,line", [
-        ("regulate-400", "tf0_kelvin = 350"),
-        ("nominal", "x1ref = 0.5"), ("nominal", "x2ss = 0.5"),
-        ("baseline-comparison", "x1ref = 0.5"),
-        ("disturbed", "d1_amp = 0.5"), ("disturbed", "d1_freq = 0.5"),
-        ("disturbed", "d2_amp = 0.5"), ("disturbed", "d2_freq = 0.5"),
-    ])
+        (scenario, f"{key} = {off_default(key)}") for scenario, key in READ])
     def test_key_the_scenario_reads_changes_an_artifact(
             self, tmp_path, scenario, line, run_cli):
         dirs = []

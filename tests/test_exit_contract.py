@@ -191,6 +191,13 @@ EXIT_2 = [
     # x1 passes 1.1 at the first step, but a failed run warns of nothing
     ("warning-then-record-error", "nominal", "x1ref = 1e300\nx0_1 = 1.2",
      "--duration 0.02", "V = sigma^2/2 is not finite", False),
+    # the event-triggered run warns of x1 past the feed conversion at the
+    # first step, then the time-triggered baseline fails: a scenario that
+    # fails warns of nothing
+    ("baseline-warning-then-error", "baseline-comparison",
+     "mu = 0.5\nbeta = 30\nx0_1 = 1.5\nx0_2 = -5\nm1 = 1000000\nx2ss = -50",
+     "--duration 0.5", "error: exp(x2/(1+x2/gamma)) overflows "
+     "(x2=-20.013742109885072, gamma=20.0)\n", False),
     ("reference-overflow", "nominal", "k1 = 1e308", "--duration 0.02",
      "x2 reference", False),
     ("huge-beta-state-overflow", "nominal", "beta = 1e300", "--duration 0.02",

@@ -32,7 +32,7 @@ GOLDEN = {
         "composition.svg": "29f9d2c785fba98c559e3ef54d35888ac0fb2a3d1dc049db30dc8704aa9c129f",
         "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
         "events.svg": "003abfa9d8822f02b56966d6602353d59df781de2ce880407e5b4bc9b6370de8",
-        "manifest.json": "cdd51f8e71f1b5b33e554b65ad73bd91099c2526352e6e159efece4c49f6f7e3",
+        "manifest.json": "a39c656230f07baee5ca1c2111f7c2b7855285c4cb6895fa7709c7eb1685faaf",
         "metrics.json": "b9d9f042b171ffd05590ac43a55c8e40c6569673be739178865a405726c8f062",
         "metrics.txt": "4672f7dba37724df24c9d18e83413540878bfc01b7c18079d209c8785b73fa20",
         "temperature.svg": "5afc6b3bb914b57cc1f58bba79780eb9ff225e78b8ff0044df27cdab555e710a",
@@ -42,7 +42,7 @@ GOLDEN = {
         "composition.svg": "45f6096a27020a7b4c5e768efb39bd933e19e56d339bc282639062c47ace6a3d",
         "events.csv": "63a2c32eb710936b20e1e703e7f15a7ff4a3a18d9c25a1cd694b600d1aa38803",
         "events.svg": "36f0396f0a31475447313fc169131764db4bd1347a3ecefb7a29903ba33b6c26",
-        "manifest.json": "b1600b2eeddef8d29a1a5df39a40db591d801eef1d19b671ec1d34127cce8684",
+        "manifest.json": "6d4b1b4e0aa2e7a727bdfa314c689b2173d45fc15ab702d7aeb70760b378b443",
         "metrics.json": "597164be654047e90009b252be9dcafab6d6db64a419565e66ac9adf79c9fc04",
         "metrics.txt": "6a6dd7b9bf515e27e1cb967f7f185714cdb43b0bf0745724f782984ad0467022",
         "temperature.svg": "25d43cd8c5cf1e6c7bbf12ace58ac93f55576c7efcd27159a539986b3dc48a9a",
@@ -52,7 +52,7 @@ GOLDEN = {
         "composition.svg": "4369e3b1e6fdf9c7f85edff4cd54e8921f46fe461e091c2ca4cfcd94e58b7b03",
         "events.csv": "430c2c2ef37a006f43709c9a6c78abdd8dd10b452e2c2fbf637d9d06519d50d2",
         "events.svg": "03ed0679f53e5109f2bd13480d5a9a7d30c116d7e68f0885a878dbeed1950044",
-        "manifest.json": "6149cc2eb04498137659fcd1c90be8fecde1e33ad57b6577c116b176ff3a16a6",
+        "manifest.json": "4b6d0b517aa8bc76ff42be9801102be6bf11b33af66714d21a8442b1c4cb5fe3",
         "metrics.json": "0e3e12b834e7bbadf8a97a2f00d537f840d88dcb803b7e25782ccae5083aaf20",
         "metrics.txt": "a5b3dddf28bc9f1f87d6dfb9f31969543833838b455e81d494eb486af962fc05",
         "temperature.svg": "d1cb225b69af0131d70ac50f00585a081d7ce5340f7882b280b3b1058db948f3",
@@ -62,7 +62,7 @@ GOLDEN = {
         "composition.svg": "5aa400d0b8164f0366ba10200c3c94bc8583dfe1dafb8c9de682a51daba5196f",
         "events.csv": "96d461a27a5e1a085866a982f141af2b38ac6dd6ea3fba57cf380dedf7e9ad6c",
         "events.svg": "db3fd0bd08856199440859990ac0cc69928bb1deb510dff9504fd5cba007288c",
-        "manifest.json": "62289b2f75192915d9dfc16b83d60dae8b4df79cf94cf464c1c914163e3f588a",
+        "manifest.json": "2d2e0c14f4d577c84fc205f079a75aeb50183d11533af7f777081f4a72a6cb73",
         "metrics.json": "6898c4f422f803dc70d5e631f16090dd98a341d02afcceb29b529e571470e890",
         "metrics.txt": "f78d79d24c4e66f4e182dd8c34d55168d99dc536b8388393b0861338bb4376d7",
         "temperature.svg": "977b078fd4e3c4dcd7e8381da85aecd784d32c6d57d7d3fbbc3bf32b43cef7db",
@@ -72,7 +72,7 @@ GOLDEN = {
         "composition.svg": "7bef9c6dea61c5bc7e952fd51c646270ada0f508ac018be4b2dd6367c469d4bb",
         "events.csv": "8575c7fa556e230806ffbb2dc54956a48c01165b5c651af39184d951befbed9f",
         "events.svg": "de1ac36f95602e5b26a71aba5e2bc13bdd72e4c572d1515e0f52fe98ea91034c",
-        "manifest.json": "b1bca269a769c56c57b7522072eb89436f3f91456e468ca06b0d30067e754a5e",
+        "manifest.json": "d0e199495512ce8c9f046baa8ac62c0d2fa2e42872e99c3eedb469a80bd676f9",
         "metrics.json": "27577ed353c68d9d4cefae5a89119734dbbcc84ec3fbb48529cdb4fcce077e50",
         "metrics.txt": "5bd5b5d69af5c92bb00c1de7a741b93046ae2010b338872ed1bb3ee4d1e8bb3d",
         "temperature.svg": "18d14ef016b82456a35afcea918052e45540d7838d680c275c559e1ccbbeb1a9",
@@ -82,7 +82,7 @@ GOLDEN = {
         "composition.svg": "b061c603f06584734f0f119d2019d075e1cfd7b58743e1b59c4f0ab64a8448d8",
         "events.csv": "d8a861c70a0592d70c60e40084d8d7cdd846a022e733f577270ce4043b8c2843",
         "events.svg": "80c9069149484a280a1c1b4e7d3b2b1e7e36d1eb7cf17744a7fc5140c7334acd",
-        "manifest.json": "939f4b2000aaa66b4192e31b79149662f5b4423722eee1a939ff717dded67a17",
+        "manifest.json": "33b02ef54ac750267af7570e5b13e51530d7e70c83787fd809c331f9c787e4cb",
         "metrics.json": "1aa336a6cbc5d5997f8b81cb4df9e9ed8e0ccd3d127f4b98d9e72a4a845a4809",
         "metrics.txt": "3882300570a7b1ba509359210170d23dafd917a5c9d2c4c4ae74dc6938538c58",
         "temperature.svg": "069968419ab975f452f01a79500f1274a39d6162c383ab2e067eb7a729059905",

@@ -334,7 +334,8 @@ class TestRunOutputs:
         assert np.all(traj.v == 0.5 * traj.sigma ** 2)
 
     def test_event_log_holds_python_floats(self):
-        # the event CSV writes repr(x), which for np.float64 is not a number
+        # the EventLog docstring promises Python floats when indexed or
+        # iterated, and bound_at_event a list of them
         cfg = small_cfg(t_end=1.0)
         _, log, _ = run_event_triggered(cfg)
         for name in ("instants", "gaps", "delta_at_event", "bound_at_event"):
