@@ -23,7 +23,6 @@ oracle of the kernel.
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -40,8 +39,6 @@ from .trigger import (EventLog, TriggerParams, estimate_lipschitz, thresholds,
                       zeno_bound, zeno_bounds)
 
 SCENARIOS = ("nominal", "disturbed", "regulate")
-
-X1_PHYSICAL_TOL = 0.1
 
 #: Ceiling on the steps of one run, checked before any array is allocated
 #: (20x the default horizon).  A run_event_triggered step peaks at about
@@ -128,6 +125,11 @@ def resolve_regulation(cfg: SimConfig) -> SimConfig:
     if cfg.scenario != "regulate":
         return cfg
     x2ss = kelvin_to_x2(cfg.setpoint_kelvin, cfg.tf0_kelvin, cfg.plant.gamma)
+    if not math.isfinite(x2ss):
+        raise ConfigError(
+            f"the setpoint {cfg.setpoint_kelvin} K, tf0_kelvin = "
+            f"{cfg.tf0_kelvin} and gamma = {cfg.plant.gamma} give an x2 "
+            f"reference of {x2ss}")
     x1ref = composition_nullcline(x2ss, cfg.plant)
     ref = replace(cfg.reference, x1_const=x1ref, x2ss=x2ss)
     return replace(cfg, reference=ref)
@@ -387,13 +389,6 @@ def _run_loop(cfg: SimConfig, every_step: bool
     bad = np.flatnonzero(~np.isfinite(us))
     if bad.size:
         raise PlantError(f"control u is not finite at t={ts[bad[0]]}")
-    # from the finished records: a run that fails above warns of nothing
-    over = np.flatnonzero(x1s[1:] >= 1.0 + X1_PHYSICAL_TOL)
-    if over.size:
-        i = over[0] + 1
-        warnings.warn(
-            f"x1={x1s[i]:.4f} exceeds feed conversion at t={ts[i]:.4f}",
-            RuntimeWarning, stacklevel=3)
     tols /= min(abs(lam1), abs(lam2))
     traj = Trajectory(
         t=ts, x1=x1s, x2=x2s, x1ref=np.broadcast_to(x1ref, n + 1),
@@ -422,8 +417,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
 #: same order, and compute_metrics reads only the gaps, equal in both runs.
 #: The config matches by identity, since x0_2 = -0.0 equals 0.0 yet writes
 #: other bytes; the trajectory is held weakly, so the slot never keeps one
-#: alive.  A baseline served from here does not repeat _run_loop's
-#: "exceeds feed conversion" warning.
+#: alive.
 _dense_run: Optional[tuple[SimConfig, weakref.ref, Metrics]] = None
 
 

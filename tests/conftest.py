@@ -129,7 +129,7 @@ def run_cli():
     passed as --config.  loop=False fails the run if it enters the closed
     loop.  Whatever code comes back, checks the exit-code contract for it:
     - every code is 0, 1 or 2, with no traceback; the one warning a run
-      may record is the loop's "exceeds feed conversion", on 0 or 1;
+      may record is the CLI's "exceeds feed conversion", on 0 or 1;
     - 2: no stdout, no warning, one ``error:`` line and no run directory;
     - 1: the ``wrote`` line, and one ``invariant check failed:`` line whose
       names are in INVARIANTS and are those of manifest.json;

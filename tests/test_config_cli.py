@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,6 +251,29 @@ class TestCliRuns:
                                 loop=False)
         assert (rc, err) == (
             2, "error: tf0_kelvin must be positive and finite\n")
+
+    def test_feed_conversion_excursion_warns_from_the_cli_alone(
+            self, tmp_path):
+        # x1 passes 1 + X1_PHYSICAL_TOL at the first step: the run
+        # functions warn of nothing (a copy of the config makes the
+        # baseline run its own loop), and run_scenario warns once, naming
+        # its caller (stacklevel)
+        cfg = replace(build_config({}), x0=plant.DimlessState(1.2, 0.0),
+                      t_end=0.1)
+        for run, arg in ((sim.run_event_triggered, cfg),
+                         (sim.run_time_triggered, replace(cfg))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(arg)
+            assert caught == [], run
+        for name in ("nominal", "baseline-comparison"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_scenario(name, cfg, tmp_path)
+            assert [(str(w.message), w.category, w.filename)
+                    for w in caught] == [
+                ("x1=1.1988 exceeds feed conversion at t=0.0010",
+                 RuntimeWarning, __file__)], name
 
     def test_unknown_scenario_lists_the_scenarios(self, tmp_path):
         with pytest.raises(ConfigError) as exc:

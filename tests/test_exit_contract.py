@@ -158,6 +158,13 @@ EXIT_2 = [
     ("grid-time-overflow", "nominal", "h = 1.789e307\nt_end = 1.79e308", "",
      "error: the last grid time 11*h = inf is not finite\n", True),
     ("nonfinite-plant-value", "nominal", "x2c0 = nan", "", "x2c0", True),
+    # the regulate setpoint converts to an x2 reference that overflows
+    ("feed-temperature-underflow", "regulate-400", "tf0_kelvin = 5e-324",
+     "--duration 0.02", "error: the setpoint 400.0 K, tf0_kelvin = 5e-324 "
+     "and gamma = 20.0 give an x2 reference of inf\n", True),
+    ("setpoint-gamma-overflow", "regulate-500", "gamma = 1e308",
+     "--duration 0.02", "error: the setpoint 500.0 K, tf0_kelvin = 300.0 "
+     "and gamma = 1e+308 give an x2 reference of inf\n", True),
     ("trigger_both-2", "nominal", "trigger_both = 2", "--duration 0.02",
      "trigger_both must be 0 or 1", True),
     # --duration takes the text a config value takes
@@ -188,12 +195,12 @@ EXIT_2 = [
      "V = sigma^2/2 is not finite", False),
     ("lyapunov-v-overflow", "nominal", "x1ref = 1e300", "--duration 0.02",
      "V = sigma^2/2 is not finite", False),
-    # x1 passes 1.1 at the first step, but a failed run warns of nothing
+    # x1 passes 1.1 at the first step, but the run fails before the CLI
+    # checks it
     ("warning-then-record-error", "nominal", "x1ref = 1e300\nx0_1 = 1.2",
      "--duration 0.02", "V = sigma^2/2 is not finite", False),
-    # the event-triggered run warns of x1 past the feed conversion at the
-    # first step, then the time-triggered baseline fails: a scenario that
-    # fails warns of nothing
+    # the event-triggered run's x1 passes 1.1 at the first step, but the
+    # time-triggered baseline fails before the CLI checks it
     ("baseline-warning-then-error", "baseline-comparison",
      "mu = 0.5\nbeta = 30\nx0_1 = 1.5\nx0_2 = -5\nm1 = 1000000\nx2ss = -50",
      "--duration 0.5", "error: exp(x2/(1+x2/gamma)) overflows "

@@ -7,7 +7,6 @@ import json
 import math
 import pkgutil
 import re
-import warnings
 import weakref
 from dataclasses import asdict, fields, is_dataclass, replace
 
@@ -172,12 +171,15 @@ def assert_matches_public_operations(traj, cfg, case, sgn=1.0,
 
 def assert_records_consistent(traj, log, cfg):
     """The properties that _run_loop builds into the records of an
-    event-triggered run, asserted on them: the control changes only at an
-    event; V is 0.5*sigma*sigma bit for bit; t = 0 fires, and a later step
-    fires exactly where its margin is nonnegative; the log's instants
-    increase and its gaps are at least h, since they are the times of the
-    event steps and their differences times h; it holds the margins of
-    those steps, and one bound each."""
+    event-triggered run, asserted on them: every series holds one value
+    per grid point; the control changes only at an event; V is
+    0.5*sigma*sigma bit for bit; t = 0 fires, and a later step fires
+    exactly where its margin is nonnegative; the log's instants increase
+    and its gaps are at least h, since they are the times of the event
+    steps and their differences times h; it holds the margins of those
+    steps, and one bound each."""
+    for f in fields(Trajectory):
+        assert len(getattr(traj, f.name)) == cfg.step_count() + 1, f.name
     ev = traj.event
     held = ~ev[1:]
     assert np.array_equal(traj.u[1:][held], traj.u[:-1][held])
@@ -320,19 +322,6 @@ def test_every_dataclass_is_frozen():
 
 
 class TestRunOutputs:
-    def test_series_shapes_and_flags(self):
-        cfg = small_cfg(t_end=1.0)
-        traj, log, metrics = run_event_triggered(cfg)
-        n = cfg.step_count() + 1
-        for name in ("t", "x1", "x2", "x1ref", "x2ref", "u", "sigma",
-                     "sigma_dot", "delta", "event", "v", "band", "eps"):
-            assert len(getattr(traj, name)) == n
-        assert traj.event[0]
-        assert log.instants[0] == 0.0
-        assert len(log.bound_at_event) == len(log.instants)
-        assert all(b > 0.0 for b in log.bound_at_event)
-        assert np.all(traj.v == 0.5 * traj.sigma ** 2)
-
     def test_event_log_holds_python_floats(self):
         # the EventLog docstring promises Python floats when indexed or
         # iterated, and bound_at_event a list of them
@@ -406,21 +395,6 @@ class TestRunOutputs:
         _, _, peak = traced_peak(run_event_triggered, cfg,
                                  warm=(small_cfg(t_end=0.02),))
         assert peak / cfg.step_count() <= 150
-
-    def test_physical_range_warning(self):
-        # one warning, at the first step past 1 + X1_PHYSICAL_TOL, and
-        # attributed to the caller of the run (stacklevel); a copy of the
-        # config makes the baseline run its own loop
-        cfg = small_cfg(x0=DimlessState(1.2, 0.0), t_end=0.1)
-        for run, arg in ((run_event_triggered, cfg),
-                         (run_time_triggered, replace(cfg))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run(arg)
-            assert [(str(w.message), w.category, w.filename)
-                    for w in caught] == [
-                ("x1=1.1988 exceeds feed conversion at t=0.0010",
-                 RuntimeWarning, __file__)], run
 
 
 def test_run_api_takes_only_the_config():
