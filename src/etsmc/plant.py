@@ -72,21 +72,26 @@ class Disturbance:
     freq2: float
 
     def series(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d1, d2) at the times ts, one sin per point.
+        """(d1, d2) at the times ts, one sin per point and distinct frequency.
 
-        Every element equals the Python-float amp * math.sin(freq * t).
+        Every element equals the Python-float amp * math.sin(freq * t) bit
+        for bit; equal frequencies that are the same double (not 0.0 and
+        -0.0, whose sines differ in sign) share one sine series.
         Raises PlantError on a nonfinite phase.
         """
-        out = []
-        for amp, freq in ((self.amp1, self.freq1), (self.amp2, self.freq2)):
+        def sines(freq: float) -> np.ndarray:
             with np.errstate(over="ignore"):  # reported below instead
                 phase = freq * ts
             bad = np.flatnonzero(~np.isfinite(phase))
             if bad.size:
                 raise PlantError(f"disturbance phase {freq}*t is not finite "
                                  f"at t={ts[bad[0]]}")
-            out.append(amp * pointwise(math.sin, phase))
-        return out[0], out[1]
+            return pointwise(math.sin, phase)
+
+        w1, w2 = self.freq1, self.freq2
+        s1 = sines(w1)
+        same = w1 == w2 and math.copysign(1.0, w1) == math.copysign(1.0, w2)
+        return self.amp1 * s1, self.amp2 * (s1 if same else sines(w2))
 
     def eval(self, t: float) -> tuple[float, float]:
         """series at the single time t."""
@@ -113,8 +118,8 @@ def drift(x1: float, x2: float, p: DimlessParams) -> tuple[float, float]:
     except OverflowError:
         raise PlantError(f"exp(x2/(1+x2/gamma)) overflows "
                          f"(x2={x2}, gamma={p.gamma})") from None
-    return (-x1 + p.da * (1.0 - x1) * ex,
-            -x2 + p.b_rise * p.da * (1.0 - x1) * ex - p.beta * (x2 - p.x2c0))
+    return (p.da * (1.0 - x1) * ex - x1,
+            p.b_rise * p.da * (1.0 - x1) * ex - x2 - p.beta * (x2 - p.x2c0))
 
 
 def eval_f1(x: DimlessState, p: DimlessParams) -> float:

@@ -11,11 +11,15 @@ The per-step body is one fused kernel.  It evaluates plant.drift (at the
 three later RK4 stages and at the new state), the rest of rk4 and
 trigger.margin in line, with their constants hoisted into locals and every
 operation in its operand order, so each float equals what those functions
-give bit for bit and the step makes no Python call.  Where plant.drift
-would raise on a singular denominator, the loop calls it at that point;
-where an exp overflows, the loop replays the step through rk4 and
-plant.drift from its recorded start.  So every error and its text still
-come from plant.drift.  tests/test_sim.py::TestLoopEquivalence
+give bit for bit and the step makes no Python call.  Both homes write the
+drift P - x, which is the IEEE sum -x + P with no negation to run.  Where
+plant.drift would raise on a singular denominator, the loop calls it at
+that point: an ordinary step's den fails den < stol, one compare, and only
+a den below stol is compared with -stol.  Where an exp overflows, the loop
+replays the step through rk4 and plant.drift from its recorded start.  So
+every error and its text still come from plant.drift.  An undisturbed
+run's stage series are repeats of 0.0, with no buffer behind them.
+tests/test_sim.py::TestLoopEquivalence
 replays runs through plant.drift, rk4 and trigger.margin as the bitwise
 oracle of the kernel.
 """
@@ -24,9 +28,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -230,14 +234,14 @@ def rk4_step(x: DimlessState, u: float, t: float, h: float,
 
 
 def _disturbance_grid(d: Disturbance, ts: np.ndarray, h: float
-                      ) -> list[memoryview]:
+                      ) -> list[Iterable[float]]:
     """(d1, d2) at the grid ts, then at the start and the middle of the
     step from t - h to t = ts[i], at index i; t - h need not equal the
     previous grid time.  Index 0 of the stage series, before any step, is
     a placeholder."""
     if d.amp1 == 0.0 and d.amp2 == 0.0:
-        # no sin to take, and one shared buffer serves every stage
-        return [memoryview(np.zeros(len(ts)))] * 6
+        # no sin to take and no buffer; six iterators, since zip steps each
+        return [repeat(0.0, len(ts)) for _ in range(6)]
     t0s = ts - h
     return list(map(memoryview, (*d.series(ts), *d.series(t0s),
                                  *d.series(t0s + 0.5 * h))))
@@ -259,7 +263,8 @@ def _run_loop(cfg: SimConfig, every_step: bool
     bda = p.b_rise * p.da
     half, h6 = 0.5 * h, h / 6.0
     zeta, xi, both = tp.zeta, tp.xi, tp.trigger_both
-    exp, hypot, isfinite, inf = math.exp, math.hypot, math.isfinite, math.inf
+    exp, hypot, isfinite = math.exp, math.hypot, math.isfinite
+    ninf, stol = -math.inf, SINGULAR_TOL  # no negation inside the loop
 
     # the time-only series come from their array homes; i*h here equals
     # the scalar i * h bit for bit.  The loop reads every series by
@@ -297,30 +302,30 @@ def _run_loop(cfg: SimConfig, every_step: bool
                 y1 = x1 + half * a1
                 y2 = x2 + half * a2
                 den = 1.0 + y2 / gamma
-                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                if den < stol and den > -stol:
                     drift(y1, y2, p)
                 ex = exp(y2 / den)
                 rem = 1.0 - y1
-                b1 = -y1 + da * rem * ex - d2m
-                b2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+                b1 = da * rem * ex - y1 - d2m
+                b2 = bda * rem * ex - y2 - beta * (y2 - x2c0) + bu + d1m
                 y1 = x1 + half * b1
                 y2 = x2 + half * b2
                 den = 1.0 + y2 / gamma
-                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                if den < stol and den > -stol:
                     drift(y1, y2, p)
                 ex = exp(y2 / den)
                 rem = 1.0 - y1
-                c1 = -y1 + da * rem * ex - d2m
-                c2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1m
+                c1 = da * rem * ex - y1 - d2m
+                c2 = bda * rem * ex - y2 - beta * (y2 - x2c0) + bu + d1m
                 y1 = x1 + h * c1
                 y2 = x2 + h * c2
                 den = 1.0 + y2 / gamma
-                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                if den < stol and den > -stol:
                     drift(y1, y2, p)
                 ex = exp(y2 / den)
                 rem = 1.0 - y1
-                w1 = -y1 + da * rem * ex - d2v
-                w2 = -y2 + bda * rem * ex - beta * (y2 - x2c0) + bu + d1v
+                w1 = da * rem * ex - y1 - d2v
+                w2 = bda * rem * ex - y2 - beta * (y2 - x2c0) + bu + d1v
                 x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + w1)
                 x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + w2)
                 if not (isfinite(x1) and isfinite(x2)):
@@ -328,12 +333,12 @@ def _run_loop(cfg: SimConfig, every_step: bool
                         f"state became nonfinite at t={t_at[i]}: ({x1}, {x2})")
                 # also stage 1 of the next step: same state, same drift
                 den = 1.0 + x2 / gamma
-                if -SINGULAR_TOL < den < SINGULAR_TOL:
+                if den < stol and den > -stol:
                     drift(x1, x2, p)
                 ex = exp(x2 / den)
                 rem = 1.0 - x1
-                f1 = -x1 + da * rem * ex
-                f2 = -x2 + bda * rem * ex - beta * (x2 - x2c0)
+                f1 = da * rem * ex - x1
+                f2 = bda * rem * ex - x2 - beta * (x2 - x2c0)
             except OverflowError:
                 # an exp overflowed: replay the step from its recorded
                 # start through rk4 and plant.drift, which raise there
@@ -346,7 +351,7 @@ def _run_loop(cfg: SimConfig, every_step: bool
         e1dot = f1 - d2v
         e2dot = f2 + bu + d1v - x2ref_dot
         # trigger.margin
-        val = abs(zeta * e1 + xi * e1dot * e1dot) if both else -inf
+        val = abs(zeta * e1 + xi * e1dot * e1dot) if both else ninf
         v2 = abs(zeta * e2 + xi * e2dot * e2dot)
         if v2 > val:
             val = v2

@@ -1,9 +1,12 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          Disturbance, PlantError, composition_nullcline, drift,
@@ -76,6 +79,51 @@ class TestDrift:
             f1, f2 = drift(x.x1, x.x2, NOMINAL)
             assert eval_f1(x, NOMINAL) == f1
             assert eval_f2(x, NOMINAL) == f2
+
+
+def _minus_first_drift(x1, x2, p):
+    """plant.drift as it was written, -x + P, up to its error checks."""
+    den = 1.0 + x2 / p.gamma
+    ex = math.exp(x2 / den)
+    return (-x1 + p.da * (1.0 - x1) * ex,
+            -x2 + p.b_rise * p.da * (1.0 - x1) * ex - p.beta * (x2 - p.x2c0))
+
+
+def _signed_floats(**bounds):
+    """Finite floats, with both signed zeros drawn often."""
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(allow_nan=False, allow_infinity=False,
+                               **bounds))
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+
+
+class TestDriftOperandOrder:
+    """P - x and -x + P are the same IEEE sum for every non-NaN operand."""
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(x1=_signed_floats(), x2=_signed_floats(min_value=-1e3,
+                                                  max_value=1e3),
+           x2c0=_signed_floats(), da=_POSITIVE, b_rise=_POSITIVE,
+           beta=_POSITIVE, gamma=st.floats(min_value=1e-3, max_value=1e3))
+    @example(x1=-0.0, x2=-0.0, x2c0=-0.0, da=0.078, b_rise=8.0, beta=0.3,
+             gamma=20.0)
+    @example(x1=1.0, x2=0.0, x2c0=-0.0, da=0.078, b_rise=8.0, beta=0.3,
+             gamma=20.0)
+    @example(x1=-1e308, x2=0.0, x2c0=1e308, da=1e308, b_rise=1e308,
+             beta=1e308, gamma=20.0)
+    def test_bytes_equal_the_minus_first_form(self, x1, x2, x2c0, da,
+                                              b_rise, beta, gamma):
+        p = DimlessParams(da=da, gamma=gamma, b_rise=b_rise, beta=beta,
+                          x2c0=x2c0)
+        try:
+            new = drift(x1, x2, p)
+        except PlantError:
+            assume(False)  # singular or overflowing: no value to compare
+        old = _minus_first_drift(x1, x2, p)
+        assert struct.pack("<2d", *new) == struct.pack("<2d", *old)
 
 
 class TestJacobian:
@@ -164,6 +212,33 @@ class TestDisturbance:
             for t, v1, v2 in zip(grid.tolist(), d1.tolist(), d2.tolist()):
                 assert v1 == 0.026 * math.sin(0.1 * t), t
                 assert v2 == -0.037 * math.sin(2.7 * t), t
+
+    @staticmethod
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    def test_shared_frequency_matches_scalar_evaluation_bitwise(self):
+        # one sine series serves both amplitudes; each product is still
+        # amp * math.sin(f * t)
+        ts = np.arange(2001) * 0.01
+        for f in (0.1, -2.7, 1e-300):
+            d1, d2 = Disturbance(0.026, f, -0.037, f).series(ts)
+            t = ts.tolist()
+            assert self.bits(d1) == self.bits(
+                [0.026 * math.sin(f * s) for s in t]), f
+            assert self.bits(d2) == self.bits(
+                [-0.037 * math.sin(f * s) for s in t]), f
+
+    def test_signed_zero_frequencies_take_their_own_sines(self):
+        # 0.0 == -0.0, yet sin(-0.0 * t) is -0.0 at t >= 0: d2 holds the
+        # products of its own phase
+        ts = np.array([0.0, 0.5, 1.0])
+        d1, d2 = Disturbance(1.0, 0.0, 1.0, -0.0).series(ts)
+        assert self.bits(d1) == self.bits([0.0] * 3)
+        assert self.bits(d2) == self.bits([-0.0] * 3)
+        d1, d2 = Disturbance(1.0, -0.0, 1.0, 0.0).series(ts)
+        assert self.bits(d1) == self.bits([-0.0] * 3)
+        assert self.bits(d2) == self.bits([0.0] * 3)
 
     def test_nonfinite_phase_raises(self):
         d = Disturbance(0.026, 1e308, 0.037, 0.1)

@@ -16,7 +16,8 @@ import pytest
 import etsmc
 from etsmc import sim
 from etsmc.config import build_config
-from etsmc.controller import SlidingParams, event_control_update
+from etsmc.controller import (SlidingParams, event_control_update,
+                              switching_law)
 from etsmc.floattext import CSV_BLOCK
 from etsmc.plant import (ConfigError, DimlessParams, DimlessState,
                          Disturbance, PlantError, drift)
@@ -306,6 +307,66 @@ def test_flipped_run_digest(run_flipped):
         digest.update(np.asarray(getattr(log, f.name), dtype=float).tobytes())
     digest.update(json.dumps(asdict(metrics)).encode())
     assert digest.hexdigest() == FLIPPED_DIGEST
+
+
+def blind_time_triggered(cfg):
+    """run_time_triggered on a copy of cfg, with a law blind to d.
+
+    The loop hands switching_law g1 = f1 - d2 and g2 = f2 + d1 - x2ref_dot;
+    the wrapper adds d2 back to g1 and takes d1 off g2.  A time-triggered
+    run calls the law through sim's global once a grid point, in order, so
+    call k reads d at the grid time k*h.
+    """
+    ts = np.arange(cfg.step_count() + 1) * cfg.h
+    d1, d2 = cfg.disturbance().series(ts)
+    at = zip(d1.tolist(), d2.tolist())
+
+    def blind(e1, e2, g1, g2, sp, beta):
+        d1v, d2v = next(at)
+        return switching_law(e1, e2, g1 + d2v, g2 - d1v, sp, beta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "switching_law", blind)
+        traj = run_time_triggered(replace(cfg))[0]
+    assert next(at, None) is None, "the law was not called at every point"
+    return traj
+
+
+@pytest.mark.parametrize("mu, blind, holds", [
+    (25.0, True, True), (0.5, True, False), (0.5, False, True),
+], ids=["blind-mu25-holds", "blind-mu0.5-fails", "feed-forward-mu0.5-holds"])
+def test_reaching_without_the_disturbance_feed_forward(mu, blind, holds):
+    # the law cancels a measured d exactly, so only a law blind to it shows
+    # whether mu*sign(sigma) rejects a disturbance: at mu = 25 it does, at
+    # mu = 0.5 it does not, while the law as it is reaches at mu = 0.5
+    cfg = replace(build_config({"mu": mu, "t_end": 10.0, "d1_amp": 2.0,
+                                "d2_amp": 2.0, "d1_freq": 1.0,
+                                "d2_freq": 1.0}), scenario="disturbed")
+    traj = (blind_time_triggered(cfg) if blind
+            else run_time_triggered(replace(cfg))[0])
+    res = verify_reachability(traj)
+    assert res.applicable
+    assert (res.eta_hat > 0.0 and not res.violations) == holds, (
+        res.eta_hat, len(res.violations))
+
+
+@pytest.mark.parametrize("scenario", ["nominal", "disturbed"])
+def test_refinement_gap_shrinks_with_psi_on_a_sparse_tuning(scenario):
+    # criterion 6's comparison on a tuning whose psi = 0.5 run skips most
+    # steps, so a monotone verdict is not the all-zero gaps of every step
+    # firing at each psi
+    cfg = replace(build_config({"mu": 0.5, "m1": 1.0, "t_end": 10.0}),
+                  scenario=scenario)
+    gaps, ratios = [], []
+    for psi in (0.5, 0.1, 0.02):
+        run = replace(cfg, trigger=replace(cfg.trigger, psi=psi))
+        et, _, metrics = run_event_triggered(run)
+        tt = run_time_triggered(run)[0]
+        gaps.append(float(max(np.abs(et.x1 - tt.x1).max(),
+                              np.abs(et.x2 - tt.x2).max())))
+        ratios.append(metrics.event_ratio)
+    assert ratios[0] < 0.5, ratios
+    assert gaps[0] >= gaps[1] >= gaps[2], gaps
 
 
 def test_every_dataclass_is_frozen():
